@@ -6,8 +6,18 @@ family is ``2*j + 1``.  A palette records how many colours each family
 holds; its canonical order puts all unprimed colours before all primed
 ones.  Single-family colourings simply use a palette with no primed part.
 
-The verifier here is the trusted oracle for every other module: properness
-is a per-vertex scan, acyclicity a union-find forest check per colour pair.
+The verifier here is the trusted oracle for every other module.  Properness
+is a per-vertex scan, which also builds each vertex's colour -> (neighbour,
+edge) map.  In a proper colouring any two colour classes form a subgraph of
+maximum degree 2, a union of paths and cycles, so acyclicity is a walk along
+those alternating paths, once per colour pair, starting from the edges of
+the smaller class: O(k*m) over all pairs rather than a pass over every edge
+per pair.
+
+Library code checks each colouring once, where it crosses a module
+boundary: `compose` checks the factors it is handed and the colouring it
+returns, and a fold of `compose` does not check its own verified output a
+second time as the next factor.
 """
 
 from __future__ import annotations
@@ -153,11 +163,31 @@ class EdgeColouring:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "EdgeColouring":
-        palette = ColourPalette(int(data["palette"]["g"]), int(data["palette"]["h"]))
-        rows = data["edges"]
-        graph = Graph(int(data["n"]), [(int(u), int(v)) for u, v, _ in rows])
-        mapping = {_norm_edge(int(u), int(v)): parse_colour_label(c) for u, v, c in rows}
+    def from_json_dict(cls, data) -> "EdgeColouring":
+        """Inverse of `to_json_dict`; a malformed document raises ValueError,
+        and so does an edge listed twice, in either orientation."""
+        if not isinstance(data, dict):
+            raise ValueError("colouring JSON must be an object")
+        missing = [key for key in ("n", "palette", "edges") if key not in data]
+        if missing:
+            raise ValueError(f"colouring JSON lacks {', '.join(map(repr, missing))}")
+        sizes, rows = data["palette"], data["edges"]
+        if not (isinstance(sizes, dict) and "g" in sizes and "h" in sizes):
+            raise ValueError("colouring JSON 'palette' must be an object with 'g' and 'h'")
+        if not isinstance(rows, list):
+            raise ValueError("colouring JSON 'edges' must be a list")
+        mapping: dict[Edge, int] = {}
+        for row in rows:
+            if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], str)):
+                raise ValueError(f"edge row must be [u, v, colour label], got {row!r}")
+            e = _norm_edge(_json_int(row[0], "edge endpoint"), _json_int(row[1], "edge endpoint"))
+            if e in mapping:
+                raise ValueError(f"edge {e} is listed twice")
+            mapping[e] = parse_colour_label(row[2])
+        palette = ColourPalette(
+            _json_int(sizes["g"], "palette size"), _json_int(sizes["h"], "palette size")
+        )
+        graph = Graph(_json_int(data["n"], "vertex count"), mapping)
         return cls.from_edge_map(graph, mapping, palette)
 
     def __eq__(self, other) -> bool:
@@ -171,6 +201,12 @@ class EdgeColouring:
 
     def __repr__(self) -> str:
         return f"EdgeColouring({self.graph!r}, {len(self.distinct_colours())} colours)"
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def colours_used(x: EdgeColouring) -> int:
@@ -263,17 +299,33 @@ def canonical_cycle(vertices: Iterable[int]) -> tuple[int, ...]:
 # Checks
 
 
+def _colour_incidence(
+    x: EdgeColouring,
+) -> tuple[list[dict[int, tuple[int, int]]], Optional[NotProper]]:
+    """Per vertex, colour -> (neighbour, edge index) over its incident edges.
+
+    Vertices and their incident edges are scanned in index order; the first
+    colour met twice at a vertex is returned as the NotProper witness, and
+    the map is then incomplete.  For a proper colouring the map is total and
+    every colour occurs at most once per vertex.
+    """
+    g = x.graph
+    edges, colours = g.edges, x.colours
+    at: list[dict[int, tuple[int, int]]] = []
+    for v in range(g.n):
+        here: dict[int, tuple[int, int]] = {}
+        for w, ei in zip(g.neighbours(v), g.incident_edges(v)):
+            c = colours[ei]
+            if c in here:
+                return at, NotProper(v, edges[here[c][1]], edges[ei])
+            here[c] = (w, ei)
+        at.append(here)
+    return at, None
+
+
 def check_proper_edge(x: EdgeColouring) -> Optional[NotProper]:
     """None iff no vertex carries two incident edges of equal colour."""
-    g = x.graph
-    for v in range(g.n):
-        seen: dict[int, int] = {}
-        for ei in g.incident_edges(v):
-            c = x.colours[ei]
-            if c in seen:
-                return NotProper(v, g.edges[seen[c]], g.edges[ei])
-            seen[c] = ei
-    return None
+    return _colour_incidence(x)[1]
 
 
 def check_proper_vertex(y: VertexColouring) -> Optional[Edge]:
@@ -284,83 +336,106 @@ def check_proper_vertex(y: VertexColouring) -> Optional[Edge]:
     return None
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+def _pair_cycle(
+    at: list[dict[int, tuple[int, int]]],
+    edges: tuple[Edge, ...],
+    starts: list[int],
+    a: int,
+    b: int,
+) -> Optional[list[int]]:
+    """The cycle of the {a, b} subgraph whose largest edge index is smallest,
+    as a vertex sequence; None if that subgraph is a forest.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-
-def _two_colour_cycle(g: Graph, x: EdgeColouring, a: int, b: int) -> Optional[tuple[int, ...]]:
-    """First cycle in the subgraph of a- and b-coloured edges, as vertices."""
-    uf = _UnionFind(g.n)
-    adj: dict[int, list[int]] = {}
-    for ei, (u, v) in enumerate(g.edges):
-        if x.colours[ei] != a and x.colours[ei] != b:
+    `starts` lists the a-coloured edge indices in increasing order.  Every
+    vertex meets at most one edge of each colour, so the components are
+    paths and cycles; each one holding an a-edge is walked once, from its
+    first a-edge.  A union-find pass over the edges in index order closes
+    exactly this cycle first: a cycle closes at its largest edge.
+    """
+    seen: set[int] = set()
+    best, best_top = None, -1
+    for ei in starts:
+        if best is not None and ei > best_top:
+            break  # every cycle still unseen contains a larger edge
+        if ei in seen:
             continue
-        if not uf.union(u, v):
-            # u and v already joined: the unique tree path plus (u, v) closes
-            # the witness cycle
-            path = _tree_path(adj, u, v)
-            return canonical_cycle(path)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+        u, w = edges[ei]
+        walk, top, closed = [u, w], ei, False
+        while True:
+            step = at[w].get(b)
+            if step is None:
+                break
+            w, ej = step
+            if ej > top:
+                top = ej
+            if w == u:
+                closed = True
+                break
+            walk.append(w)
+            step = at[w].get(a)
+            if step is None:
+                break
+            w, ej = step
+            seen.add(ej)
+            if ej > top:
+                top = ej
+            walk.append(w)
+        if closed:
+            if best is None or top < best_top:
+                best, best_top = walk, top
+            continue
+        # an open path: mark the a-edges on its other side as well
+        w = u
+        while True:
+            step = at[w].get(b)
+            if step is None:
+                break
+            step = at[step[0]].get(a)
+            if step is None:
+                break
+            w, ej = step
+            seen.add(ej)
+    return best
+
+
+def _bichromatic_cycle(
+    x: EdgeColouring, at: list[dict[int, tuple[int, int]]]
+) -> Optional[BichromaticCycle]:
+    """First two-colour cycle of a proper colouring, pairs in palette order."""
+    buckets: dict[int, list[int]] = {c: [] for c in set(x.colours)}
+    for ei, c in enumerate(x.colours):
+        buckets[c].append(ei)
+    used = sorted(buckets, key=colour_order_key)
+    edges = x.graph.edges
+    for i, a in enumerate(used):
+        for b in used[i + 1 :]:
+            # the walk starts from the smaller class; the cycle found is the same
+            if len(buckets[a]) <= len(buckets[b]):
+                cyc = _pair_cycle(at, edges, buckets[a], a, b)
+            else:
+                cyc = _pair_cycle(at, edges, buckets[b], b, a)
+            if cyc is not None:
+                return BichromaticCycle(a, b, canonical_cycle(cyc))
     return None
-
-
-def _tree_path(adj: dict[int, list[int]], u: int, v: int) -> list[int]:
-    prev = {u: u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        if w == v:
-            break
-        for nxt in adj.get(w, ()):
-            if nxt not in prev:
-                prev[nxt] = w
-                stack.append(nxt)
-    out = [v]
-    while out[-1] != u:
-        out.append(prev[out[-1]])
-    return out
 
 
 def find_bichromatic_cycle(x: EdgeColouring) -> Optional[BichromaticCycle]:
     """First two-colour cycle, scanning colour pairs in palette order.
 
-    Properness is a precondition: alternation is only well-defined for
-    proper colourings, so an improper input is rejected outright.
+    Within a pair, the witness is the cycle whose largest edge index is
+    smallest.  Properness is a precondition: alternation is only
+    well-defined for proper colourings, so an improper input is rejected
+    outright.
     """
-    bad = check_proper_edge(x)
+    at, bad = _colour_incidence(x)
     if bad is not None:
         raise ValueError(f"colouring is not proper: {bad}")
-    used = x.distinct_colours()
-    for i in range(len(used)):
-        for j in range(i + 1, len(used)):
-            cyc = _two_colour_cycle(x.graph, x, used[i], used[j])
-            if cyc is not None:
-                return BichromaticCycle(used[i], used[j], cyc)
-    return None
+    return _bichromatic_cycle(x, at)
 
 
 def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
-    """Full verification: properness first, then the forest check per pair."""
-    bad = check_proper_edge(x)
+    """Full verification: properness first, then the walk per colour pair."""
+    at, bad = _colour_incidence(x)
     if bad is not None:
         return bad
-    return find_bichromatic_cycle(x)
+    return _bichromatic_cycle(x, at)

@@ -28,13 +28,7 @@ from .colouring import (
     primed,
     unprimed,
 )
-from .graphs import (
-    GEdge,
-    Graph,
-    cartesian_product,
-    hypercube,
-    is_connected,
-)
+from .graphs import Graph, _product_layout, cartesian_product, hypercube, is_connected
 from .solver import SearchBudget, exact_aci
 from .vertex_colouring import brooks_bound, brooks_colouring
 
@@ -81,13 +75,17 @@ class ComposeInput:
     h_vertex_colouring: Optional[VertexColouring] = None
 
 
-def _validate_factor(name: str, graph: Graph, colouring: EdgeColouring) -> None:
+def _validate_factor(name: str, graph: Graph, colouring: EdgeColouring, verified: bool) -> None:
+    """Structural checks, and `check_acyclic` unless the colouring is a
+    fold's own output that was verified when it was built."""
     if graph.n < 2:
         raise ValueError(f"factor {name} must have at least two vertices")
     if not is_connected(graph):
         raise ValueError(f"factor {name} must be connected")
     if colouring.graph != graph:
         raise ValueError(f"colouring of factor {name} belongs to a different graph")
+    if verified:
+        return
     bad = check_acyclic(colouring)
     if bad is not None:
         raise ValueError(f"colouring of factor {name} is not acyclic: {bad}")
@@ -99,8 +97,12 @@ def compose(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
     The output graph is always the product in caller order, whichever
     factor ends up supplying the shifted family.
     """
-    _validate_factor("g", inp.g, inp.g_colouring)
-    _validate_factor("h", inp.h, inp.h_colouring)
+    return _compose(inp, g_verified=False)
+
+
+def _compose(inp: ComposeInput, g_verified: bool) -> tuple[Graph, EdgeColouring]:
+    _validate_factor("g", inp.g, inp.g_colouring, g_verified)
+    _validate_factor("h", inp.h, inp.h_colouring, False)
 
     eta = inp.g_colouring.palette.size
     beta = inp.h_colouring.palette.size
@@ -118,12 +120,10 @@ def compose(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
                 "supplied vertex colouring is for the factor with the larger "
                 "palette; swap the factors or omit it"
             )
-        shift_graph, shift_x = inp.h, inp.h_colouring
-        match_graph, match_x = inp.g, inp.g_colouring
+        shift_x, match_graph, match_x = inp.h_colouring, inp.g, inp.g_colouring
         eta, beta = beta, eta
     else:
-        shift_graph, shift_x = inp.g, inp.g_colouring
-        match_graph, match_x = inp.h, inp.h_colouring
+        shift_x, match_graph, match_x = inp.g_colouring, inp.h, inp.h_colouring
 
     if inp.h_vertex_colouring is not None:
         y = inp.h_vertex_colouring
@@ -143,32 +143,23 @@ def compose(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
     if eta < d:
         warnings.warn(
             f"shift palette padded from {eta} to {d} colours to cover all rotations",
-            stacklevel=2,
+            stacklevel=3,  # the caller of compose
         )
         eta = d
 
-    shift_rank = shift_x.palette.rank
-    match_rank = match_x.palette.rank
-    rotations = [ShiftPermutation(y.colours[v], eta) for v in range(match_graph.n)]
+    # Colour every product edge in provenance order (see _product_layout):
+    # the copy of the shifted factor at matching vertex v has its colour
+    # ranks rotated by y(v); every copy of the matching factor keeps its
+    # own colours, primed.
+    shift_ranks = [shift_x.palette.rank(c) for c in shift_x.colours]
+    shifted = [unprimed((r + s) % eta) for s in y.colours for r in shift_ranks]
+    matched = [primed(match_x.palette.rank(c)) for c in match_x.colours] * (
+        inp.h.n if swapped else inp.g.n
+    )
+    by_origin = matched + shifted if swapped else shifted + matched
 
-    product, kinds = cartesian_product(inp.g, inp.h)
-    colours = []
-    for kind in kinds:
-        if isinstance(kind, GEdge):
-            if swapped:
-                # caller's g is the matching factor: same primed colour in
-                # every copy
-                colours.append(primed(match_rank(inp.g_colouring.colour_of(*kind.g_edge))))
-            else:
-                rot = rotations[kind.h_vertex]
-                colours.append(unprimed(rot(shift_rank(inp.g_colouring.colour_of(*kind.g_edge)))))
-        else:
-            if swapped:
-                rot = rotations[kind.g_vertex]
-                colours.append(unprimed(rot(shift_rank(inp.h_colouring.colour_of(*kind.h_edge)))))
-            else:
-                colours.append(primed(match_rank(inp.h_colouring.colour_of(*kind.h_edge))))
-
+    product, origin = _product_layout(inp.g, inp.h)
+    colours = [by_origin[o] for o in origin]
     result = EdgeColouring(product, colours, ColourPalette(eta, beta))
     bad = check_acyclic(result)
     if bad is not None:
@@ -186,22 +177,37 @@ def compose_or_solve(
     try:
         return compose(inp)
     except C4ProductError:
-        product, _ = cartesian_product(inp.g, inp.h)
-        result = exact_aci(product, budget)
-        if result.witness is None:
-            raise RuntimeError("exact solve of the 4-cycle fallback ran out of budget")
-        return product, result.witness
+        return _solve_four_cycle(inp, budget)
+
+
+def _solve_four_cycle(
+    inp: ComposeInput, budget: Optional[SearchBudget]
+) -> tuple[Graph, EdgeColouring]:
+    product, _ = cartesian_product(inp.g, inp.h)
+    result = exact_aci(product, budget)
+    if result.witness is None:
+        raise RuntimeError("exact solve of the 4-cycle fallback ran out of budget")
+    return product, result.witness
 
 
 def compose_many(factors: list[tuple[Graph, EdgeColouring]]) -> tuple[Graph, EdgeColouring]:
-    """Left fold of compose over two or more coloured factors."""
+    """Left fold of compose_or_solve over two or more coloured factors.
+
+    Every factor passed in is verified once.  Each fold's output was
+    verified when compose (or the exact solver) built it, and colourings
+    are immutable, so it is not verified again as the next fold's factor.
+    """
     if len(factors) < 2:
         raise ValueError("need at least two factors")
     graph, colouring = factors[0]
+    verified = False
     for next_graph, next_colouring in factors[1:]:
-        graph, colouring = compose_or_solve(
-            ComposeInput(graph, colouring, next_graph, next_colouring)
-        )
+        inp = ComposeInput(graph, colouring, next_graph, next_colouring)
+        try:
+            graph, colouring = _compose(inp, g_verified=verified)
+        except C4ProductError:
+            graph, colouring = _solve_four_cycle(inp, None)
+        verified = True
     return graph, colouring
 
 
@@ -217,6 +223,6 @@ def hypercube_colouring(d: int) -> tuple[Graph, EdgeColouring]:
     k2 = Graph(2, [(0, 1)])
     one = EdgeColouring.single_family(k2, [0], 1)
     _, colouring = compose_many([(k2, one)] * d)
-    # rebuild onto the generator's graph: identical vertices and edges,
-    # nicer labels
+    # the fold's product has the cube's vertices and edges; the generator's
+    # graph adds the bit-tuple labels
     return cube, EdgeColouring(cube, colouring.colours, colouring.palette)

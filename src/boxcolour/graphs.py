@@ -39,14 +39,27 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             seen.add(_norm_edge(u, v))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError("labels must cover every vertex")
             if len(set(labels)) != n:
                 raise ValueError("labels must be pairwise distinct")
+        self._build(n, tuple(sorted(seen)), labels)
+
+    @classmethod
+    def _from_sorted(
+        cls, n: int, edges: Sequence[Edge], labels: Optional[tuple] = None
+    ) -> "Graph":
+        """Trusted constructor for edges already in range, normalized, sorted
+        and distinct, and labels (if any) already one per vertex and distinct."""
+        g = object.__new__(cls)
+        g._build(n, tuple(edges), labels)
+        return g
+
+    def _build(self, n: int, edges: tuple[Edge, ...], labels: Optional[tuple]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "labels", labels)
 
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -131,23 +144,23 @@ def complete(n: int) -> Graph:
 
 def grid(m: int, n: int) -> Graph:
     """The m x n grid: cartesian product of two paths, labelled (row, col)."""
-    g, _ = cartesian_product(path(m), path(n))
-    return g
+    return _product_layout(path(m), path(n))[0]
 
 
 def hypercube(d: int) -> Graph:
-    """The d-dimensional hypercube as a d-fold product of single edges.
+    """The d-dimensional hypercube: vertices 0..2^d - 1, adjacent when they
+    differ in one bit.
 
-    Vertex labels are flattened to d-bit tuples.
+    Vertex v is labelled by its d bits, most significant first, which makes
+    it the row-major vertex of the d-fold product of single edges.
     """
     if d < 1:
         raise ValueError("hypercube dimension must be at least 1")
-    g = Graph(2, [(0, 1)], labels=((0,), (1,)))
-    for _ in range(d - 1):
-        g, _ = cartesian_product(g, Graph(2, [(0, 1)], labels=((0,), (1,))))
-        # flatten ((bits...), (bit,)) back into one tuple per vertex
-        g = Graph(g.n, g.edges, labels=tuple(gl + hl for gl, hl in g.labels))
-    return g
+    n = 1 << d
+    bits = [1 << k for k in range(d)]
+    edges = [(v, v | bit) for v in range(n) for bit in bits if not v & bit]
+    labels = tuple(tuple((v >> k) & 1 for k in range(d - 1, -1, -1)) for v in range(n))
+    return Graph._from_sorted(n, edges, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +204,46 @@ def product_edge_endpoints(kind: ProductEdgeKind, h_order: int) -> Edge:
     return _norm_edge(product_vertex(u, v1, h_order), product_vertex(u, v2, h_order))
 
 
+def _product_layout(g: Graph, h: Graph) -> tuple[Graph, list[int]]:
+    """The product g x h, built in sorted edge order, and each edge's origin.
+
+    Vertex (i, j) is i * h.n + j.  Its edges to larger vertices go first to
+    (i, j') for the h-neighbours j' > j, then to (i', j) for the
+    g-neighbours i' > i, all in increasing order; so walking the vertices
+    in order yields the sorted edge list with no sort and no dedup.
+
+    `origin[k]` numbers the k-th product edge in provenance order: g-edge e
+    inside the copy of g at h-vertex j is j * g.m + e, and h-edge f inside
+    the copy of h at g-vertex i is h.n * g.m + i * h.m + f.
+    """
+    nh, mg, mh = h.n, g.m, h.m
+
+    def upper(f: Graph, v: int) -> list[tuple[int, int]]:
+        return [(w, e) for w, e in zip(f.neighbours(v), f.incident_edges(v)) if w > v]
+
+    h_up = [upper(h, j) for j in range(nh)]
+    h_base = nh * mg
+    edges: list[Edge] = []
+    origin: list[int] = []
+    for i in range(g.n):
+        row = i * nh
+        h_row = h_base + i * mh
+        g_up = upper(g, i)
+        for j in range(nh):
+            p = row + j
+            for w, f in h_up[j]:
+                edges.append((p, row + w))
+                origin.append(h_row + f)
+            for w, e in g_up:
+                edges.append((p, w * nh + j))
+                origin.append(j * mg + e)
+
+    g_labels = g.labels if g.labels is not None else range(g.n)
+    h_labels = h.labels if h.labels is not None else range(nh)
+    labels = tuple((gl, hl) for gl in g_labels for hl in h_labels)
+    return Graph._from_sorted(g.n * nh, edges, labels), origin
+
+
 def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, tuple[ProductEdgeKind, ...]]:
     """Cartesian product of two graphs plus a per-edge classifier.
 
@@ -200,22 +253,10 @@ def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, tuple[ProductEdgeKind,
     with the product's edge list and tags each edge with the factor edge
     it came from and the coordinate held fixed.
     """
-    by_pair: dict[Edge, ProductEdgeKind] = {}
-    for e in g.edges:
-        for v in range(h.n):
-            by_pair[product_edge_endpoints(GEdge(e, v), h.n)] = GEdge(e, v)
-    for f in h.edges:
-        for u in range(g.n):
-            by_pair[product_edge_endpoints(HEdge(f, u), h.n)] = HEdge(f, u)
-
-    g_labels = g.labels if g.labels is not None else tuple(range(g.n))
-    h_labels = h.labels if h.labels is not None else tuple(range(h.n))
-    labels = tuple((g_labels[i], h_labels[j]) for i in range(g.n) for j in range(h.n))
-
-    pairs = sorted(by_pair)
-    product = Graph(g.n * h.n, pairs, labels=labels)
-    classifier = tuple(by_pair[e] for e in product.edges)
-    return product, classifier
+    product, origin = _product_layout(g, h)
+    kinds = [GEdge(e, j) for j in range(h.n) for e in g.edges]
+    kinds += [HEdge(f, i) for i in range(g.n) for f in h.edges]
+    return product, tuple(kinds[o] for o in origin)
 
 
 # ---------------------------------------------------------------------------

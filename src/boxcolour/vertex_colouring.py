@@ -17,6 +17,8 @@ raised as RuntimeError after the final verification.
 
 from __future__ import annotations
 
+import heapq
+
 from .colouring import VertexColouring, check_proper_vertex
 from .graphs import Graph, classify, is_connected
 
@@ -51,17 +53,29 @@ def _greedy(h: Graph, order: list[int], preset: dict[int, int] | None = None) ->
 
 
 def _smallest_last_order(h: Graph) -> list[int]:
-    """Colouring order whose reverse peels minimum-degree vertices."""
+    """Colouring order whose reverse peels minimum-degree vertices, the
+    smallest vertex first among equal degrees.
+
+    A heap of (degree, vertex) with lazy deletion: a degree drop pushes a
+    fresh entry, and an entry whose degree is no longer current is skipped
+    when popped.  Degrees only fall, so a vertex's current entry always
+    pops before its stale ones.
+    """
     deg = list(h.degrees)
     removed = [False] * h.n
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     peel = []
-    for _ in range(h.n):
-        v = min((u for u in range(h.n) if not removed[u]), key=lambda u: (deg[u], u))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
         removed[v] = True
         peel.append(v)
         for w in h.neighbours(v):
             if not removed[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     peel.reverse()
     return peel
 

@@ -11,8 +11,15 @@ The first-use colour cap is the one shared idea (colour c is allowed only
 if all smaller colours appear already); it is sound because any colouring
 can be relabelled into first-use order along the fixed edge sequence.
 `use_cap=False` disables it, so tests can cross-check the cap itself.
+
+`bichromatic_cycle` is the reference for the library's verifier: the
+union-find forest check per colour pair that `find_bichromatic_cycle`
+replaced, kept so the faster walk can be held to the same witnesses.
 """
 
+from typing import Optional
+
+from boxcolour.colouring import BichromaticCycle, EdgeColouring, canonical_cycle
 from boxcolour.graphs import Graph
 
 
@@ -77,3 +84,71 @@ def brute_aci(g: Graph, use_cap: bool = True) -> int:
         if feasible(g, k, use_cap):
             return k
     raise AssertionError("m distinct colours are always feasible")
+
+
+class _UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[ry] = rx
+        return True
+
+
+def _two_colour_cycle(g: Graph, x: EdgeColouring, a: int, b: int) -> Optional[tuple[int, ...]]:
+    """First cycle in the subgraph of a- and b-coloured edges, as vertices."""
+    uf = _UnionFind(g.n)
+    adj: dict[int, list[int]] = {}
+    for ei, (u, v) in enumerate(g.edges):
+        if x.colours[ei] != a and x.colours[ei] != b:
+            continue
+        if not uf.union(u, v):
+            # u and v already joined: the unique tree path plus (u, v) closes
+            # the witness cycle
+            path = _tree_path(adj, u, v)
+            return canonical_cycle(path)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return None
+
+
+def _tree_path(adj: dict[int, list[int]], u: int, v: int) -> list[int]:
+    prev = {u: u}
+    stack = [u]
+    while stack:
+        w = stack.pop()
+        if w == v:
+            break
+        for nxt in adj.get(w, ()):
+            if nxt not in prev:
+                prev[nxt] = w
+                stack.append(nxt)
+    out = [v]
+    while out[-1] != u:
+        out.append(prev[out[-1]])
+    return out
+
+
+def bichromatic_cycle(x: EdgeColouring) -> Optional[BichromaticCycle]:
+    """First two-colour cycle of a proper colouring, pairs in palette order,
+    found by one union-find pass over all edges per pair."""
+    used = x.distinct_colours()
+    for i in range(len(used)):
+        for j in range(i + 1, len(used)):
+            cyc = _two_colour_cycle(x.graph, x, used[i], used[j])
+            if cyc is not None:
+                return BichromaticCycle(used[i], used[j], cyc)
+    return None

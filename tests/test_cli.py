@@ -180,6 +180,30 @@ def test_verify_failure_prints_witness(tmp_path, capsys):
     assert witness["cycle"] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "edges": [[0, 1, "0"]]},  # no palette
+        [[0, 1, "0"]],  # not an object
+        {"n": 2, "palette": [1, 0], "edges": [[0, 1, "0"]]},
+        {"n": 2, "palette": {"g": 1, "h": 0}, "edges": [[0, 1]]},
+        {"n": 2, "palette": {"g": 1, "h": 0}, "edges": [[0, 1, 0]]},
+        {"n": "2", "palette": {"g": 1, "h": 0}, "edges": [[0, 1, "0"]]},
+        {"n": 2, "palette": {"g": 1, "h": 0}, "edges": 5},
+        # one edge given two colours, in either orientation
+        {"n": 2, "palette": {"g": 2, "h": 0}, "edges": [[0, 1, "0"], [1, 0, "1"]]},
+        {"n": 2, "palette": {"g": 2, "h": 0}, "edges": [[0, 1, "0"], [0, 1, "0"]]},
+    ],
+)
+def test_verify_rejects_malformed_colouring_json(tmp_path, capsys, doc):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    assert run("verify", str(f)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_cross_checks_graph_file(tmp_path, capsys):
     x = exact_aci(cycle(4)).witness
     cj = tmp_path / "c4.json"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +23,9 @@ from boxcolour.colouring import (
     primed,
     unprimed,
 )
-from boxcolour.graphs import Graph, complete, cycle, path
+from boxcolour.graphs import Graph, complete, cycle, grid, hypercube, path
+
+from bruteforce import bichromatic_cycle
 
 
 def test_colour_encoding_roundtrip():
@@ -269,3 +273,45 @@ def test_proper_colourings_use_at_least_max_degree_colours():
         x = EdgeColouring.single_family(g, [assigned[e] for e in g.edges], k)
         assert check_proper_edge(x) is None
         assert colours_used(x) >= g.max_degree
+
+
+@given(st.integers(2, 9), st.integers(1, 6), st.data())
+def test_find_bichromatic_cycle_matches_union_find_reference(n, k, data):
+    # random proper colourings over a mixed palette: each edge draws a colour
+    # free at both endpoints, and an edge left with none is dropped
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    palette = ColourPalette(*data.draw(st.sampled_from([(k - h, h) for h in range(k + 1)])))
+    ids = palette.ordered()
+    at = [set() for _ in range(n)]
+    coloured = {}
+    for u, v in chosen:
+        free = [c for c in ids if c not in at[u] and c not in at[v]]
+        if free:
+            c = data.draw(st.sampled_from(free))
+            at[u].add(c)
+            at[v].add(c)
+            coloured[(u, v)] = c
+    x = EdgeColouring.from_edge_map(Graph(n, coloured), coloured, palette)
+    assert find_bichromatic_cycle(x) == bichromatic_cycle(x)
+
+
+def test_find_bichromatic_cycle_matches_reference_on_many_cycles():
+    # grid edges coloured by row/column parity and cube edges by dimension
+    # leave a two-coloured 4-cycle on every face; random relabellings vary
+    # which of them a union-find pass over the edge order closes first
+    rng = random.Random(3)
+    g, q = grid(6, 7), hypercube(5)
+    by_parity = {
+        (u, v): unprimed(u % 7 % 2) if v - u == 1 else primed(u // 7 % 2) for u, v in g.edges
+    }
+    by_dimension = {(u, v): unprimed((v - u).bit_length() - 1) for u, v in q.edges}
+    cases = [(g, by_parity, ColourPalette(2, 2)), (q, by_dimension, ColourPalette(5))]
+    for graph, colour, palette in cases:
+        for _ in range(10):
+            perm = list(range(graph.n))
+            rng.shuffle(perm)
+            mapping = {tuple(sorted((perm[u], perm[v]))): c for (u, v), c in colour.items()}
+            x = EdgeColouring.from_edge_map(Graph(graph.n, mapping), mapping, palette)
+            found = find_bichromatic_cycle(x)
+            assert found is not None and found == bichromatic_cycle(x)

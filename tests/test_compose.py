@@ -1,4 +1,6 @@
+import importlib
 import random
+import warnings
 
 import pytest
 
@@ -10,6 +12,7 @@ from boxcolour.colouring import (
     colour_index,
     colours_used,
     is_primed,
+    primed,
     unprimed,
 )
 from boxcolour.compose import (
@@ -35,7 +38,7 @@ from boxcolour.graphs import (
     path,
 )
 from boxcolour.solver import exact_aci
-from boxcolour.vertex_colouring import brooks_colouring
+from boxcolour.vertex_colouring import brooks_bound, brooks_colouring
 
 
 def one_edge() -> tuple[Graph, EdgeColouring]:
@@ -198,6 +201,80 @@ def test_padding_kicks_in_for_wasteful_vertex_colourings():
         product, x = compose(ComposeInput(k3, xg, p4, xh, h_vertex_colouring=wasteful))
     assert check_acyclic(x) is None
     assert x.palette.g_size == 4
+
+
+def _reference_colours(inp: ComposeInput) -> tuple[int, ...]:
+    # the construction spelled out edge by edge from the public classifier:
+    # the larger palette is shifted by a rotation per copy, the other primed
+    eta, beta = inp.g_colouring.palette.size, inp.h_colouring.palette.size
+    swapped = eta < beta
+    match_graph = inp.g if swapped else inp.h
+    if inp.h_vertex_colouring is not None:
+        y, d = inp.h_vertex_colouring, max(inp.h_vertex_colouring.colours) + 1
+    else:
+        y, d = brooks_colouring(match_graph), brooks_bound(match_graph)
+    modulus = max(eta, beta, d)
+    _, kinds = cartesian_product(inp.g, inp.h)
+    out = []
+    for kind in kinds:
+        if isinstance(kind, GEdge):
+            x, edge, copy = inp.g_colouring, kind.g_edge, kind.h_vertex
+        else:
+            x, edge, copy = inp.h_colouring, kind.h_edge, kind.g_vertex
+        rank = x.palette.rank(x.colour_of(*edge))
+        if isinstance(kind, GEdge) == swapped:
+            out.append(primed(rank))
+        else:
+            out.append(unprimed(ShiftPermutation(y.colours[copy], modulus)(rank)))
+    return tuple(out)
+
+
+def test_compose_matches_the_classifier_construction():
+    k3, p4 = complete(3), path(4)
+    cases = [
+        ComposeInput(cycle(5), solved(cycle(5)), path(4), solved(path(4))),
+        ComposeInput(path(4), solved(path(4)), cycle(5), solved(cycle(5))),  # swapped
+        ComposeInput(grid(3, 4), solved(grid(3, 4)), complete(4), solved(complete(4))),
+        ComposeInput(k3, solved(k3), p4, solved(p4), VertexColouring(p4, (0, 1, 2, 3))),  # padded
+    ]
+    pool = [g for g in connected_graphs_up_to(5) if g.n >= 2]
+    rng = random.Random(5)
+    while len(cases) < 30:
+        g, h = rng.choice(pool), rng.choice(pool)
+        xg, xh = solved(g), solved(h)
+        if max(xg.palette.size, xh.palette.size) > 1:
+            cases.append(ComposeInput(g, xg, h, xh))
+    for inp in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            product, x = compose(inp)
+        assert product == cartesian_product(inp.g, inp.h)[0]
+        assert x.colours == _reference_colours(inp)
+
+
+def test_compose_many_verifies_each_colouring_once(monkeypatch):
+    # three factors: each is checked once, as is each fold's output when
+    # compose builds it; a fold's output is not checked again as a factor
+    # the package re-exports the function `compose` under the module's name
+    module = importlib.import_module("boxcolour.compose")
+    checked = []
+    real = module.check_acyclic
+
+    def counting(x):
+        checked.append(x)
+        return real(x)
+
+    monkeypatch.setattr(module, "check_acyclic", counting)
+    p3 = path(3)
+    xp = solved(p3)
+    _, x = compose_many([(p3, xp)] * 3)
+    assert len(checked) == 5
+    assert checked[-1] is x
+    # a cyclic factor later in the fold is still rejected
+    c4 = cycle(4)
+    bad = EdgeColouring.single_family(c4, [0, 1, 1, 0], 2)
+    with pytest.raises(ValueError, match="acyclic"):
+        compose_many([(p3, xp), (p3, xp), (c4, bad)])
 
 
 def test_compose_many_folds_left():

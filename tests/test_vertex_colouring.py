@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from boxcolour.colouring import check_proper_vertex
 from boxcolour.corpus import connected_graphs_up_to
-from boxcolour.graphs import Graph, complete, cycle, path
-from boxcolour.vertex_colouring import brooks_bound, brooks_colouring
+from boxcolour.graphs import Graph, complete, cycle, grid, path
+from boxcolour.vertex_colouring import _smallest_last_order, brooks_bound, brooks_colouring
 
 
 def petersen() -> Graph:
@@ -146,3 +147,32 @@ def test_whole_corpus_within_bound():
         y = brooks_colouring(g)
         assert check_proper_vertex(y) is None
         assert y.count() <= brooks_bound(g)
+
+
+def _naive_smallest_last_order(h: Graph) -> list[int]:
+    # the O(n^2) definition: repeatedly peel the smallest vertex of least
+    # remaining degree, then reverse
+    deg = list(h.degrees)
+    removed = [False] * h.n
+    peel = []
+    for _ in range(h.n):
+        v = min((u for u in range(h.n) if not removed[u]), key=lambda u: (deg[u], u))
+        removed[v] = True
+        peel.append(v)
+        for w in h.neighbours(v):
+            if not removed[w]:
+                deg[w] -= 1
+    peel.reverse()
+    return peel
+
+
+@given(st.integers(1, 12), st.data())
+def test_smallest_last_order_matches_naive_peeling(n, data):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    assert _smallest_last_order(g) == _naive_smallest_last_order(g)
+
+
+def test_smallest_last_order_matches_naive_peeling_on_grids():
+    for g in (grid(1, 5), grid(3, 7), grid(10, 10), grid(12, 17), petersen()):
+        assert _smallest_last_order(g) == _naive_smallest_last_order(g)
