@@ -28,7 +28,6 @@ from .compose import (
     compose,
     compose_many,
     compose_or_solve,
-    cyclic_shift,
     hypercube_colouring,
 )
 from .graphs import (
@@ -44,7 +43,6 @@ from .graphs import (
     grid,
     hypercube,
     is_connected,
-    new_graph,
     path,
     product_coords,
     product_edge_endpoints,
@@ -83,7 +81,6 @@ __all__ = [
     "compose_many",
     "compose_or_solve",
     "cycle",
-    "cyclic_shift",
     "exact_aci",
     "find_bichromatic_cycle",
     "greedy_acyclic",
@@ -92,7 +89,6 @@ __all__ = [
     "hypercube_colouring",
     "is_connected",
     "lower_bound",
-    "new_graph",
     "path",
     "product_coords",
     "product_edge_endpoints",

@@ -2,7 +2,8 @@
 
 Subcommands: gen, product, aci, greedy, vertex-color, compose, hypercube,
 verify, scan.  Exit codes: 0 success, 1 verification failure (witness
-printed), 2 usage or input error, 3 search budget exhausted.
+printed), 2 usage or input error, 3 search budget exhausted, 4 internal
+error (an unexpected exception, reported on stderr).
 
 Any argument of the form @file pulls extra arguments from that file, one
 per line, where "key=value" means "--key=value" and '#' starts a comment.
@@ -18,12 +19,12 @@ from typing import Optional
 
 from . import corpus, io
 from .colouring import EdgeColouring, check_acyclic, colours_used
-from .compose import ComposeInput, compose_or_solve
-from .graphs import Graph, complete, cycle, grid, hypercube, path
+from .compose import ComposeInput, compose_or_solve, hypercube_colouring
+from .graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
 from .solver import AciResult, SearchBudget, exact_aci, greedy_acyclic, lower_bound
 from .vertex_colouring import brooks_colouring
 
-OK, VERIFY_FAILED, USAGE, BUDGET = 0, 1, 2, 3
+OK, VERIFY_FAILED, USAGE, BUDGET, INTERNAL = 0, 1, 2, 3, 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,12 +50,8 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["edgelist", "graph6"], default="edgelist")
 
 
-def _load(path_arg: str, fmt: str) -> Graph:
-    return io.load_graph(path_arg, fmt)
-
-
 def _print_colouring(x: EdgeColouring) -> None:
-    print(json.dumps(x.to_json_dict(), indent=2))
+    sys.stdout.write(io.format_colouring(x))
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +76,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    from .graphs import cartesian_product
-
-    g = _load(args.g, args.format)
-    h = _load(args.h, args.format)
+    g = io.load_graph(args.g, args.format)
+    h = io.load_graph(args.h, args.format)
     product, _ = cartesian_product(g, h)
     sys.stdout.write(io.format_edge_list(product))
     return OK
@@ -105,13 +100,9 @@ def _report_exhausted(result: AciResult) -> int:
 
 
 def _cmd_aci(args) -> int:
-    g = _load(args.graph, args.format)
+    g = io.load_graph(args.graph, args.format)
     if args.lower_only:
         print(lower_bound(g))
-        return OK
-    if args.greedy:
-        x = greedy_acyclic(g, args.seed)
-        _print_colouring(x)
         return OK
     result = exact_aci(g, _budget(args))
     if result.exhausted:
@@ -131,13 +122,13 @@ def _cmd_aci(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
-    g = _load(args.graph, args.format)
+    g = io.load_graph(args.graph, args.format)
     _print_colouring(greedy_acyclic(g, args.seed))
     return OK
 
 
 def _cmd_vertex_color(args) -> int:
-    g = _load(args.graph, args.format)
+    g = io.load_graph(args.graph, args.format)
     y = brooks_colouring(g)
     print(json.dumps({str(v): c for v, c in enumerate(y.colours)}))
     return OK
@@ -165,8 +156,8 @@ class _Exhausted(Exception):
 
 
 def _cmd_compose(args) -> int:
-    g = _load(args.g, args.format)
-    h = _load(args.h, args.format)
+    g = io.load_graph(args.g, args.format)
+    h = io.load_graph(args.h, args.format)
     budget = _budget(args)
     try:
         xg = _factor_colouring(g, args.xg, args.solve_factors, budget)
@@ -181,8 +172,6 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_hypercube(args) -> int:
-    from .compose import hypercube_colouring
-
     cube, x = hypercube_colouring(args.d)
     if args.out_graph:
         io.write_edge_list(cube, args.out_graph)
@@ -193,7 +182,7 @@ def _cmd_hypercube(args) -> int:
 def _cmd_verify(args) -> int:
     x = io.read_colouring(args.colouring)
     if args.graph is not None:
-        g = _load(args.graph, args.format)
+        g = io.load_graph(args.graph, args.format)
         if g != x.graph:
             print("graph file does not match the colouring's graph", file=sys.stderr)
             return USAGE
@@ -265,8 +254,6 @@ def _build_parser() -> _Parser:
     _add_format_flag(p)
     _add_budget_flags(p)
     p.add_argument("--lower-only", action="store_true")
-    p.add_argument("--greedy", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_aci)
 
     p = sub.add_parser("greedy", help="first-fit acyclic colouring")
@@ -324,6 +311,13 @@ def run(argv: list[str]) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:
+        # exit 1 is kept for a printed verification witness, so a bug in a
+        # handler gets its own code; the interpreter's own hook prints the
+        # traceback without importing the traceback module at start-up
+        sys.__excepthook__(type(exc), exc, exc.__traceback__)
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return INTERNAL
 
 
 def entry() -> None:

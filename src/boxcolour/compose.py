@@ -30,7 +30,7 @@ from .colouring import (
 )
 from .graphs import Graph, _product_layout, cartesian_product, hypercube, is_connected
 from .solver import SearchBudget, exact_aci
-from .vertex_colouring import brooks_bound, brooks_colouring
+from .vertex_colouring import brooks_colouring
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class ShiftPermutation:
         if not 0 <= index < self.modulus:
             raise ValueError(f"colour index {index} outside 0..{self.modulus - 1}")
         return (index + self.shift) % self.modulus
-
-
-def cyclic_shift(shift: int, index: int, modulus: int) -> int:
-    return ShiftPermutation(shift, modulus)(index)
 
 
 class C4ProductError(ValueError):
@@ -131,10 +127,9 @@ def _compose(inp: ComposeInput, g_verified: bool) -> tuple[Graph, EdgeColouring]
             raise ValueError("vertex colouring belongs to a different graph")
         if check_proper_vertex(y) is not None:
             raise ValueError("supplied vertex colouring is not proper")
-        d = max(y.colours) + 1
     else:
         y = brooks_colouring(match_graph)
-        d = brooks_bound(match_graph)
+    d = max(y.colours) + 1
 
     # For verified acyclic inputs eta >= d always holds (the matching factor
     # needs at least max-degree colours, and complete graphs and odd cycles

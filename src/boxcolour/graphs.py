@@ -115,11 +115,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def new_graph(n: int, edges: Iterable[Sequence[int]], labels: Optional[Sequence] = None) -> Graph:
-    """Build a simple graph, deduplicating edges; rejects loops and bad indices."""
-    return Graph(n, edges, labels)
-
-
 # ---------------------------------------------------------------------------
 # Generators
 

@@ -121,8 +121,12 @@ def read_graph6(path: PathLike) -> list[Graph]:
 # Colouring JSON
 
 
+def format_colouring(x: EdgeColouring) -> str:
+    return json.dumps(x.to_json_dict(), indent=2) + "\n"
+
+
 def write_colouring(x: EdgeColouring, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(x.to_json_dict(), indent=2) + "\n")
+    Path(path).write_text(format_colouring(x))
 
 
 def read_colouring(path: PathLike) -> EdgeColouring:

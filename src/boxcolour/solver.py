@@ -2,7 +2,9 @@
 
 `exact_aci` is the ground-truth oracle: iterative deepening on the colour
 count k, and for each k a backtracking search over edges in a fixed order
-(degree-sum descending).  Pruning per assignment:
+(degree-sum descending).  The search keeps its stack explicitly, as the
+colour assigned at each position of the order, so its depth is bounded by
+memory rather than by Python's recursion limit.  Pruning per assignment:
 
   - properness via per-vertex colour bitmasks,
   - canonical symmetry breaking (a colour may be opened only if every
@@ -15,6 +17,9 @@ count k, and for each k a backtracking search over edges in a fixed order
 First feasible k is exact; the run at k-1 having been exhausted is the
 infeasibility certificate.  All tie-breaking is lexicographic by
 (edge index, colour index) for reproducibility.
+
+`greedy_acyclic` runs the same search with k = m, where it never
+backtracks: the first colour that fits is kept, which is first-fit.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ class AciResult:
 
 
 class _OutOfBudget(Exception):
-    pass
+    def __init__(self, nodes: int):
+        self.nodes = nodes
 
 
 def lower_bound(g: Graph) -> int:
@@ -133,6 +139,62 @@ def _edge_order(g: Graph) -> list[int]:
     )
 
 
+def _first_colouring(
+    g: Graph, order: list[int], k: int, budget: SearchBudget, t0: float, nodes: int
+) -> tuple[Optional[list[int]], int]:
+    """First colouring with colours 0..k-1, by backtracking over the edges
+    in `order` and the colours in increasing order.
+
+    A colour may open only after every smaller one is used; `limits[pos]`
+    is the exclusive colour bound that rule leaves at position `pos`.  The
+    colours of the edges before `pos` are the stack: backtracking to a
+    position removes its colour and resumes the scan above it.  Returns the
+    colouring (indexed by edge) or None if there is none, with the node
+    count carried on from `nodes`; raises _OutOfBudget past the budget.
+    """
+    colours = [-1] * g.m
+    if g.m == 0:
+        return colours, nodes
+    edges = g.edges
+    state = _Partial(g.n)
+    blocked, creates_cycle = state.blocked, state.creates_cycle
+    assign, unassign = state.assign, state.unassign
+    max_nodes, max_time = budget.max_nodes, budget.max_time
+    last = g.m - 1
+    limits = [min(k, 1)] * g.m
+    pos = 0
+    start = 0
+    while True:
+        ei = order[pos]
+        u, v = edges[ei]
+        limit = limits[pos]
+        for c in range(start, limit):
+            if blocked(u, v, c) or creates_cycle(u, v, c):
+                continue
+            nodes += 1
+            if nodes > max_nodes:
+                raise _OutOfBudget(nodes)
+            if nodes % 2048 == 0 and time.perf_counter() - t0 > max_time:
+                raise _OutOfBudget(nodes)
+            colours[ei] = c
+            if pos == last:
+                return colours, nodes
+            assign(u, v, c)
+            pos += 1
+            limits[pos] = limit + 1 if c + 1 == limit < k else limit
+            start = 0
+            break
+        else:
+            if pos == 0:
+                return None, nodes
+            pos -= 1
+            ei = order[pos]
+            u, v = edges[ei]
+            start = colours[ei]
+            unassign(u, v, start)
+            start += 1
+
+
 def exact_aci(g: Graph, budget: Optional[SearchBudget] = None) -> AciResult:
     """Exact acyclic chromatic index with a verified witness."""
     budget = budget or SearchBudget()
@@ -143,46 +205,15 @@ def exact_aci(g: Graph, budget: Optional[SearchBudget] = None) -> AciResult:
         return AciResult(0, witness, 0, time.perf_counter() - t0, False, 0, 0)
 
     order = _edge_order(g)
-    edges = g.edges
     nodes = 0
-
-    def search(k: int) -> Optional[list[int]]:
-        nonlocal nodes
-        colours = [-1] * g.m
-        state = _Partial(g.n)
-
-        def place(pos: int, maxc: int) -> bool:
-            nonlocal nodes
-            if pos == g.m:
-                return True
-            ei = order[pos]
-            u, v = edges[ei]
-            for c in range(min(k, maxc + 2)):
-                if state.blocked(u, v, c) or state.creates_cycle(u, v, c):
-                    continue
-                nodes += 1
-                if nodes > budget.max_nodes:
-                    raise _OutOfBudget
-                if nodes % 2048 == 0 and time.perf_counter() - t0 > budget.max_time:
-                    raise _OutOfBudget
-                colours[ei] = c
-                state.assign(u, v, c)
-                if place(pos + 1, c if c > maxc else maxc):
-                    return True
-                colours[ei] = -1
-                state.unassign(u, v, c)
-            return False
-
-        return colours if place(0, -1) else None
-
     start = max(lower_bound(g), 1)
     for k in range(start, g.m + 1):
         try:
-            found = search(k)
-        except _OutOfBudget:
+            found, nodes = _first_colouring(g, order, k, budget, t0, nodes)
+        except _OutOfBudget as exc:
             upper = len(set(greedy_acyclic(g).colours))
             return AciResult(
-                None, None, nodes, time.perf_counter() - t0, True, k, upper
+                None, None, exc.nodes, time.perf_counter() - t0, True, k, upper
             )
         if found is not None:
             witness = EdgeColouring.single_family(g, found, k)
@@ -196,22 +227,17 @@ def exact_aci(g: Graph, budget: Optional[SearchBudget] = None) -> AciResult:
 def greedy_acyclic(g: Graph, seed: int = 0) -> EdgeColouring:
     """First-fit acyclic colouring, opening a new colour when none fits.
 
-    Seed 0 keeps the natural edge order; any other seed shuffles it.
-    Always succeeds: a colour incident to neither endpoint passes both
-    checks, so first-fit never needs more than 2(Δ-1)+1 colours.
+    Seed 0 keeps the natural edge order; any other seed shuffles it.  This
+    is the exact search with k = m, which never backtracks: a colour
+    incident to neither endpoint passes both checks, so the next unopened
+    colour always fits, and first-fit never needs more than 2(Δ-1)+1
+    colours.  It places exactly m nodes, so its budget never runs out.
     """
     order = list(range(g.m))
     if seed != 0:
         random.Random(seed).shuffle(order)
-    colours = [-1] * g.m
-    state = _Partial(g.n)
-    for ei in order:
-        u, v = g.edges[ei]
-        c = 0
-        while state.blocked(u, v, c) or state.creates_cycle(u, v, c):
-            c += 1
-        colours[ei] = c
-        state.assign(u, v, c)
+    unlimited = SearchBudget(max_nodes=g.m + 1, max_time=float("inf"))
+    colours, _ = _first_colouring(g, order, g.m, unlimited, 0.0, 0)
     k = max(colours) + 1 if g.m else 0
     x = EdgeColouring.single_family(g, colours, k)
     bad = check_acyclic(x)

@@ -20,12 +20,15 @@ from __future__ import annotations
 import heapq
 
 from .colouring import VertexColouring, check_proper_vertex
-from .graphs import Graph, classify, is_connected
+from .graphs import Graph, GraphClass, classify
 
 
 def brooks_bound(h: Graph) -> int:
     """Colour budget d: Δ+1 for complete graphs and odd cycles, else Δ."""
-    cls = classify(h)
+    return _bound(classify(h))
+
+
+def _bound(cls: GraphClass) -> int:
     if cls.is_complete or cls.is_odd_cycle:
         return cls.max_degree + 1
     return cls.max_degree
@@ -135,13 +138,14 @@ def _colour_cycle(h: Graph) -> list[int]:
     return colours
 
 
-def _colour_regular_two_connected(h: Graph, delta: int) -> list[int] | None:
+def _colour_regular_two_connected(h: Graph) -> list[int]:
     """Two-neighbour trick for a 2-connected regular non-complete graph.
 
     Finds a root with two non-adjacent neighbours whose removal keeps the
     graph connected, colours those two alike, then greedily colours the rest
-    in decreasing distance from the root.  Returns None if no such triple
-    exists (the caller falls back to search).
+    in decreasing distance from the root.  Such a triple always exists when
+    the degree is at least three (Lovász, JCTB 1975), so finding none is a
+    bug and raises RuntimeError.
     """
     for root in range(h.n):
         nbrs = h.neighbours(root)
@@ -160,7 +164,7 @@ def _colour_regular_two_connected(h: Graph, delta: int) -> list[int] | None:
                 )
                 order = [u1, u2] + rest + [root]
                 return _greedy(h, order, preset={u1: 0, u2: 0})
-    return None
+    raise RuntimeError(f"no two-neighbour triple in a regular graph on {h.n} vertices")
 
 
 def _bfs_distances(h: Graph, start: int, banned: set[int]) -> list[int]:
@@ -200,26 +204,6 @@ def _colour_regular_with_cut(h: Graph, cut: int) -> list[int]:
     return colours
 
 
-def _exhaustive(h: Graph, budget: int) -> list[int] | None:
-    """Backtracking budget-colouring, small graphs only."""
-    colours = [-1] * h.n
-
-    def place(v: int, cap: int) -> bool:
-        if v == h.n:
-            return True
-        taken = {colours[w] for w in h.neighbours(v) if colours[w] >= 0}
-        for c in range(min(cap + 1, budget)):
-            if c in taken:
-                continue
-            colours[v] = c
-            if place(v + 1, max(cap, c + 1)):
-                return True
-        colours[v] = -1
-        return False
-
-    return colours if place(0, 0) else None
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 
@@ -238,7 +222,7 @@ def _normalize(colours: list[int]) -> list[int]:
 def brooks_colouring(h: Graph) -> VertexColouring:
     """Proper vertex colouring within the brooks_bound budget."""
     cls = classify(h)
-    budget = brooks_bound(h)
+    budget = _bound(cls)
 
     if cls.is_complete:
         colours = list(range(h.n))
@@ -251,16 +235,7 @@ def brooks_colouring(h: Graph) -> VertexColouring:
         if cut is not None:
             colours = _colour_regular_with_cut(h, cut)
         else:
-            attempt = _colour_regular_two_connected(h, cls.max_degree)
-            if attempt is None:
-                if h.n > 12:
-                    raise RuntimeError(
-                        f"no constructive case applied to a graph on {h.n} vertices"
-                    )
-                attempt = _exhaustive(h, budget)
-                if attempt is None:
-                    raise RuntimeError("exhaustive colouring failed below the budget")
-            colours = attempt
+            colours = _colour_regular_two_connected(h)
 
     result = VertexColouring(h, _normalize(colours))
     bad = check_proper_vertex(result)

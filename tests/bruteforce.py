@@ -12,11 +12,15 @@ if all smaller colours appear already); it is sound because any colouring
 can be relabelled into first-use order along the fixed edge sequence.
 `use_cap=False` disables it, so tests can cross-check the cap itself.
 
+`first_fit` is the reference for the greedy colourer: the plain loop that
+tries colours 0, 1, ... per edge, with the checks above.
+
 `bichromatic_cycle` is the reference for the library's verifier: the
 union-find forest check per colour pair that `find_bichromatic_cycle`
 replaced, kept so the faster walk can be held to the same witnesses.
 """
 
+import random
 from typing import Optional
 
 from boxcolour.colouring import BichromaticCycle, EdgeColouring, canonical_cycle
@@ -74,6 +78,26 @@ def feasible(g: Graph, k: int, use_cap: bool = True) -> bool:
         return False
 
     return extend(0, 0)
+
+
+def first_fit(g: Graph, seed: int = 0) -> list[int]:
+    """Each edge takes the smallest colour keeping the colouring proper and
+    acyclic; edges in index order, shuffled by `seed` unless it is 0."""
+    order = list(range(g.m))
+    if seed != 0:
+        random.Random(seed).shuffle(order)
+    colours = [-1] * g.m
+    for i in order:
+        c = 0
+        while True:
+            colours[i] = c
+            others = {x for x in colours if x >= 0} - {c}
+            if _proper_at(g, colours, i) and not any(
+                _pair_has_cycle(g, colours, c, c2) for c2 in others
+            ):
+                break
+            c += 1
+    return colours
 
 
 def brute_aci(g: Graph, use_cap: bool = True) -> int:

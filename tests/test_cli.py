@@ -80,15 +80,39 @@ def test_aci_budget_exhaustion(tmp_path, capsys):
     assert "budget" in captured.err
 
 
-def test_aci_greedy_flag_and_greedy_command_agree(tmp_path, capsys):
+def test_greedy_command_is_seeded_and_verifies(tmp_path, capsys):
     f = tmp_path / "k5.el"
     f.write_text(format_edge_list(complete(5)))
-    assert run("aci", str(f), "--greedy", "--seed", "1") == 0
-    via_flag = capsys.readouterr().out
     assert run("greedy", str(f), "--seed", "1") == 0
-    assert capsys.readouterr().out == via_flag
-    x = EdgeColouring.from_json_dict(json.loads(via_flag))
-    assert check_acyclic(x) is None
+    first = capsys.readouterr().out
+    x = EdgeColouring.from_json_dict(json.loads(first))
+    assert x.graph == complete(5) and check_acyclic(x) is None
+    assert run("greedy", str(f), "--seed", "1") == 0
+    assert capsys.readouterr().out == first
+    # greedy colouring has one entry point; aci has no greedy mode
+    assert run("aci", str(f), "--greedy") == 2
+
+
+@pytest.mark.parametrize("n", [1100, 5000])
+def test_aci_on_long_paths(tmp_path, capsys, n):
+    # deeper than the recursion limit: the search must not recurse per edge
+    f = tmp_path / "path.el"
+    f.write_text(format_edge_list(path(n)))
+    assert run("aci", str(f)) == 0
+    assert json.loads(capsys.readouterr().out)["aci"] == 2
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(g, budget=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "exact_aci", broken)
+    f = tmp_path / "p3.el"
+    f.write_text(format_edge_list(path(3)))
+    assert run("aci", str(f)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: RuntimeError('boom')" in captured.err
 
 
 def test_vertex_color_is_proper(tmp_path, capsys):

@@ -22,7 +22,6 @@ from boxcolour.compose import (
     compose,
     compose_many,
     compose_or_solve,
-    cyclic_shift,
     hypercube_colouring,
 )
 from boxcolour.corpus import connected_graphs_up_to
@@ -51,8 +50,8 @@ def solved(g: Graph) -> EdgeColouring:
 
 
 def test_shift_permutation_basics():
-    assert cyclic_shift(0, 2, 5) == 2
-    assert cyclic_shift(1, 4, 5) == 0
+    assert ShiftPermutation(0, 5)(2) == 2
+    assert ShiftPermutation(1, 5)(4) == 0
     sigma = ShiftPermutation(2, 4)
     assert [sigma(j) for j in range(4)] == [2, 3, 0, 1]
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from boxcolour.graphs import (
     grid,
     hypercube,
     is_connected,
-    new_graph,
     path,
     product_coords,
     product_edge_endpoints,
@@ -49,7 +48,7 @@ def test_graph_is_immutable():
 
 
 def test_adjacency_accessors():
-    g = new_graph(4, [(0, 1), (1, 2), (1, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (1, 3)])
     assert g.neighbours(1) == (0, 2, 3)
     assert g.degree(1) == 3 and g.degree(0) == 1
     assert g.max_degree == 3

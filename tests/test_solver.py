@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import brute_aci, feasible
+from bruteforce import brute_aci, feasible, first_fit
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
 from boxcolour.corpus import connected_graphs_up_to
-from boxcolour.graphs import Graph, complete, cycle, hypercube, path
+from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
 from boxcolour.solver import (
     AciResult,
     SearchBudget,
@@ -70,6 +70,27 @@ def test_budget_exhaustion_reports_bounds():
     assert r.lower == 7
     assert r.upper >= r.lower
     assert r.nodes >= 5
+
+
+@pytest.mark.parametrize(
+    "g, nodes",
+    [
+        (hypercube(6), 85_584),
+        (grid(8, 8), 33_161),
+        (complete(6), 403),
+        (cartesian_product(complete(5), path(2))[0], 13_547),
+    ],
+    ids=["Q6", "grid8x8", "K6", "K5xP2"],
+)
+def test_search_node_counts(g, nodes):
+    # pins the search order: edge order, colour order and the canonical rule
+    assert exact_aci(g).nodes == nodes
+
+
+def test_search_node_counts_on_small_corpus():
+    graphs = connected_graphs_up_to(6)
+    assert len(graphs) == 143
+    assert sum(exact_aci(g).nodes for g in graphs) == 2_774
 
 
 def test_determinism():
@@ -140,6 +161,16 @@ def test_greedy_always_verifies(n, seed, data):
     g = Graph(n, chosen)
     x = greedy_acyclic(g, seed=seed)
     assert check_acyclic(x) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 9), st.data())
+def test_greedy_matches_reference_first_fit(n, seed, data):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    g = Graph(n, chosen)
+    want = EdgeColouring.single_family(g, first_fit(g, seed), g.m)
+    assert greedy_acyclic(g, seed=seed).colours == want.colours
 
 
 def test_incremental_detection_agrees_with_full_verifier():
