@@ -210,6 +210,7 @@ def _cmd_scan(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "m", "delta", "aci", "excess", "nodes", "time_ms"])
     worst = 0
+    exhausted = 0
     for g in graphs:
         result = exact_aci(g, budget)
         if result.exhausted:
@@ -218,15 +219,20 @@ def _cmd_scan(args) -> int:
                 f"(bounds [{result.lower}, {result.upper}])",
                 file=sys.stderr,
             )
-            return BUDGET
-        excess = result.aci - g.max_degree
-        worst = max(worst, excess)
+            exhausted += 1
+            aci = excess = ""
+        else:
+            aci, excess = result.aci, result.aci - g.max_degree
+            worst = max(worst, excess)
         writer.writerow(
-            [g.n, g.m, g.max_degree, result.aci, excess, result.nodes,
+            [g.n, g.m, g.max_degree, aci, excess, result.nodes,
              round(result.seconds * 1000, 1)]
         )
     print(f"scanned {len(graphs)} graphs, max excess over max degree: {worst}",
           file=sys.stderr)
+    if exhausted:
+        print(f"budget exhausted on {exhausted} of {len(graphs)} graphs", file=sys.stderr)
+        return BUDGET
     return OK
 
 

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .colouring import EdgeColouring
+from .colouring import EdgeColouring, colour_label
 from .graphs import Graph
 
 PathLike = Union[str, Path]
@@ -122,7 +122,19 @@ def read_graph6(path: PathLike) -> list[Graph]:
 
 
 def format_colouring(x: EdgeColouring) -> str:
-    return json.dumps(x.to_json_dict(), indent=2) + "\n"
+    """`json.dumps(x.to_json_dict(), indent=2)` plus a newline, written
+    directly: the indenting encoder is pure Python and slow on large
+    colourings."""
+    labels = {c: json.dumps(colour_label(c)) for c in set(x.colours)}
+    rows = ",\n".join(
+        f"    [\n      {u},\n      {v},\n      {labels[c]}\n    ]"
+        for (u, v), c in zip(x.graph.edges, x.colours)
+    )
+    edges = f"[\n{rows}\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "n": {x.graph.n},\n  "palette": {{\n    "g": {x.palette.g_size},\n'
+        f'    "h": {x.palette.h_size}\n  }},\n  "edges": {edges}\n}}\n'
+    )
 
 
 def write_colouring(x: EdgeColouring, path: PathLike) -> None:

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .colouring import EdgeColouring, check_acyclic
+from .colouring import EdgeColouring, check_acyclic, colours_used
 from .graphs import Graph
 
 
@@ -49,8 +49,10 @@ class AciResult:
 
     On success `aci` is the exact value, `witness` a verified colouring with
     exactly `aci` colours, and lower == aci == upper.  If the budget ran out
+    while the certified lower bound was below the greedy colouring's count,
     `aci` and `witness` are None, `exhausted` is True, and [lower, upper]
-    are the best certified bounds.
+    are the best certified bounds; if the two met, the greedy colouring is
+    the witness and the result is exact.
     """
 
     aci: Optional[int]
@@ -211,7 +213,12 @@ def exact_aci(g: Graph, budget: Optional[SearchBudget] = None) -> AciResult:
         try:
             found, nodes = _first_colouring(g, order, k, budget, t0, nodes)
         except _OutOfBudget as exc:
-            upper = len(set(greedy_acyclic(g).colours))
+            greedy = greedy_acyclic(g)
+            upper = colours_used(greedy)
+            if upper == k:
+                # k is a certified lower bound, so the greedy colouring
+                # (already verified) is an exact witness
+                return AciResult(k, greedy, exc.nodes, time.perf_counter() - t0, False, k, k)
             return AciResult(
                 None, None, exc.nodes, time.perf_counter() - t0, True, k, upper
             )

@@ -18,9 +18,15 @@ tries colours 0, 1, ... per edge, with the checks above.
 `bichromatic_cycle` is the reference for the library's verifier: the
 union-find forest check per colour pair that `find_bichromatic_cycle`
 replaced, kept so the faster walk can be held to the same witnesses.
+
+`connected_graphs_up_to` is the reference for the corpus: the enumeration
+on `Graph` objects (invariant per candidate, pairwise backtracking
+`isomorphic` test) that the bitmask enumeration replaced, kept so the
+faster one can be held to the same graphs, labellings and order.
 """
 
 import random
+from itertools import combinations
 from typing import Optional
 
 from boxcolour.colouring import BichromaticCycle, EdgeColouring, canonical_cycle
@@ -176,3 +182,69 @@ def bichromatic_cycle(x: EdgeColouring) -> Optional[BichromaticCycle]:
             if cyc is not None:
                 return BichromaticCycle(used[i], used[j], cyc)
     return None
+
+
+def _invariant(g: Graph) -> tuple:
+    """Cheap isomorphism invariant used for bucketing."""
+    per_vertex = sorted(
+        (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbours(v))))
+        for v in range(g.n)
+    )
+    triangles = sum(
+        1
+        for a, b, c in combinations(range(g.n), 3)
+        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+    )
+    return (g.n, g.m, triangles, tuple(per_vertex))
+
+
+def isomorphic(g: Graph, h: Graph) -> bool:
+    """Backtracking vertex-map search, mapping only between equal degrees."""
+    if g.n != h.n or g.m != h.m:
+        return False
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    mapping = [-1] * g.n
+    used = [False] * h.n
+
+    def extend(pos: int) -> bool:
+        if pos == g.n:
+            return True
+        v = order[pos]
+        for w in range(h.n):
+            if used[w] or g.degree(v) != h.degree(w):
+                continue
+            ok = True
+            for prev in order[:pos]:
+                if g.has_edge(v, prev) != h.has_edge(w, mapping[prev]):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[v] = w
+            used[w] = True
+            if extend(pos + 1):
+                return True
+            mapping[v] = -1
+            used[w] = False
+        return False
+
+    return extend(0)
+
+
+def connected_graphs_up_to(max_n: int) -> list[Graph]:
+    """One connected graph per isomorphism class on 1..max_n vertices: each
+    class on n vertices augments one on n-1 by a vertex joined to a subset,
+    bucketed by `_invariant`, keeping the first candidate of each class."""
+    levels = [[Graph(1, [])]]
+    for n in range(2, max_n + 1):
+        buckets: dict[tuple, list[Graph]] = {}
+        new = n - 1
+        for base in levels[-1]:
+            for size in range(1, n):
+                for subset in combinations(range(n - 1), size):
+                    cand = Graph(n, list(base.edges) + [(v, new) for v in subset])
+                    bucket = buckets.setdefault(_invariant(cand), [])
+                    if not any(isomorphic(cand, seen) for seen in bucket):
+                        bucket.append(cand)
+        levels.append([g for bucket in buckets.values() for g in bucket])
+    return [g for level in levels[:max_n] for g in level]

@@ -277,7 +277,17 @@ def test_scan_needs_exactly_one_source(capsys):
 
 def test_scan_budget_exhaustion(tmp_path, capsys):
     assert run("scan", "--max-n", "5", "--budget-nodes", "2") == 3
-    assert "budget exhausted" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    rows = captured.out.strip().splitlines()
+    assert rows[0] == "n,m,delta,aci,excess,nodes,time_ms"
+    # every graph gets a row; one whose budget ran out leaves aci and
+    # excess empty and has its bounds on stderr
+    assert len(rows) == 1 + 31
+    open_rows = [row for row in rows[1:] if row.split(",")[3:5] == ["", ""]]
+    assert 0 < len(open_rows) == captured.err.count("budget exhausted on a graph")
+    assert f"budget exhausted on {len(open_rows)} of 31 graphs" in captured.err
+    # the triangle's bounds meet, so it is solved although its budget ran out
+    assert rows[4].startswith("3,3,2,3,1,")
 
 
 def test_config_file_arguments(tmp_path, capsys):

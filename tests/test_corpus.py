@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
+from bruteforce import connected_graphs_up_to as reference_corpus, isomorphic
 from boxcolour.corpus import _isomorphic, connected_graphs, connected_graphs_up_to
-from boxcolour.graphs import is_connected
+from boxcolour.graphs import Graph, cycle, hypercube, is_connected
 
 
 def test_known_class_counts():
@@ -22,7 +24,7 @@ def test_classes_are_pairwise_non_isomorphic():
     for n in range(1, 6):
         reps = connected_graphs(n)
         for a, b in itertools.combinations(reps, 2):
-            assert not _isomorphic(a, b), (a.edges, b.edges)
+            assert not isomorphic(a, b), (a.edges, b.edges)
 
 
 def test_counts_match_the_networkx_atlas():
@@ -45,8 +47,47 @@ def test_classes_cover_the_atlas_up_to_five():
             if G.number_of_nodes() != n or not nx.is_connected(G):
                 continue
             g = Graph(n, list(G.edges()))
-            hits = sum(1 for rep in reps if _isomorphic(g, rep))
+            hits = sum(1 for rep in reps if isomorphic(g, rep))
             assert hits == 1
+
+
+def test_same_graphs_in_the_same_order_as_the_reference():
+    # same classes, same labellings, same order: the scan CSV and the
+    # solver's node count on every row depend on all three
+    ours = [(g.n, g.edges) for g in connected_graphs_up_to(7)]
+    assert len(ours) == 996
+    assert ours == [(h.n, h.edges) for h in reference_corpus(7)]
+
+
+def _bitmask_isomorphic(a: Graph, b: Graph) -> bool:
+    # the corpus's test, on inputs built here from the two graphs
+    def colours(g):
+        return [(g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbours(v))))
+                for v in range(g.n)]
+
+    back = [[w for w in a.neighbours(v) if w < v] for v in range(a.n)]
+    adj_b = tuple(sum(1 << w for w in b.neighbours(v)) for v in range(b.n))
+    classes: dict = {}
+    for v, c in enumerate(colours(b)):
+        classes.setdefault(c, []).append(v)
+    return _isomorphic(back, colours(a), adj_b, classes)
+
+
+def test_isomorphism_test_separates_classes_that_share_a_key():
+    # up to 7 vertices the bucket key alone separates the classes, so the
+    # corpus never needs a negative answer there; the cube and the Wagner
+    # graph are cubic and triangle-free on 8 vertices, so they share a key
+    wagner = Graph(8, list(cycle(8).edges) + [(i, i + 4) for i in range(4)])
+    family = []
+    for g in (hypercube(3), wagner):
+        for seed in range(3):
+            perm = list(range(8))
+            random.Random(seed).shuffle(perm)
+            family.append(Graph(8, [(perm[u], perm[v]) for u, v in g.edges]))
+    for a, b in itertools.product(family, repeat=2):
+        assert _bitmask_isomorphic(a, b) == isomorphic(a, b)
+    assert _bitmask_isomorphic(family[0], family[1])
+    assert not _bitmask_isomorphic(family[0], family[3])
 
 
 def test_up_to_concatenates_in_order():

@@ -1,3 +1,5 @@
+import json
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from boxcolour.colouring import ColourPalette, EdgeColouring, unprimed
 from boxcolour.graphs import Graph, complete, cycle, path
 from boxcolour.io import (
+    format_colouring,
     format_edge_list,
     load_graph,
     parse_edge_list,
@@ -131,3 +134,15 @@ def test_colouring_file_roundtrip(tmp_path):
     target = tmp_path / "c4.json"
     write_colouring(x, target)
     assert read_colouring(target) == x
+
+
+@given(st.integers(1, 8), st.integers(0, 12), st.integers(0, 12), st.data())
+def test_colouring_writer_matches_the_indenting_encoder(n, g_size, h_size, data):
+    # m = 0 whenever the palette is empty; labels run up to 11 and 11'
+    palette = ColourPalette(g_size, h_size)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs and palette.size else []
+    g = Graph(n, edges)
+    colours = [data.draw(st.sampled_from(palette.ordered())) for _ in range(g.m)]
+    x = EdgeColouring(g, colours, palette)
+    assert format_colouring(x) == json.dumps(x.to_json_dict(), indent=2) + "\n"

@@ -72,6 +72,15 @@ def test_budget_exhaustion_reports_bounds():
     assert r.nodes >= 5
 
 
+def test_budget_exhaustion_with_meeting_bounds_is_exact():
+    # K3 needs 3 nodes at k = 3, its lower bound; greedy also uses 3
+    # colours, so the bounds meet and greedy's colouring is the witness
+    r = exact_aci(complete(3), SearchBudget(max_nodes=2, max_time=60))
+    assert not r.exhausted
+    assert r.lower == r.aci == r.upper == 3
+    assert colours_used(r.witness) == 3 and check_acyclic(r.witness) is None
+
+
 @pytest.mark.parametrize(
     "g, nodes",
     [
@@ -88,9 +97,12 @@ def test_search_node_counts(g, nodes):
 
 
 def test_search_node_counts_on_small_corpus():
-    graphs = connected_graphs_up_to(6)
-    assert len(graphs) == 143
-    assert sum(exact_aci(g).nodes for g in graphs) == 2_774
+    # also pins the corpus, whose labellings set each search
+    graphs = connected_graphs_up_to(7)
+    assert len(graphs) == 996
+    nodes = [exact_aci(g).nodes for g in graphs]
+    assert sum(x for x, g in zip(nodes, graphs) if g.n <= 6) == 2_774
+    assert sum(nodes) == 27_448
 
 
 def test_determinism():
