@@ -8,27 +8,30 @@ rotations never agree anywhere, which is what kills cycles that cross
 copies.  The smaller factor's edges become perfect matchings between
 copies and keep their own colours, drawn from a disjoint (primed) family.
 
-The one true exception: a product of two single edges is a four-cycle,
-which no 2-colouring handles acyclically; that case is a dedicated error
-and `compose_or_solve` falls back to the exact solver for it.
+The shifts come from `brooks_colouring` of the matching factor.  By
+Brooks' theorem it uses at most the factor's acyclic lower bound (max
+degree, plus one if regular) on every connected graph but a single edge,
+so at most beta <= eta colours: the eta rotations cover every vertex
+colour and the modulus never needs padding.  A single edge takes 2 colours
+against beta = 1, which is fine unless eta = 1 as well.  That product of
+two single edges is a four-cycle, which no 2-colouring handles acyclically;
+it is a dedicated error and `compose_or_solve` falls back to the exact
+solver for it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from .colouring import (
     ColourPalette,
     EdgeColouring,
-    VertexColouring,
     check_acyclic,
-    check_proper_vertex,
     primed,
     unprimed,
 )
-from .graphs import Graph, _product_layout, cartesian_product, hypercube, is_connected
+from .graphs import Graph, _product_layout, cartesian_product, is_connected
 from .solver import SearchBudget, exact_aci
 from .vertex_colouring import brooks_colouring
 
@@ -68,7 +71,6 @@ class ComposeInput:
     g_colouring: EdgeColouring
     h: Graph
     h_colouring: EdgeColouring
-    h_vertex_colouring: Optional[VertexColouring] = None
 
 
 def _validate_factor(name: str, graph: Graph, colouring: EdgeColouring, verified: bool) -> None:
@@ -111,36 +113,11 @@ def _compose(inp: ComposeInput, g_verified: bool) -> tuple[Graph, EdgeColouring]
     # orientation: the larger palette plays the shifted role
     swapped = eta < beta
     if swapped:
-        if inp.h_vertex_colouring is not None:
-            raise ValueError(
-                "supplied vertex colouring is for the factor with the larger "
-                "palette; swap the factors or omit it"
-            )
         shift_x, match_graph, match_x = inp.h_colouring, inp.g, inp.g_colouring
         eta, beta = beta, eta
     else:
         shift_x, match_graph, match_x = inp.g_colouring, inp.h, inp.h_colouring
-
-    if inp.h_vertex_colouring is not None:
-        y = inp.h_vertex_colouring
-        if y.graph != match_graph:
-            raise ValueError("vertex colouring belongs to a different graph")
-        if check_proper_vertex(y) is not None:
-            raise ValueError("supplied vertex colouring is not proper")
-    else:
-        y = brooks_colouring(match_graph)
-    d = max(y.colours) + 1
-
-    # For verified acyclic inputs eta >= d always holds (the matching factor
-    # needs at least max-degree colours, and complete graphs and odd cycles
-    # cannot be done with max-degree alone), but a padded modulus keeps the
-    # rotations total if that ever changes.
-    if eta < d:
-        warnings.warn(
-            f"shift palette padded from {eta} to {d} colours to cover all rotations",
-            stacklevel=3,  # the caller of compose
-        )
-        eta = d
+    y = brooks_colouring(match_graph)  # at most eta colours (module docstring)
 
     # Colour every product edge in provenance order (see _product_layout):
     # the copy of the shifted factor at matching vertex v has its colour
@@ -212,12 +189,7 @@ def hypercube_colouring(d: int) -> tuple[Graph, EdgeColouring]:
     the exactly-solved four-cycle."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    cube = hypercube(d)
-    if d == 1:
-        return cube, EdgeColouring.single_family(cube, [0], 1)
     k2 = Graph(2, [(0, 1)])
     one = EdgeColouring.single_family(k2, [0], 1)
-    _, colouring = compose_many([(k2, one)] * d)
-    # the fold's product has the cube's vertices and edges; the generator's
-    # graph adds the bit-tuple labels
-    return cube, EdgeColouring(cube, colouring.colours, colouring.palette)
+    # the fold's product is laid out row-major, so it equals hypercube(d)
+    return (k2, one) if d == 1 else compose_many([(k2, one)] * d)

@@ -1,15 +1,19 @@
 """Simple undirected graphs, standard generators, and the cartesian product.
 
-Vertices are always 0..n-1.  Edges are stored as sorted (u, v) pairs in
-lexicographic order, so edge indices are stable across runs and output is
-byte-for-byte reproducible.  Graphs are immutable after construction; degrees
-and adjacency are precomputed.
+Vertices are always 0..n-1, and a vertex is nothing but its index.
+Edges are stored as sorted (u, v) pairs in lexicographic order, so edge
+indices are stable across runs and output is byte-for-byte reproducible.
+Graphs are immutable after construction; degrees, neighbours and incident
+edge indices are precomputed, and edge lookups scan a vertex's neighbours.
+
+The product of g and h is laid out row-major: vertex (i, j) is i * h.n + j,
+and `product_coords` recovers the pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -21,14 +25,12 @@ def _norm_edge(u: int, v: int) -> Edge:
 class Graph:
     """Immutable simple graph with stable vertex and edge indexing.
 
-    `labels`, when present, carry provenance such as product coordinate
-    tuples; they take no part in equality, which is purely structural
-    (same n, same edge set).
+    Equality is structural: same n, same edge set.
     """
 
-    __slots__ = ("n", "edges", "labels", "degrees", "_adj", "_incident", "_index")
+    __slots__ = ("n", "edges", "degrees", "_adj", "_incident")
 
-    def __init__(self, n: int, edges: Iterable[Sequence[int]], labels: Optional[Sequence] = None):
+    def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         seen: set[Edge] = set()
@@ -39,41 +41,29 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             seen.add(_norm_edge(u, v))
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels must cover every vertex")
-            if len(set(labels)) != n:
-                raise ValueError("labels must be pairwise distinct")
-        self._build(n, tuple(sorted(seen)), labels)
+        self._build(n, tuple(sorted(seen)))
 
     @classmethod
-    def _from_sorted(
-        cls, n: int, edges: Sequence[Edge], labels: Optional[tuple] = None
-    ) -> "Graph":
+    def _from_sorted(cls, n: int, edges: Sequence[Edge]) -> "Graph":
         """Trusted constructor for edges already in range, normalized, sorted
-        and distinct, and labels (if any) already one per vertex and distinct."""
+        and distinct."""
         g = object.__new__(cls)
-        g._build(n, tuple(edges), labels)
+        g._build(n, tuple(edges))
         return g
 
-    def _build(self, n: int, edges: tuple[Edge, ...], labels: Optional[tuple]) -> None:
+    def _build(self, n: int, edges: tuple[Edge, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "labels", labels)
 
         adj: list[list[int]] = [[] for _ in range(n)]
         incident: list[list[int]] = [[] for _ in range(n)]
-        index: dict[Edge, int] = {}
-        for i, (u, v) in enumerate(self.edges):
+        for i, (u, v) in enumerate(edges):
             adj[u].append(v)
             adj[v].append(u)
             incident[u].append(i)
             incident[v].append(i)
-            index[(u, v)] = i
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
         object.__setattr__(self, "_incident", tuple(tuple(a) for a in incident))
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "degrees", tuple(len(a) for a in adj))
 
     def __setattr__(self, name, value):
@@ -98,10 +88,12 @@ class Graph:
         return self._incident[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self._index
+        return 0 <= u < self.n and v in self._adj[u]
 
     def edge_index(self, u: int, v: int) -> int:
-        return self._index[_norm_edge(u, v)]
+        if not self.has_edge(u, v):
+            raise KeyError((u, v))
+        return self._incident[u][self._adj[u].index(v)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -138,7 +130,7 @@ def complete(n: int) -> Graph:
 
 
 def grid(m: int, n: int) -> Graph:
-    """The m x n grid: cartesian product of two paths, labelled (row, col)."""
+    """The m x n grid: the product of two paths; (row, col) is row * n + col."""
     return _product_layout(path(m), path(n))[0]
 
 
@@ -146,16 +138,16 @@ def hypercube(d: int) -> Graph:
     """The d-dimensional hypercube: vertices 0..2^d - 1, adjacent when they
     differ in one bit.
 
-    Vertex v is labelled by its d bits, most significant first, which makes
-    it the row-major vertex of the d-fold product of single edges.
+    A vertex's d bits, most significant first, are its coordinates in the
+    d-fold product of single edges, so the cube equals that product laid
+    out row-major.
     """
     if d < 1:
         raise ValueError("hypercube dimension must be at least 1")
     n = 1 << d
     bits = [1 << k for k in range(d)]
     edges = [(v, v | bit) for v in range(n) for bit in bits if not v & bit]
-    labels = tuple(tuple((v >> k) & 1 for k in range(d - 1, -1, -1)) for v in range(n))
-    return Graph._from_sorted(n, edges, labels)
+    return Graph._from_sorted(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +224,7 @@ def _product_layout(g: Graph, h: Graph) -> tuple[Graph, list[int]]:
             for w, e in g_up:
                 edges.append((p, w * nh + j))
                 origin.append(j * mg + e)
-
-    g_labels = g.labels if g.labels is not None else range(g.n)
-    h_labels = h.labels if h.labels is not None else range(nh)
-    labels = tuple((gl, hl) for gl in g_labels for hl in h_labels)
-    return Graph._from_sorted(g.n * nh, edges, labels), origin
+    return Graph._from_sorted(g.n * nh, edges), origin
 
 
 def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, tuple[ProductEdgeKind, ...]]:

@@ -1,13 +1,11 @@
 import importlib
 import random
-import warnings
 
 import pytest
 
 from boxcolour.colouring import (
     ColourPalette,
     EdgeColouring,
-    VertexColouring,
     check_acyclic,
     colour_index,
     colours_used,
@@ -36,7 +34,7 @@ from boxcolour.graphs import (
     hypercube,
     path,
 )
-from boxcolour.solver import exact_aci
+from boxcolour.solver import exact_aci, lower_bound
 from boxcolour.vertex_colouring import brooks_bound, brooks_colouring
 
 
@@ -112,7 +110,7 @@ def test_restrictions_match_the_factors():
     xg, xh = solved(g), solved(h)
     product, x = compose(ComposeInput(g, xg, h, xh))
     _, kinds = cartesian_product(g, h)
-    y = brooks_colouring(h)  # what compose computes when not supplied
+    y = brooks_colouring(h)  # the shifts compose uses
     eta = xg.palette.size
     for kind, c in zip(kinds, x.colours):
         if isinstance(kind, HEdge):
@@ -124,32 +122,6 @@ def test_restrictions_match_the_factors():
             assert not is_primed(c)
             base = xg.palette.rank(xg.colour_of(*kind.g_edge))
             assert colour_index(c) == (base + y.colours[kind.h_vertex]) % eta
-
-
-def test_supplied_vertex_colouring_is_respected():
-    g, h = cycle(4), path(3)
-    xg, xh = solved(g), solved(h)
-    default_product, default_x = compose(ComposeInput(g, xg, h, xh))
-    explicit = compose(
-        ComposeInput(g, xg, h, xh, h_vertex_colouring=brooks_colouring(h))
-    )
-    assert explicit[1] == default_x
-    # a different proper colouring gives a different but still valid result
-    other = VertexColouring(h, (1, 0, 1))
-    product, x = compose(ComposeInput(g, xg, h, xh, h_vertex_colouring=other))
-    assert check_acyclic(x) is None
-    assert colours_used(x) <= xg.palette.size + xh.palette.size
-
-
-def test_supplied_vertex_colouring_validation():
-    g, h = cycle(4), path(3)
-    xg, xh = solved(g), solved(h)
-    improper = VertexColouring(h, (0, 0, 1))
-    with pytest.raises(ValueError, match="proper"):
-        compose(ComposeInput(g, xg, h, xh, h_vertex_colouring=improper))
-    wrong_graph = VertexColouring(cycle(4), (0, 1, 0, 1))
-    with pytest.raises(ValueError, match="different graph"):
-        compose(ComposeInput(g, xg, h, xh, h_vertex_colouring=wrong_graph))
 
 
 def test_swap_when_second_palette_is_larger():
@@ -164,13 +136,6 @@ def test_swap_when_second_palette_is_larger():
     _, kinds = cartesian_product(k2, c4)
     for kind, c in zip(kinds, x.colours):
         assert is_primed(c) == isinstance(kind, GEdge)
-
-
-def test_swap_rejects_supplied_vertex_colouring():
-    k2, xk = one_edge()
-    c4 = cycle(4)
-    with pytest.raises(ValueError, match="swap"):
-        compose(ComposeInput(k2, xk, c4, solved(c4), h_vertex_colouring=brooks_colouring(c4)))
 
 
 def test_factor_validation():
@@ -189,29 +154,13 @@ def test_factor_validation():
         compose(ComposeInput(c4, bad, k2, xk))
 
 
-def test_padding_kicks_in_for_wasteful_vertex_colourings():
-    # a 4-colour vertex colouring of path(4) forces more shifts than the
-    # 3-colour factor palette has; the modulus is padded with a warning
-    k3 = complete(3)
-    p4 = path(4)
-    xg, xh = solved(k3), solved(p4)
-    wasteful = VertexColouring(p4, (0, 1, 2, 3))
-    with pytest.warns(UserWarning, match="padded"):
-        product, x = compose(ComposeInput(k3, xg, p4, xh, h_vertex_colouring=wasteful))
-    assert check_acyclic(x) is None
-    assert x.palette.g_size == 4
-
-
 def _reference_colours(inp: ComposeInput) -> tuple[int, ...]:
     # the construction spelled out edge by edge from the public classifier:
     # the larger palette is shifted by a rotation per copy, the other primed
     eta, beta = inp.g_colouring.palette.size, inp.h_colouring.palette.size
     swapped = eta < beta
     match_graph = inp.g if swapped else inp.h
-    if inp.h_vertex_colouring is not None:
-        y, d = inp.h_vertex_colouring, max(inp.h_vertex_colouring.colours) + 1
-    else:
-        y, d = brooks_colouring(match_graph), brooks_bound(match_graph)
+    y, d = brooks_colouring(match_graph), brooks_bound(match_graph)
     modulus = max(eta, beta, d)
     _, kinds = cartesian_product(inp.g, inp.h)
     out = []
@@ -229,12 +178,10 @@ def _reference_colours(inp: ComposeInput) -> tuple[int, ...]:
 
 
 def test_compose_matches_the_classifier_construction():
-    k3, p4 = complete(3), path(4)
     cases = [
         ComposeInput(cycle(5), solved(cycle(5)), path(4), solved(path(4))),
         ComposeInput(path(4), solved(path(4)), cycle(5), solved(cycle(5))),  # swapped
         ComposeInput(grid(3, 4), solved(grid(3, 4)), complete(4), solved(complete(4))),
-        ComposeInput(k3, solved(k3), p4, solved(p4), VertexColouring(p4, (0, 1, 2, 3))),  # padded
     ]
     pool = [g for g in connected_graphs_up_to(5) if g.n >= 2]
     rng = random.Random(5)
@@ -244,11 +191,21 @@ def test_compose_matches_the_classifier_construction():
         if max(xg.palette.size, xh.palette.size) > 1:
             cases.append(ComposeInput(g, xg, h, xh))
     for inp in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            product, x = compose(inp)
+        product, x = compose(inp)
         assert product == cartesian_product(inp.g, inp.h)[0]
         assert x.colours == _reference_colours(inp)
+
+
+def test_brooks_shifts_fit_in_any_acyclic_palette():
+    # why compose never pads its modulus: the matching factor's vertex
+    # colouring uses at most lower_bound colours, and every acyclic palette
+    # of that factor, hence eta, has at least that many; K2 needs 2 > 1,
+    # which only matters when eta = 1 too, the four-cycle case
+    for h in connected_graphs_up_to(7):
+        if h.n < 2:
+            continue
+        used, bound = brooks_colouring(h).count(), lower_bound(h)
+        assert used <= bound or (h == complete(2) and (used, bound) == (2, 1))
 
 
 def test_compose_many_verifies_each_colouring_once(monkeypatch):

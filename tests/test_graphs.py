@@ -34,13 +34,6 @@ def test_graph_rejects_bad_edges():
         Graph(-1, [])
 
 
-def test_graph_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        Graph(2, [(0, 1)], labels=("a",))
-    with pytest.raises(ValueError):
-        Graph(2, [(0, 1)], labels=("a", "a"))
-
-
 def test_graph_is_immutable():
     g = path(3)
     with pytest.raises(AttributeError):
@@ -56,13 +49,16 @@ def test_adjacency_accessors():
     assert g.edges[g.edge_index(3, 1)] == (1, 3)
     with pytest.raises(KeyError):
         g.edge_index(0, 3)
+    # out-of-range vertices are not edges either
+    assert not g.has_edge(-1, 3) and not g.has_edge(3, -1) and not g.has_edge(1, 4)
+    with pytest.raises(KeyError):
+        g.edge_index(4, 1)
     # incident edge indices point back at the vertex
     for ei in g.incident_edges(1):
         assert 1 in g.edges[ei]
 
 
-def test_equality_ignores_labels():
-    assert Graph(2, [(0, 1)], labels=("a", "b")) == Graph(2, [(0, 1)])
+def test_equality_is_structural():
     assert Graph(2, [(0, 1)]) != Graph(3, [(0, 1)])
 
 
@@ -91,14 +87,10 @@ def test_generator_bounds():
         hypercube(0)
 
 
-def test_hypercube_labels_are_bit_tuples():
+def test_hypercube_edges_flip_one_bit():
     q = hypercube(3)
-    assert len(set(q.labels)) == 8
-    assert all(len(lab) == 3 and set(lab) <= {0, 1} for lab in q.labels)
-    # adjacent labels differ in exactly one bit
-    for u, v in q.edges:
-        diff = sum(a != b for a, b in zip(q.labels[u], q.labels[v]))
-        assert diff == 1
+    assert q.m == 12
+    assert all((u ^ v).bit_count() == 1 for u, v in q.edges)
 
 
 def test_product_vertex_indexing_roundtrip():
@@ -139,11 +131,13 @@ def test_product_of_two_edges_is_a_four_cycle():
     assert is_connected(p)
 
 
-def test_product_labels_pair_up():
-    g = Graph(2, [(0, 1)], labels=("a", "b"))
-    h = Graph(2, [(0, 1)], labels=("x", "y"))
+def test_product_edges_decode_to_factor_edges():
+    # each product edge fixes one coordinate and is a factor edge in the other
+    g, h = path(3), cycle(4)
     p, _ = cartesian_product(g, h)
-    assert p.labels == (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
+    for u, v in p.edges:
+        (gu, hu), (gv, hv) = product_coords(u, h.n), product_coords(v, h.n)
+        assert (gu == gv and h.has_edge(hu, hv)) or (hu == hv and g.has_edge(gu, gv))
 
 
 def test_grid_equals_path_product():

@@ -2,7 +2,7 @@ import json
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boxcolour.colouring import ColourPalette, EdgeColouring, unprimed
 from boxcolour.graphs import Graph, complete, cycle, path
@@ -146,3 +146,122 @@ def test_colouring_writer_matches_the_indenting_encoder(n, g_size, h_size, data)
     colours = [data.draw(st.sampled_from(palette.ordered())) for _ in range(g.m)]
     x = EdgeColouring(g, colours, palette)
     assert format_colouring(x) == json.dumps(x.to_json_dict(), indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Malformed input: each reader returns a value or raises ValueError, never
+# anything else.  Drawn integers stay small because a header may announce
+# any vertex count and the graph is allocated up front.
+
+
+def _parse_or_reject(parse, arg):
+    try:
+        return parse(arg)
+    except ValueError:
+        return None
+
+
+def _ints_are_small(text: str) -> bool:
+    for token in text.split():
+        try:
+            if abs(int(token)) > 20:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+_junk = st.sampled_from(["", "x", "1.5", "-", "+1", "0x1", "1_0", "٣", "#", "nan", "'"])
+_token = st.one_of(st.integers(-3, 20).map(str), _junk, st.text(max_size=2))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_token, max_size=3).map(" ".join), max_size=8))
+def test_edge_list_parser_rejects_malformed_lines(lines):
+    text = "\n".join(lines)
+    assume(_ints_are_small(text))
+    g = _parse_or_reject(parse_edge_list, text)
+    if g is not None:
+        assert parse_edge_list(format_edge_list(g)) == g
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(-2, 20),
+    st.lists(st.tuples(st.integers(-2, 22), st.integers(-2, 22)), max_size=8),
+    st.sampled_from([0, 0, 0, 1, -1]),
+    st.sampled_from(["", "# note\n", "\n"]),
+)
+def test_edge_list_parser_rejects_bad_graphs(n, edges, miscount, filler):
+    body = "".join(f"{filler}{u} {v}\n" for u, v in edges)
+    g = _parse_or_reject(parse_edge_list, f"{n} {len(edges) + miscount}\n{body}")
+    if g is not None:
+        assert g.n == n and set(g.edges) == {(min(e), max(e)) for e in edges}
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=30))
+def test_graph6_parser_rejects_arbitrary_text(line):
+    _parse_or_reject(parse_graph6, line)
+
+
+_g6_char = st.characters(min_codepoint=55, max_codepoint=130)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 20),
+    st.booleans(),
+    st.sampled_from([0, 0, 0, 1, -1]),
+    st.sampled_from(["", ">>graph6<<", " "]),
+    st.data(),
+)
+def test_graph6_parser_rejects_bad_bodies(n, long_form, miscount, prefix, data):
+    size = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0)) if long_form else chr(63 + n)
+    length = max(0, (n * (n - 1) // 2 + 5) // 6 + miscount)
+    body = data.draw(st.text(_g6_char, min_size=length, max_size=length))
+    g = _parse_or_reject(parse_graph6, prefix + size + body)
+    if g is not None:
+        assert g.n == n
+
+
+_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 20), st.floats(-3, 20), st.text(max_size=3)
+)
+_json = st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+_count = st.one_of(st.integers(-1, 12), _scalar)
+_label = st.one_of(
+    st.integers(-1, 6).map(str),
+    st.integers(0, 6).map(lambda i: f"{i}'"),
+    st.sampled_from(["", "'", "1''", " 2 ", "-0", "x"]),
+    _scalar,
+)
+_row = st.one_of(st.tuples(_count, _count, _label).map(list), st.lists(_scalar, max_size=4))
+_palette = st.one_of(
+    st.fixed_dictionaries({"g": _count, "h": _count}),
+    st.dictionaries(st.sampled_from(["g", "h", "x"]), _count),
+    _scalar,
+)
+_document = st.fixed_dictionaries(
+    {"n": _count, "palette": _palette, "edges": st.one_of(st.lists(_row, max_size=8), _scalar)}
+)
+
+
+@settings(max_examples=500)
+@given(_document, st.sets(st.sampled_from(["n", "palette", "edges"]), max_size=1))
+def test_colouring_json_rejects_malformed_documents(doc, dropped):
+    for key in dropped:
+        del doc[key]
+    x = _parse_or_reject(EdgeColouring.from_json_dict, doc)
+    if x is not None:
+        assert EdgeColouring.from_json_dict(x.to_json_dict()) == x
+
+
+@settings(max_examples=200)
+@given(_json)
+def test_colouring_json_rejects_arbitrary_values(value):
+    _parse_or_reject(EdgeColouring.from_json_dict, value)
