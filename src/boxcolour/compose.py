@@ -16,7 +16,8 @@ colour and the modulus never needs padding.  A single edge takes 2 colours
 against beta = 1, which is fine unless eta = 1 as well.  That product of
 two single edges is a four-cycle, which no 2-colouring handles acyclically;
 it is a dedicated error and `compose_or_solve` falls back to the exact
-solver for it.
+search for it.  The search lives in `search`, below this module, because
+`solver.exact_aci` in turn uses `compose` on the products it recognises.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .colouring import (
     primed,
     unprimed,
 )
-from .graphs import Graph, _product_layout, cartesian_product, is_connected
-from .solver import SearchBudget, exact_aci
+from .graphs import Graph, _check_dimension, _product_layout, cartesian_product, is_connected
+from .search import SearchBudget, _search
 from .vertex_colouring import brooks_colouring
 
 
@@ -145,7 +146,7 @@ def compose_or_solve(
     inp: ComposeInput, budget: Optional[SearchBudget] = None
 ) -> tuple[Graph, EdgeColouring]:
     """compose, except the single-edge-by-single-edge case is solved
-    exactly (it is a 4-cycle; the solver returns its 3-colouring)."""
+    exactly (it is a 4-cycle; the search returns its 3-colouring)."""
     try:
         return compose(inp)
     except C4ProductError:
@@ -156,7 +157,7 @@ def _solve_four_cycle(
     inp: ComposeInput, budget: Optional[SearchBudget]
 ) -> tuple[Graph, EdgeColouring]:
     product, _ = cartesian_product(inp.g, inp.h)
-    result = exact_aci(product, budget)
+    result = _search(product, budget)
     if result.witness is None:
         raise RuntimeError("exact solve of the 4-cycle fallback ran out of budget")
     return product, result.witness
@@ -166,7 +167,7 @@ def compose_many(factors: list[tuple[Graph, EdgeColouring]]) -> tuple[Graph, Edg
     """Left fold of compose_or_solve over two or more coloured factors.
 
     Every factor passed in is verified once.  Each fold's output was
-    verified when compose (or the exact solver) built it, and colourings
+    verified when compose (or the exact search) built it, and colourings
     are immutable, so it is not verified again as the next fold's factor.
     """
     if len(factors) < 2:
@@ -187,8 +188,7 @@ def hypercube_colouring(d: int) -> tuple[Graph, EdgeColouring]:
     """Acyclic colouring of the d-cube: 1 colour for a single edge,
     exactly d+1 colours for d >= 2, built by folding single edges onto
     the exactly-solved four-cycle."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    _check_dimension(d)
     k2 = Graph(2, [(0, 1)])
     one = EdgeColouring.single_family(k2, [0], 1)
     # the fold's product is laid out row-major, so it equals hypercube(d)

@@ -8,6 +8,11 @@ edge indices are precomputed, and edge lookups scan a vertex's neighbours.
 
 The product of g and h is laid out row-major: vertex (i, j) is i * h.n + j,
 and `product_coords` recovers the pair.
+
+A graph has at most MAX_VERTICES = 2^20 vertices.  The per-vertex lists are
+allocated up front, so a vertex count read from a file is checked against
+that limit before anything is built: a 14-byte edge list announcing 10^10
+vertices is an input error, not a request for memory.
 """
 
 from __future__ import annotations
@@ -17,9 +22,26 @@ from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
+MAX_VERTICES = 1 << 20
+
 
 def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def _check_order(n: int) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
+def _check_dimension(d: int) -> None:
+    """The d-cube has 2^d vertices, checked without computing 2^d."""
+    if d < 1:
+        raise ValueError("hypercube dimension must be at least 1")
+    if d >= MAX_VERTICES.bit_length():
+        raise ValueError(f"the {d}-cube exceeds the vertex limit of {MAX_VERTICES}")
 
 
 class Graph:
@@ -31,8 +53,7 @@ class Graph:
     __slots__ = ("n", "edges", "degrees", "_adj", "_incident")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        _check_order(n)
         seen: set[Edge] = set()
         for pair in edges:
             u, v = pair
@@ -114,23 +135,24 @@ class Graph:
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def grid(m: int, n: int) -> Graph:
     """The m x n grid: the product of two paths; (row, col) is row * n + col."""
+    _check_order(m * n)
     return _product_layout(path(m), path(n))[0]
 
 
@@ -142,8 +164,7 @@ def hypercube(d: int) -> Graph:
     d-fold product of single edges, so the cube equals that product laid
     out row-major.
     """
-    if d < 1:
-        raise ValueError("hypercube dimension must be at least 1")
+    _check_dimension(d)
     n = 1 << d
     bits = [1 << k for k in range(d)]
     edges = [(v, v | bit) for v in range(n) for bit in bits if not v & bit]
@@ -203,6 +224,7 @@ def _product_layout(g: Graph, h: Graph) -> tuple[Graph, list[int]]:
     inside the copy of g at h-vertex j is j * g.m + e, and h-edge f inside
     the copy of h at g-vertex i is h.n * g.m + i * h.m + f.
     """
+    _check_order(g.n * h.n)
     nh, mg, mh = h.n, g.m, h.m
 
     def upper(f: Graph, v: int) -> list[tuple[int, int]]:

@@ -149,6 +149,19 @@ def test_compose_solve_factors(tmp_path, capsys):
     assert parse_edge_list(out_graph.read_text()) == cartesian_product(cycle(4), complete(2))[0]
 
 
+def test_compose_solve_factors_on_a_large_grid(tmp_path, capsys):
+    # grid 20x20 is solved by the product tactic, not by a search over its
+    # 760 edges, which used to run out the 60 s default budget
+    a = tmp_path / "grid.el"
+    b = tmp_path / "k5.el"
+    a.write_text(format_edge_list(grid(20, 20)))
+    b.write_text(format_edge_list(complete(5)))
+    assert run("compose", "--g", str(a), "--h", str(b), "--solve-factors") == 0
+    x = EdgeColouring.from_json_dict(json.loads(capsys.readouterr().out))
+    assert x.graph == cartesian_product(grid(20, 20), complete(5))[0]
+    assert check_acyclic(x) is None and colours_used(x) <= 4 + 5
+
+
 def test_compose_with_explicit_colourings(tmp_path, capsys):
     g, h = path(3), path(4)
     files = {}
@@ -288,6 +301,25 @@ def test_scan_budget_exhaustion(tmp_path, capsys):
     assert f"budget exhausted on {len(open_rows)} of 31 graphs" in captured.err
     # the triangle's bounds meet, so it is solved although its budget ran out
     assert rows[4].startswith("3,3,2,3,1,")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["aci"], "10000000000 0\n"),
+        (["verify"], '{"n": 10000000000, "palette": {"g": 0, "h": 0}, "edges": []}'),
+        (["gen", "path", "10000000000"], None),
+        (["hypercube", "30"], None),
+    ],
+    ids=["aci-edge-list", "verify-json", "gen-path", "hypercube"],
+)
+def test_huge_vertex_counts_are_input_errors(tmp_path, capsys, argv, text):
+    if text is not None:
+        f = tmp_path / "huge"
+        f.write_text(text)
+        argv = argv + [str(f)]
+    assert run(*argv) == 2
+    assert "limit of" in capsys.readouterr().err
 
 
 def test_config_file_arguments(tmp_path, capsys):

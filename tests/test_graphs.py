@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from boxcolour.graphs import (
+    MAX_VERTICES,
     GEdge,
     Graph,
     HEdge,
@@ -17,12 +20,44 @@ from boxcolour.graphs import (
     product_edge_endpoints,
     product_vertex,
 )
+from boxcolour.graphs import _check_order
 
 
 def test_graph_normalizes_and_dedups_edges():
     g = Graph(3, [(2, 1), (1, 2), (0, 1)])
     assert g.edges == ((0, 1), (1, 2))
     assert g.m == 2
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (Graph, (10**10, [])),
+        (Graph, (MAX_VERTICES + 1, [(0, 1)])),
+        (path, (10**10,)),
+        (complete, (10**10,)),
+        (hypercube, (21,)),
+        (hypercube, (10**10,)),
+        (cartesian_product, (path(2048), path(1024))),
+        (grid, (MAX_VERTICES, 2)),
+    ],
+    ids=["Graph", "Graph-limit+1", "path", "complete", "Q21", "Q(10^10)", "product", "grid"],
+)
+def test_vertex_limit_is_checked_before_allocating(build, args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limit"):
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_vertex_limit_itself_is_allowed():
+    _check_order(MAX_VERTICES)
+    with pytest.raises(ValueError, match="limit"):
+        _check_order(MAX_VERTICES + 1)
 
 
 def test_graph_rejects_bad_edges():

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boxcolour.colouring import ColourPalette, EdgeColouring, unprimed
-from boxcolour.graphs import Graph, complete, cycle, path
+from boxcolour.graphs import MAX_VERTICES, Graph, complete, cycle, path
 from boxcolour.io import (
     format_colouring,
     format_edge_list,
@@ -42,6 +43,26 @@ def test_edge_list_errors():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(ValueError):
         parse_edge_list("3 1\n0 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "parse, arg",
+    [
+        (parse_edge_list, "10000000000 0"),
+        (parse_edge_list, f"{MAX_VERTICES + 1} 1\n0 1\n"),
+        (EdgeColouring.from_json_dict, {"n": 10**10, "palette": {"g": 0, "h": 0}, "edges": []}),
+    ],
+    ids=["edge-list", "edge-list-limit+1", "colouring-json"],
+)
+def test_huge_vertex_counts_are_rejected_before_allocating(parse, arg):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limit"):
+            parse(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_edge_list_files(tmp_path):
@@ -150,8 +171,11 @@ def test_colouring_writer_matches_the_indenting_encoder(n, g_size, h_size, data)
 
 # ---------------------------------------------------------------------------
 # Malformed input: each reader returns a value or raises ValueError, never
-# anything else.  Drawn integers stay small because a header may announce
-# any vertex count and the graph is allocated up front.
+# anything else.  Drawn integers are either small or past the vertex limit,
+# which a reader must reject before allocating; counts in between would
+# make every example build a graph of up to a million vertices.
+
+_int = st.one_of(st.integers(-3, 20), st.integers(MAX_VERTICES + 1, 10**15))
 
 
 def _parse_or_reject(parse, arg):
@@ -161,25 +185,14 @@ def _parse_or_reject(parse, arg):
         return None
 
 
-def _ints_are_small(text: str) -> bool:
-    for token in text.split():
-        try:
-            if abs(int(token)) > 20:
-                return False
-        except ValueError:
-            pass
-    return True
-
-
 _junk = st.sampled_from(["", "x", "1.5", "-", "+1", "0x1", "1_0", "٣", "#", "nan", "'"])
-_token = st.one_of(st.integers(-3, 20).map(str), _junk, st.text(max_size=2))
+_token = st.one_of(_int.map(str), _junk, st.text(max_size=2))
 
 
 @settings(max_examples=300)
 @given(st.lists(st.lists(_token, max_size=3).map(" ".join), max_size=8))
 def test_edge_list_parser_rejects_malformed_lines(lines):
     text = "\n".join(lines)
-    assume(_ints_are_small(text))
     g = _parse_or_reject(parse_edge_list, text)
     if g is not None:
         assert parse_edge_list(format_edge_list(g)) == g
@@ -187,8 +200,8 @@ def test_edge_list_parser_rejects_malformed_lines(lines):
 
 @settings(max_examples=300)
 @given(
-    st.integers(-2, 20),
-    st.lists(st.tuples(st.integers(-2, 22), st.integers(-2, 22)), max_size=8),
+    _int,
+    st.lists(st.tuples(_int, _int), max_size=8),
     st.sampled_from([0, 0, 0, 1, -1]),
     st.sampled_from(["", "# note\n", "\n"]),
 )
@@ -226,14 +239,14 @@ def test_graph6_parser_rejects_bad_bodies(n, long_form, miscount, prefix, data):
 
 
 _scalar = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 20), st.floats(-3, 20), st.text(max_size=3)
+    st.none(), st.booleans(), _int, st.floats(-3, 20), st.text(max_size=3)
 )
 _json = st.recursive(
     _scalar,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
     max_leaves=10,
 )
-_count = st.one_of(st.integers(-1, 12), _scalar)
+_count = st.one_of(st.integers(-1, 12), st.integers(MAX_VERTICES + 1, 10**15), _scalar)
 _label = st.one_of(
     st.integers(-1, 6).map(str),
     st.integers(0, 6).map(lambda i: f"{i}'"),

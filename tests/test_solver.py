@@ -1,14 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import brute_aci, feasible, first_fit
+from bruteforce import brute_aci, feasible, first_fit, isomorphic
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
 from boxcolour.corpus import connected_graphs_up_to
 from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
+from boxcolour.search import _edge_order, _search
 from boxcolour.solver import (
     AciResult,
     SearchBudget,
-    _edge_order,
     exact_aci,
     greedy_acyclic,
     lower_bound,
@@ -70,6 +70,7 @@ def test_budget_exhaustion_reports_bounds():
     assert r.lower == 7
     assert r.upper >= r.lower
     assert r.nodes >= 5
+    assert r.tactic == "greedy"
 
 
 def test_budget_exhaustion_with_meeting_bounds_is_exact():
@@ -77,8 +78,21 @@ def test_budget_exhaustion_with_meeting_bounds_is_exact():
     # colours, so the bounds meet and greedy's colouring is the witness
     r = exact_aci(complete(3), SearchBudget(max_nodes=2, max_time=60))
     assert not r.exhausted
-    assert r.lower == r.aci == r.upper == 3
+    assert r.lower == r.aci == r.upper == 3 and r.tactic == "greedy"
     assert colours_used(r.witness) == 3 and check_acyclic(r.witness) is None
+
+
+def test_budget_exhaustion_keeps_the_composed_upper_bound():
+    # C5 x C7 is 4-regular, so its lower bound is 5; the theorem composes
+    # 3 + 3 = 6 colours, fewer than greedy, and the search at 5 needs more
+    # than 50 nodes
+    g = cartesian_product(cycle(5), cycle(7))[0]
+    truth = exact_aci(g).aci
+    r = exact_aci(g, SearchBudget(max_nodes=50, max_time=60))
+    assert r.exhausted and r.aci is None and r.witness is None
+    assert (r.lower, r.upper, r.tactic) == (5, 6, "factor")
+    assert colours_used(greedy_acyclic(g)) > 6
+    assert r.lower <= truth <= r.upper
 
 
 @pytest.mark.parametrize(
@@ -93,16 +107,47 @@ def test_budget_exhaustion_with_meeting_bounds_is_exact():
 )
 def test_search_node_counts(g, nodes):
     # pins the search order: edge order, colour order and the canonical rule
-    assert exact_aci(g).nodes == nodes
+    assert _search(g).nodes == nodes
 
 
 def test_search_node_counts_on_small_corpus():
     # also pins the corpus, whose labellings set each search
     graphs = connected_graphs_up_to(7)
     assert len(graphs) == 996
-    nodes = [exact_aci(g).nodes for g in graphs]
+    nodes = [_search(g).nodes for g in graphs]
     assert sum(x for x, g in zip(nodes, graphs) if g.n <= 6) == 2_774
     assert sum(nodes) == 27_448
+
+
+@pytest.mark.parametrize(
+    "g, aci, nodes, tactic",
+    [
+        (hypercube(6), 7, 8, "factor"),
+        (grid(8, 8), 4, 14, "factor"),
+        (complete(6), 7, 403, "search"),
+        (cartesian_product(complete(5), path(2))[0], 6, 13, "factor"),
+    ],
+    ids=["Q6", "grid8x8", "K6", "K5xP2"],
+)
+def test_exact_node_counts(g, aci, nodes, tactic):
+    # the products are coloured by the theorem and only their factors are
+    # searched: Q6 through K2 x Q5, ..., down to the four-cycle Q2
+    r = exact_aci(g)
+    assert (r.aci, r.nodes, r.tactic) == (aci, nodes, tactic)
+
+
+def test_exact_node_counts_on_small_corpus():
+    # the factor tactic changes exactly the two products with a factor
+    # other than K2 up to 7 vertices: P3 x K2 (10 -> 3 nodes) and K3 x K2
+    # (16 -> 4); K2 x K2 is the excluded case and is searched as before
+    graphs = connected_graphs_up_to(7)
+    results = [exact_aci(g) for g in graphs]
+    assert sum(r.nodes for r, g in zip(results, graphs) if g.n <= 6) == 2_755
+    assert sum(r.nodes for r in results) == 27_429
+    factored = [g for r, g in zip(results, graphs) if r.tactic == "factor"]
+    products = [cartesian_product(path(3), path(2))[0], cartesian_product(cycle(3), path(2))[0]]
+    assert len(factored) == 2
+    assert all(any(isomorphic(g, p) for p in products) for g in factored)
 
 
 def test_determinism():
