@@ -16,15 +16,12 @@ from .colouring import (
     VertexColouring,
     Violation,
     check_acyclic,
-    check_proper_edge,
     check_proper_vertex,
     colours_used,
-    find_bichromatic_cycle,
 )
 from .compose import (
     C4ProductError,
     ComposeInput,
-    ShiftPermutation,
     compose,
     compose_many,
     compose_or_solve,
@@ -35,7 +32,6 @@ from .graphs import (
     Graph,
     GraphClass,
     HEdge,
-    ProductEdgeKind,
     cartesian_product,
     classify,
     complete,
@@ -45,8 +41,6 @@ from .graphs import (
     is_connected,
     path,
     product_coords,
-    product_edge_endpoints,
-    product_vertex,
 )
 from .solver import AciResult, SearchBudget, exact_aci, greedy_acyclic, lower_bound
 from .vertex_colouring import brooks_bound, brooks_colouring
@@ -63,16 +57,13 @@ __all__ = [
     "GraphClass",
     "HEdge",
     "NotProper",
-    "ProductEdgeKind",
     "SearchBudget",
-    "ShiftPermutation",
     "VertexColouring",
     "Violation",
     "brooks_bound",
     "brooks_colouring",
     "cartesian_product",
     "check_acyclic",
-    "check_proper_edge",
     "check_proper_vertex",
     "classify",
     "colours_used",
@@ -82,7 +73,6 @@ __all__ = [
     "compose_or_solve",
     "cycle",
     "exact_aci",
-    "find_bichromatic_cycle",
     "greedy_acyclic",
     "grid",
     "hypercube",
@@ -91,6 +81,4 @@ __all__ = [
     "lower_bound",
     "path",
     "product_coords",
-    "product_edge_endpoints",
-    "product_vertex",
 ]

@@ -164,7 +164,7 @@ def _cmd_compose(args) -> int:
         xh = _factor_colouring(h, args.xh, args.solve_factors, budget)
     except _Exhausted as exc:
         return _report_exhausted(exc.result)
-    product, x = compose_or_solve(ComposeInput(g, xg, h, xh), budget)
+    product, x = compose_or_solve(ComposeInput(g, xg, h, xh))
     if args.out_graph:
         io.write_edge_list(product, args.out_graph)
     _print_colouring(x)

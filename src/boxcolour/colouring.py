@@ -14,10 +14,13 @@ those alternating paths, once per colour pair, starting from the edges of
 the smaller class: O(k*m) over all pairs rather than a pass over every edge
 per pair.
 
-Library code checks each colouring once, where it crosses a module
-boundary: `compose` checks the factors it is handed and the colouring it
-returns, and a fold of `compose` does not check its own verified output a
-second time as the next factor.
+Library code checks each colouring once per trust boundary, where it
+leaves the code that built it or enters from a caller.  The search and
+greedy check each colouring they return; `compose` checks the factors it
+is handed and the colouring it returns; `compose_many` checks its factors
+and only its final output, since every fold relabels the previous one
+injectively (see `compose`); and `solver.exact_aci` checks a composed
+colouring once, after mapping it onto its input graph.
 """
 
 from __future__ import annotations
@@ -38,15 +41,6 @@ def unprimed(index: int) -> int:
 
 def primed(index: int) -> int:
     return (index << 1) | 1
-
-
-def is_primed(colour: int) -> bool:
-    return bool(colour & 1)
-
-
-def colour_index(colour: int) -> int:
-    """Position of the colour within its own family."""
-    return colour >> 1
 
 
 def colour_order_key(colour: int) -> tuple[int, int]:
@@ -89,12 +83,6 @@ class ColourPalette:
     def __contains__(self, colour: int) -> bool:
         index = colour >> 1
         return index < (self.h_size if colour & 1 else self.g_size)
-
-    def ordered(self) -> tuple[int, ...]:
-        """All colour ids in canonical order."""
-        return tuple(unprimed(j) for j in range(self.g_size)) + tuple(
-            primed(j) for j in range(self.h_size)
-        )
 
     def rank(self, colour: int) -> int:
         """Dense 0-based position of a colour in the canonical order."""
@@ -146,9 +134,6 @@ class EdgeColouring:
                 raise ValueError(f"partial colouring: edge {e} has no colour")
             colours.append(mapping[e])
         return cls(graph, colours, palette)
-
-    def colour_of(self, u: int, v: int) -> int:
-        return self.colours[self.graph.edge_index(u, v)]
 
     def distinct_colours(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.colours), key=colour_order_key))
@@ -323,11 +308,6 @@ def _colour_incidence(
     return at, None
 
 
-def check_proper_edge(x: EdgeColouring) -> Optional[NotProper]:
-    """None iff no vertex carries two incident edges of equal colour."""
-    return _colour_incidence(x)[1]
-
-
 def check_proper_vertex(y: VertexColouring) -> Optional[Edge]:
     """None iff no edge is monochromatic; otherwise the first such edge."""
     for u, v in y.graph.edges:
@@ -398,10 +378,16 @@ def _pair_cycle(
     return best
 
 
-def _bichromatic_cycle(
-    x: EdgeColouring, at: list[dict[int, tuple[int, int]]]
-) -> Optional[BichromaticCycle]:
-    """First two-colour cycle of a proper colouring, pairs in palette order."""
+def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
+    """Full verification: properness first, then the walk per colour pair.
+
+    An improper colouring yields its first NotProper.  Otherwise colour
+    pairs are scanned in palette order, and within a pair the witness is
+    the cycle whose largest edge index is smallest.
+    """
+    at, bad = _colour_incidence(x)
+    if bad is not None:
+        return bad
     buckets: dict[int, list[int]] = {c: [] for c in set(x.colours)}
     for ei, c in enumerate(x.colours):
         buckets[c].append(ei)
@@ -417,25 +403,3 @@ def _bichromatic_cycle(
             if cyc is not None:
                 return BichromaticCycle(a, b, canonical_cycle(cyc))
     return None
-
-
-def find_bichromatic_cycle(x: EdgeColouring) -> Optional[BichromaticCycle]:
-    """First two-colour cycle, scanning colour pairs in palette order.
-
-    Within a pair, the witness is the cycle whose largest edge index is
-    smallest.  Properness is a precondition: alternation is only
-    well-defined for proper colourings, so an improper input is rejected
-    outright.
-    """
-    at, bad = _colour_incidence(x)
-    if bad is not None:
-        raise ValueError(f"colouring is not proper: {bad}")
-    return _bichromatic_cycle(x, at)
-
-
-def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
-    """Full verification: properness first, then the walk per colour pair."""
-    at, bad = _colour_incidence(x)
-    if bad is not None:
-        return bad
-    return _bichromatic_cycle(x, at)

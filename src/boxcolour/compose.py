@@ -17,13 +17,25 @@ against beta = 1, which is fine unless eta = 1 as well.  That product of
 two single edges is a four-cycle, which no 2-colouring handles acyclically;
 it is a dedicated error and `compose_or_solve` falls back to the exact
 search for it.  The search lives in `search`, below this module, because
-`solver.exact_aci` in turn uses `compose` on the products it recognises.
+`solver.exact_aci` in turn uses the construction on the products it
+recognises.
+
+`_compose` only builds the colouring; `check_acyclic` runs at the entry
+points.  `compose` checks both factors and its output.  `compose_many`
+checks every factor passed in, folds `_compose`, and checks only the final
+output.  That is enough because each fold colours every copy of the
+previous product by an injective relabelling of its colouring: a rotation
+of palette ranks when it is the shifted factor, priming when it is the
+matching one.  Each copy is a subgraph of the new product, so an improper
+vertex or a two-coloured cycle in one fold reappears, relabelled, in every
+later fold and fails the final check.  `solver._by_factors` calls
+`_compose` on factor witnesses its own solves verified, and checks the
+colouring it maps back onto its input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .colouring import (
     ColourPalette,
@@ -33,31 +45,8 @@ from .colouring import (
     unprimed,
 )
 from .graphs import Graph, _check_dimension, _product_layout, cartesian_product, is_connected
-from .search import SearchBudget, _search
+from .search import _search
 from .vertex_colouring import brooks_colouring
-
-
-@dataclass(frozen=True)
-class ShiftPermutation:
-    """Rotation j -> (j + shift) mod modulus on colour indices.
-
-    Two rotations with different shifts disagree at every index, so a
-    family of them indexed by vertex colours is mutually non-fixing.
-    """
-
-    shift: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus <= 0:
-            raise ValueError("modulus must be positive")
-        if not 0 <= self.shift < self.modulus:
-            raise ValueError(f"shift {self.shift} outside 0..{self.modulus - 1}")
-
-    def __call__(self, index: int) -> int:
-        if not 0 <= index < self.modulus:
-            raise ValueError(f"colour index {index} outside 0..{self.modulus - 1}")
-        return (index + self.shift) % self.modulus
 
 
 class C4ProductError(ValueError):
@@ -74,20 +63,23 @@ class ComposeInput:
     h_colouring: EdgeColouring
 
 
-def _validate_factor(name: str, graph: Graph, colouring: EdgeColouring, verified: bool) -> None:
-    """Structural checks, and `check_acyclic` unless the colouring is a
-    fold's own output that was verified when it was built."""
+def _validate_factor(name: str, graph: Graph, colouring: EdgeColouring) -> None:
     if graph.n < 2:
         raise ValueError(f"factor {name} must have at least two vertices")
     if not is_connected(graph):
         raise ValueError(f"factor {name} must be connected")
     if colouring.graph != graph:
         raise ValueError(f"colouring of factor {name} belongs to a different graph")
-    if verified:
-        return
     bad = check_acyclic(colouring)
     if bad is not None:
         raise ValueError(f"colouring of factor {name} is not acyclic: {bad}")
+
+
+def _verified(x: EdgeColouring) -> EdgeColouring:
+    bad = check_acyclic(x)
+    if bad is not None:
+        raise RuntimeError(f"composed colouring failed verification: {bad}")
+    return x
 
 
 def compose(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
@@ -96,13 +88,14 @@ def compose(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
     The output graph is always the product in caller order, whichever
     factor ends up supplying the shifted family.
     """
-    return _compose(inp, g_verified=False)
+    _validate_factor("g", inp.g, inp.g_colouring)
+    _validate_factor("h", inp.h, inp.h_colouring)
+    product, x = _compose(inp)
+    return product, _verified(x)
 
 
-def _compose(inp: ComposeInput, g_verified: bool) -> tuple[Graph, EdgeColouring]:
-    _validate_factor("g", inp.g, inp.g_colouring, g_verified)
-    _validate_factor("h", inp.h, inp.h_colouring, False)
-
+def _compose(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
+    """The construction alone, on factors the caller has checked."""
     eta = inp.g_colouring.palette.size
     beta = inp.h_colouring.palette.size
     if eta == 1 and beta == 1:
@@ -133,55 +126,42 @@ def _compose(inp: ComposeInput, g_verified: bool) -> tuple[Graph, EdgeColouring]
 
     product, origin = _product_layout(inp.g, inp.h)
     colours = [by_origin[o] for o in origin]
-    result = EdgeColouring(product, colours, ColourPalette(eta, beta))
-    bad = check_acyclic(result)
-    if bad is not None:
-        raise RuntimeError(f"composed colouring failed verification: {bad}")
-    if len(set(colours)) > eta + beta:
-        raise RuntimeError("composed colouring exceeded its palette bound")
-    return product, result
+    return product, EdgeColouring(product, colours, ColourPalette(eta, beta))
 
 
-def compose_or_solve(
-    inp: ComposeInput, budget: Optional[SearchBudget] = None
-) -> tuple[Graph, EdgeColouring]:
+def compose_or_solve(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
     """compose, except the single-edge-by-single-edge case is solved
     exactly (it is a 4-cycle; the search returns its 3-colouring)."""
     try:
         return compose(inp)
     except C4ProductError:
-        return _solve_four_cycle(inp, budget)
+        return _solve_four_cycle(inp)
 
 
-def _solve_four_cycle(
-    inp: ComposeInput, budget: Optional[SearchBudget]
-) -> tuple[Graph, EdgeColouring]:
+def _solve_four_cycle(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
+    # the search verifies its witness; it places 4 nodes, so no budget binds
     product, _ = cartesian_product(inp.g, inp.h)
-    result = _search(product, budget)
-    if result.witness is None:
-        raise RuntimeError("exact solve of the 4-cycle fallback ran out of budget")
-    return product, result.witness
+    return product, _search(product).witness
 
 
 def compose_many(factors: list[tuple[Graph, EdgeColouring]]) -> tuple[Graph, EdgeColouring]:
     """Left fold of compose_or_solve over two or more coloured factors.
 
-    Every factor passed in is verified once.  Each fold's output was
-    verified when compose (or the exact search) built it, and colourings
-    are immutable, so it is not verified again as the next fold's factor.
+    Every factor passed in is verified once, and so is the final output;
+    the intermediate folds are not (module docstring).
     """
     if len(factors) < 2:
         raise ValueError("need at least two factors")
+    for i, (graph, colouring) in enumerate(factors):
+        _validate_factor(str(i), graph, colouring)
     graph, colouring = factors[0]
-    verified = False
     for next_graph, next_colouring in factors[1:]:
         inp = ComposeInput(graph, colouring, next_graph, next_colouring)
         try:
-            graph, colouring = _compose(inp, g_verified=verified)
+            graph, colouring = _compose(inp)
         except C4ProductError:
-            graph, colouring = _solve_four_cycle(inp, None)
-        verified = True
-    return graph, colouring
+            graph, colouring = _solve_four_cycle(inp)
+    return graph, _verified(colouring)
 
 
 def hypercube_colouring(d: int) -> tuple[Graph, EdgeColouring]:
@@ -192,4 +172,4 @@ def hypercube_colouring(d: int) -> tuple[Graph, EdgeColouring]:
     k2 = Graph(2, [(0, 1)])
     one = EdgeColouring.single_family(k2, [0], 1)
     # the fold's product is laid out row-major, so it equals hypercube(d)
-    return (k2, one) if d == 1 else compose_many([(k2, one)] * d)
+    return (k2, _verified(one)) if d == 1 else compose_many([(k2, one)] * d)

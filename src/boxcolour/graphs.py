@@ -12,7 +12,11 @@ and `product_coords` recovers the pair.
 A graph has at most MAX_VERTICES = 2^20 vertices.  The per-vertex lists are
 allocated up front, so a vertex count read from a file is checked against
 that limit before anything is built: a 14-byte edge list announcing 10^10
-vertices is an input error, not a request for memory.
+vertices is an input error, not a request for memory.  The generators and
+the product also check their edge count, known from their parameters,
+against MAX_EDGES = 2^22 before building: within the vertex limit, K_n can
+have 5.5 * 10^11 edges and the 20-cube 10^7.  An edge list read from a
+file is bounded by the file's size.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Iterable, Sequence
 Edge = tuple[int, int]
 
 MAX_VERTICES = 1 << 20
+MAX_EDGES = 1 << 22
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -36,12 +41,19 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
+def _check_size(m: int) -> None:
+    if m > MAX_EDGES:
+        raise ValueError(f"edge count {m} exceeds the limit of {MAX_EDGES}")
+
+
 def _check_dimension(d: int) -> None:
-    """The d-cube has 2^d vertices, checked without computing 2^d."""
+    """The d-cube has 2^d vertices, checked without computing 2^d, and
+    d * 2^(d-1) edges."""
     if d < 1:
         raise ValueError("hypercube dimension must be at least 1")
     if d >= MAX_VERTICES.bit_length():
         raise ValueError(f"the {d}-cube exceeds the vertex limit of {MAX_VERTICES}")
+    _check_size(d << (d - 1))
 
 
 class Graph:
@@ -147,6 +159,7 @@ def cycle(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
+    _check_size(n * (n - 1) // 2)
     return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -191,25 +204,9 @@ class HEdge:
     g_vertex: int
 
 
-ProductEdgeKind = GEdge | HEdge
-
-
-def product_vertex(g_index: int, h_index: int, h_order: int) -> int:
-    """Row-major index of the product vertex (g_index, h_index)."""
-    return g_index * h_order + h_index
-
-
 def product_coords(index: int, h_order: int) -> tuple[int, int]:
+    """Inverse of the row-major layout: vertex i * h_order + j is (i, j)."""
     return divmod(index, h_order)
-
-
-def product_edge_endpoints(kind: ProductEdgeKind, h_order: int) -> Edge:
-    """Recover the product edge (as a vertex-index pair) from its kind."""
-    if isinstance(kind, GEdge):
-        (u1, u2), v = kind.g_edge, kind.h_vertex
-        return _norm_edge(product_vertex(u1, v, h_order), product_vertex(u2, v, h_order))
-    (v1, v2), u = kind.h_edge, kind.g_vertex
-    return _norm_edge(product_vertex(u, v1, h_order), product_vertex(u, v2, h_order))
 
 
 def _product_layout(g: Graph, h: Graph) -> tuple[Graph, list[int]]:
@@ -226,6 +223,7 @@ def _product_layout(g: Graph, h: Graph) -> tuple[Graph, list[int]]:
     """
     _check_order(g.n * h.n)
     nh, mg, mh = h.n, g.m, h.m
+    _check_size(g.n * mh + nh * mg)
 
     def upper(f: Graph, v: int) -> list[tuple[int, int]]:
         return [(w, e) for w, e in zip(f.neighbours(v), f.incident_edges(v)) if w > v]
@@ -249,7 +247,7 @@ def _product_layout(g: Graph, h: Graph) -> tuple[Graph, list[int]]:
     return Graph._from_sorted(g.n * nh, edges), origin
 
 
-def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, tuple[ProductEdgeKind, ...]]:
+def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, tuple[GEdge | HEdge, ...]]:
     """Cartesian product of two graphs plus a per-edge classifier.
 
     The product has vertex set V(g) x V(h) indexed row-major, and an edge

@@ -137,10 +137,6 @@ def format_colouring(x: EdgeColouring) -> str:
     )
 
 
-def write_colouring(x: EdgeColouring, path: PathLike) -> None:
-    Path(path).write_text(format_colouring(x))
-
-
 def read_colouring(path: PathLike) -> EdgeColouring:
     return EdgeColouring.from_json_dict(json.loads(Path(path).read_text()))
 

@@ -4,13 +4,14 @@
 source paper's theorem as a tactic: a'(G x H) <= a'(G) + a'(H) whenever
 max{a'(G), a'(H)} > 1.  When `factor.factorise` recognises the graph as a
 product G x H, the factors are solved exactly, by this same function, so
-the d-cube becomes K2 x Q(d-1) and so on down, and `compose` colours the
-product from their witnesses.  Mapped back onto the input's vertices, that
-colouring passes `check_acyclic` on the input graph before it is used.  If
-it meets the certified lower bound it is exact with no search over the
-product; otherwise the search (`search._search`) tries only the colour
-counts below it, and the composed colouring is the witness if every one
-of them is refuted.
+the d-cube becomes K2 x Q(d-1) and so on down, and `compose._compose`
+colours the product from their witnesses, which their solves verified.
+Mapped back onto the input's vertices, that colouring passes
+`check_acyclic` on the input graph before it is used, the one check per
+recognised product.  If it meets the certified lower bound it is exact
+with no search over the product; otherwise the search (`search._search`)
+tries only the colour counts below it, and the composed colouring is the
+witness if every one of them is refuted.
 
 The tactic is skipped at once when the vertex count is prime or a vertex
 has degree below 2, since a product of connected factors with at least two
@@ -25,7 +26,7 @@ import time
 from typing import Optional
 
 from .colouring import EdgeColouring, check_acyclic
-from .compose import ComposeInput, compose
+from .compose import ComposeInput, _compose
 from .factor import factorise
 from .graphs import Graph
 from .search import AciResult, SearchBudget, _search, greedy_acyclic, lower_bound
@@ -68,7 +69,7 @@ def _by_factors(
         if result.witness is None:
             return None, nodes
         witnesses.append(result.witness)
-    product, x = compose(ComposeInput(f.g, witnesses[0], f.h, witnesses[1]))
+    product, x = _compose(ComposeInput(f.g, witnesses[0], f.h, witnesses[1]))
     dense = {c: i for i, c in enumerate(x.distinct_colours())}
     colours = [
         dense[x.colours[product.edge_index(f.vertex[u], f.vertex[v])]] for u, v in g.edges

@@ -16,8 +16,14 @@ can be relabelled into first-use order along the fixed edge sequence.
 tries colours 0, 1, ... per edge, with the checks above.
 
 `bichromatic_cycle` is the reference for the library's verifier: the
-union-find forest check per colour pair that `find_bichromatic_cycle`
-replaced, kept so the faster walk can be held to the same witnesses.
+union-find forest check per colour pair that `check_acyclic` replaced,
+kept so the faster walk can be held to the same witnesses.  `proper` is
+the reference for its properness half.
+
+The colour, palette and product helpers at the end spell out encodings
+the library computes inline (`colouring`'s primed low bit, `graphs`'
+row-major product layout), so tests can read colourings and products
+without a library accessor.
 
 `connected_graphs_up_to` is the reference for the corpus: the enumeration
 on `Graph` objects (invariant per candidate, pairwise backtracking
@@ -29,8 +35,15 @@ import random
 from itertools import combinations
 from typing import Optional
 
-from boxcolour.colouring import BichromaticCycle, EdgeColouring, canonical_cycle
-from boxcolour.graphs import Graph
+from boxcolour.colouring import (
+    BichromaticCycle,
+    ColourPalette,
+    EdgeColouring,
+    canonical_cycle,
+    primed,
+    unprimed,
+)
+from boxcolour.graphs import Edge, GEdge, Graph, HEdge
 
 
 def _pair_has_cycle(g: Graph, colours: list[int], a: int, b: int) -> bool:
@@ -184,6 +197,11 @@ def bichromatic_cycle(x: EdgeColouring) -> Optional[BichromaticCycle]:
     return None
 
 
+def proper(x: EdgeColouring) -> bool:
+    """No two edges of equal colour share a vertex."""
+    return all(_proper_at(x.graph, x.colours, i) for i in range(x.graph.m))
+
+
 def _invariant(g: Graph) -> tuple:
     """Cheap isomorphism invariant used for bucketing."""
     per_vertex = sorted(
@@ -248,3 +266,40 @@ def connected_graphs_up_to(max_n: int) -> list[Graph]:
                         bucket.append(cand)
         levels.append([g for bucket in buckets.values() for g in bucket])
     return [g for level in levels[:max_n] for g in level]
+
+
+def is_primed(colour: int) -> bool:
+    return bool(colour & 1)
+
+
+def colour_index(colour: int) -> int:
+    """Position of the colour within its own family."""
+    return colour >> 1
+
+
+def palette_colours(palette: ColourPalette) -> tuple[int, ...]:
+    """All colour ids of the palette in canonical order."""
+    return tuple(unprimed(j) for j in range(palette.g_size)) + tuple(
+        primed(j) for j in range(palette.h_size)
+    )
+
+
+def colour_of(x: EdgeColouring, u: int, v: int) -> int:
+    return x.colours[x.graph.edge_index(u, v)]
+
+
+def product_vertex(g_index: int, h_index: int, h_order: int) -> int:
+    """Row-major index of the product vertex (g_index, h_index)."""
+    return g_index * h_order + h_index
+
+
+def product_edge_endpoints(kind, h_order: int) -> Edge:
+    """The product edge, as a sorted vertex pair, that a GEdge or HEdge tags."""
+    if isinstance(kind, GEdge):
+        (u1, u2), v = kind.g_edge, kind.h_vertex
+        ends = product_vertex(u1, v, h_order), product_vertex(u2, v, h_order)
+    else:
+        assert isinstance(kind, HEdge)
+        (v1, v2), u = kind.h_edge, kind.g_vertex
+        ends = product_vertex(u, v1, h_order), product_vertex(u, v2, h_order)
+    return min(ends), max(ends)

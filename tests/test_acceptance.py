@@ -6,13 +6,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
-from bruteforce import brute_aci
+from bruteforce import brute_aci, is_primed
 from boxcolour.colouring import (
     EdgeColouring,
     check_acyclic,
     check_proper_vertex,
     colours_used,
-    is_primed,
 )
 from boxcolour.compose import (
     C4ProductError,

@@ -7,7 +7,7 @@ import pytest
 from boxcolour import cli
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
 from boxcolour.graphs import cartesian_product, complete, cycle, grid, hypercube, path
-from boxcolour.io import format_edge_list, parse_edge_list, write_colouring
+from boxcolour.io import format_colouring, format_edge_list, parse_edge_list
 from boxcolour.solver import exact_aci
 
 
@@ -169,7 +169,7 @@ def test_compose_with_explicit_colourings(tmp_path, capsys):
         el = tmp_path / f"{name}.el"
         el.write_text(format_edge_list(graph))
         cj = tmp_path / f"{name}.json"
-        write_colouring(exact_aci(graph).witness, cj)
+        cj.write_text(format_colouring(exact_aci(graph).witness))
         files[name] = (el, cj)
     assert (
         run("compose", "--g", str(files["g"][0]), "--h", str(files["h"][0]),
@@ -184,7 +184,7 @@ def test_compose_rejects_mismatched_colouring(tmp_path, capsys):
     el = tmp_path / "c4.el"
     el.write_text(format_edge_list(cycle(4)))
     wrong = tmp_path / "wrong.json"
-    write_colouring(exact_aci(path(3)).witness, wrong)
+    wrong.write_text(format_colouring(exact_aci(path(3)).witness))
     assert (
         run("compose", "--g", str(el), "--h", str(el), "--xg", str(wrong),
             "--xh", str(wrong)) == 2
@@ -244,7 +244,7 @@ def test_verify_rejects_malformed_colouring_json(tmp_path, capsys, doc):
 def test_verify_cross_checks_graph_file(tmp_path, capsys):
     x = exact_aci(cycle(4)).witness
     cj = tmp_path / "c4.json"
-    write_colouring(x, cj)
+    cj.write_text(format_colouring(x))
     el = tmp_path / "c4.el"
     el.write_text(format_edge_list(cycle(4)))
     assert run("verify", str(cj), "--graph", str(el)) == 0
@@ -310,8 +310,13 @@ def test_scan_budget_exhaustion(tmp_path, capsys):
         (["verify"], '{"n": 10000000000, "palette": {"g": 0, "h": 0}, "edges": []}'),
         (["gen", "path", "10000000000"], None),
         (["hypercube", "30"], None),
+        # within the vertex limit, past the edge limit
+        (["gen", "complete", "1048576"], None),
+        (["hypercube", "20"], None),
+        (["gen", "hypercube", "20"], None),
     ],
-    ids=["aci-edge-list", "verify-json", "gen-path", "hypercube"],
+    ids=["aci-edge-list", "verify-json", "gen-path", "hypercube",
+         "gen-complete-edges", "hypercube-edges", "gen-hypercube-edges"],
 )
 def test_huge_vertex_counts_are_input_errors(tmp_path, capsys, argv, text):
     if text is not None:

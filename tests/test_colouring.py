@@ -11,21 +11,24 @@ from boxcolour.colouring import (
     VertexColouring,
     canonical_cycle,
     check_acyclic,
-    check_proper_edge,
     check_proper_vertex,
-    colour_index,
     colour_label,
     colour_order_key,
     colours_used,
-    find_bichromatic_cycle,
-    is_primed,
     parse_colour_label,
     primed,
     unprimed,
 )
 from boxcolour.graphs import Graph, complete, cycle, grid, hypercube, path
 
-from bruteforce import bichromatic_cycle
+from bruteforce import (
+    bichromatic_cycle,
+    colour_index,
+    colour_of,
+    is_primed,
+    palette_colours,
+    proper,
+)
 
 
 def test_colour_encoding_roundtrip():
@@ -45,7 +48,7 @@ def test_colour_encoding_roundtrip():
 def test_palette_order_puts_unprimed_first():
     p = ColourPalette(3, 2)
     assert p.size == 5
-    order = p.ordered()
+    order = palette_colours(p)
     assert order == (unprimed(0), unprimed(1), unprimed(2), primed(0), primed(1))
     assert [p.rank(c) for c in order] == [0, 1, 2, 3, 4]
     assert sorted(order, key=colour_order_key) == list(order)
@@ -72,7 +75,7 @@ def test_from_edge_map_requires_total_map():
     g = path(3)
     full = {(0, 1): unprimed(0), (1, 2): unprimed(1)}
     x = EdgeColouring.from_edge_map(g, full, ColourPalette(2))
-    assert x.colour_of(1, 0) == unprimed(0)
+    assert colour_of(x, 1, 0) == unprimed(0)
     with pytest.raises(ValueError):
         EdgeColouring.from_edge_map(g, {(0, 1): unprimed(0)}, ColourPalette(2))
 
@@ -100,12 +103,12 @@ def test_colours_used_counts_distinct():
 def test_check_proper_edge_finds_shared_vertex():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     x = EdgeColouring.single_family(star, [0, 0, 1], 2)
-    bad = check_proper_edge(x)
+    bad = check_acyclic(x)
     assert isinstance(bad, NotProper)
     assert bad.vertex == 0
     assert {bad.edge1, bad.edge2} == {(0, 1), (0, 2)}
     ok = EdgeColouring.single_family(star, [0, 1, 2], 3)
-    assert check_proper_edge(ok) is None
+    assert check_acyclic(ok) is None
 
 
 def test_find_bichromatic_cycle_on_even_cycles():
@@ -119,7 +122,7 @@ def test_find_bichromatic_cycle_on_even_cycles():
             u, v = walk[i], walk[(i + 1) % n]
             col[(min(u, v), max(u, v))] = unprimed(i % 2)
         x = EdgeColouring.from_edge_map(c, col, ColourPalette(2))
-        found = find_bichromatic_cycle(x)
+        found = check_acyclic(x)
         assert isinstance(found, BichromaticCycle)
         assert found.cycle == tuple(range(n))
         assert {found.colour_a, found.colour_b} == {unprimed(0), unprimed(1)}
@@ -128,15 +131,7 @@ def test_find_bichromatic_cycle_on_even_cycles():
 def test_find_bichromatic_cycle_accepts_acyclic():
     c5 = cycle(5)
     x = EdgeColouring.single_family(c5, [0, 1, 1, 0, 2], 3)
-    if check_proper_edge(x) is None:
-        assert find_bichromatic_cycle(x) is None
-
-
-def test_find_bichromatic_cycle_rejects_improper():
-    g = path(3)
-    x = EdgeColouring.single_family(g, [0, 0], 1)
-    with pytest.raises(ValueError):
-        find_bichromatic_cycle(x)
+    assert proper(x) and check_acyclic(x) is None
 
 
 def test_check_acyclic_orders_violations():
@@ -149,7 +144,7 @@ def test_check_acyclic_orders_violations():
     x = EdgeColouring.from_edge_map(
         k4, {e: unprimed(c) for e, c in matching.items()}, ColourPalette(3)
     )
-    assert check_proper_edge(x) is None
+    assert proper(x)
     bad = check_acyclic(x)
     assert isinstance(bad, BichromaticCycle)
     # smallest colour pair is reported first
@@ -196,8 +191,7 @@ def test_proper_path_colourings_are_acyclic(n, data):
     g = path(n)
     colours = [data.draw(st.integers(0, 3)) for _ in range(g.m)]
     x = EdgeColouring.single_family(g, colours, 4)
-    bad = check_proper_edge(x)
-    if bad is None:
+    if proper(x):
         assert check_acyclic(x) is None
     else:
         assert isinstance(check_acyclic(x), NotProper)
@@ -207,9 +201,9 @@ def test_proper_path_colourings_are_acyclic(n, data):
 def test_two_colour_subgraphs_of_c4_catch_every_cycle(a, b, c, d):
     # on the 4-cycle a bichromatic cycle exists iff opposite edges pair up
     x = EdgeColouring.single_family(cycle(4), [a, b, c, d], 3)
-    if check_proper_edge(x) is not None:
+    if not proper(x):
         return
-    found = find_bichromatic_cycle(x)
+    found = check_acyclic(x)
     # edges (0,1),(2,3) are opposite, as are (0,3),(1,2)
     expects = a == d and b == c and a != b
     assert (found is not None) == expects
@@ -222,7 +216,7 @@ def _revalidate_witness(g, x, bad):
         assert bad.edge1 in g.edges and bad.edge2 in g.edges
         assert bad.edge1 != bad.edge2
         assert bad.vertex in bad.edge1 and bad.vertex in bad.edge2
-        assert x.colour_of(*bad.edge1) == x.colour_of(*bad.edge2)
+        assert colour_of(x, *bad.edge1) == colour_of(x, *bad.edge2)
         return
     assert isinstance(bad, BichromaticCycle)
     cyc = bad.cycle
@@ -234,7 +228,7 @@ def _revalidate_witness(g, x, bad):
     for i in range(len(cyc)):
         u, v = cyc[i], cyc[(i + 1) % len(cyc)]
         assert g.has_edge(u, v)
-        walk.append(x.colour_of(u, v))
+        walk.append(colour_of(x, u, v))
     assert set(walk) == {bad.colour_a, bad.colour_b}
     for first, second in zip(walk, walk[1:] + walk[:1]):
         assert first != second
@@ -271,7 +265,7 @@ def test_proper_colourings_use_at_least_max_degree_colours():
             assigned[(u, v)] = c
         k = max(assigned.values()) + 1
         x = EdgeColouring.single_family(g, [assigned[e] for e in g.edges], k)
-        assert check_proper_edge(x) is None
+        assert proper(x)
         assert colours_used(x) >= g.max_degree
 
 
@@ -282,7 +276,7 @@ def test_find_bichromatic_cycle_matches_union_find_reference(n, k, data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
     palette = ColourPalette(*data.draw(st.sampled_from([(k - h, h) for h in range(k + 1)])))
-    ids = palette.ordered()
+    ids = palette_colours(palette)
     at = [set() for _ in range(n)]
     coloured = {}
     for u, v in chosen:
@@ -293,7 +287,7 @@ def test_find_bichromatic_cycle_matches_union_find_reference(n, k, data):
             at[v].add(c)
             coloured[(u, v)] = c
     x = EdgeColouring.from_edge_map(Graph(n, coloured), coloured, palette)
-    assert find_bichromatic_cycle(x) == bichromatic_cycle(x)
+    assert check_acyclic(x) == bichromatic_cycle(x)
 
 
 def test_find_bichromatic_cycle_matches_reference_on_many_cycles():
@@ -313,5 +307,5 @@ def test_find_bichromatic_cycle_matches_reference_on_many_cycles():
             rng.shuffle(perm)
             mapping = {tuple(sorted((perm[u], perm[v]))): c for (u, v), c in colour.items()}
             x = EdgeColouring.from_edge_map(Graph(graph.n, mapping), mapping, palette)
-            found = find_bichromatic_cycle(x)
+            found = check_acyclic(x)
             assert found is not None and found == bichromatic_cycle(x)

@@ -3,20 +3,18 @@ import random
 
 import pytest
 
+from bruteforce import colour_index, colour_of, is_primed
 from boxcolour.colouring import (
-    ColourPalette,
     EdgeColouring,
+    VertexColouring,
     check_acyclic,
-    colour_index,
     colours_used,
-    is_primed,
     primed,
     unprimed,
 )
 from boxcolour.compose import (
     C4ProductError,
     ComposeInput,
-    ShiftPermutation,
     compose,
     compose_many,
     compose_or_solve,
@@ -47,29 +45,15 @@ def solved(g: Graph) -> EdgeColouring:
     return exact_aci(g).witness
 
 
-def test_shift_permutation_basics():
-    assert ShiftPermutation(0, 5)(2) == 2
-    assert ShiftPermutation(1, 5)(4) == 0
-    sigma = ShiftPermutation(2, 4)
-    assert [sigma(j) for j in range(4)] == [2, 3, 0, 1]
-    with pytest.raises(ValueError):
-        ShiftPermutation(4, 4)
-    with pytest.raises(ValueError):
-        ShiftPermutation(-1, 4)
-    with pytest.raises(ValueError):
-        ShiftPermutation(0, 0)
-    with pytest.raises(ValueError):
-        sigma(4)
-
-
 def test_shifts_are_mutually_non_fixing():
+    # compose rotates palette ranks by vertex colours: two rotations with
+    # different shifts disagree at every rank
     eta, d = 4, 3
-    shifts = [ShiftPermutation(i, eta) for i in range(d)]
     for i in range(d):
         for k in range(d):
             if i != k:
                 for j in range(eta):
-                    assert shifts[i](j) != shifts[k](j)
+                    assert (j + i) % eta != (j + k) % eta
 
 
 def test_two_single_edges_are_rejected():
@@ -116,11 +100,11 @@ def test_restrictions_match_the_factors():
         if isinstance(kind, HEdge):
             # every copy of an h-edge keeps its own colour, primed
             assert is_primed(c)
-            assert colour_index(c) == xh.palette.rank(xh.colour_of(*kind.h_edge))
+            assert colour_index(c) == xh.palette.rank(colour_of(xh, *kind.h_edge))
         else:
             # a copy of g at vertex v is g's colouring rotated by y(v)
             assert not is_primed(c)
-            base = xg.palette.rank(xg.colour_of(*kind.g_edge))
+            base = xg.palette.rank(colour_of(xg, *kind.g_edge))
             assert colour_index(c) == (base + y.colours[kind.h_vertex]) % eta
 
 
@@ -169,11 +153,11 @@ def _reference_colours(inp: ComposeInput) -> tuple[int, ...]:
             x, edge, copy = inp.g_colouring, kind.g_edge, kind.h_vertex
         else:
             x, edge, copy = inp.h_colouring, kind.h_edge, kind.g_vertex
-        rank = x.palette.rank(x.colour_of(*edge))
+        rank = x.palette.rank(colour_of(x, *edge))
         if isinstance(kind, GEdge) == swapped:
             out.append(primed(rank))
         else:
-            out.append(unprimed(ShiftPermutation(y.colours[copy], modulus)(rank)))
+            out.append(unprimed((rank + y.colours[copy]) % modulus))
     return tuple(out)
 
 
@@ -208,23 +192,32 @@ def test_brooks_shifts_fit_in_any_acyclic_palette():
         assert used <= bound or (h == complete(2) and (used, bound) == (2, 1))
 
 
-def test_compose_many_verifies_each_colouring_once(monkeypatch):
-    # three factors: each is checked once, as is each fold's output when
-    # compose builds it; a fold's output is not checked again as a factor
-    # the package re-exports the function `compose` under the module's name
-    module = importlib.import_module("boxcolour.compose")
+def _count_checks(monkeypatch, *names: str) -> list:
+    """Record every check_acyclic call made through the named modules."""
     checked = []
-    real = module.check_acyclic
+    for name in names:
+        # the package re-exports the function `compose` under the module's
+        # name, so the module is looked up by its import path
+        module = importlib.import_module(f"boxcolour.{name}")
+        real = module.check_acyclic
 
-    def counting(x):
-        checked.append(x)
-        return real(x)
+        def counting(x, real=real):
+            checked.append(x)
+            return real(x)
 
-    monkeypatch.setattr(module, "check_acyclic", counting)
+        monkeypatch.setattr(module, "check_acyclic", counting)
+    return checked
+
+
+def test_compose_many_verifies_each_colouring_once(monkeypatch):
+    # three factors are checked once each, and the final output once; the
+    # intermediate fold is not checked, since the final fold relabels it
+    # injectively into every copy (compose's module docstring)
+    checked = _count_checks(monkeypatch, "compose")
     p3 = path(3)
     xp = solved(p3)
     _, x = compose_many([(p3, xp)] * 3)
-    assert len(checked) == 5
+    assert len(checked) == 4
     assert checked[-1] is x
     # a cyclic factor later in the fold is still rejected
     c4 = cycle(4)
@@ -296,3 +289,51 @@ def test_random_pairs_hold_the_bound():
         product, x = compose_or_solve(ComposeInput(g, xg, h, xh))
         assert check_acyclic(x) is None
         assert colours_used(x) <= xg.palette.size + xh.palette.size
+
+
+def test_exact_aci_checks_each_colouring_once_per_boundary(monkeypatch):
+    # Q6 factorises as K2 x Q5 down to K2 x K2, the four-cycle, which the
+    # search solves: 4 K2 witnesses and 1 four-cycle witness checked by the
+    # search, and 1 check per level Q3..Q6 of the composed colouring mapped
+    # onto the input; compose's own entry checks are not on this path
+    checked = _count_checks(monkeypatch, "search", "solver", "compose")
+    result = exact_aci(hypercube(6))
+    assert result.aci == 7 and result.tactic == "factor"
+    assert sorted(x.graph.n for x in checked) == [2, 2, 2, 2, 4, 8, 16, 32, 64]
+    assert checked[-1] is result.witness
+
+
+def _all_zero(g: Graph) -> VertexColouring:
+    return VertexColouring(g, [0] * g.n)
+
+
+def test_a_defect_in_an_inner_fold_fails_the_final_check(monkeypatch):
+    # with every shift 0, the copies of the shifted factor coincide and two
+    # of them close a two-coloured 4-cycle with the matching edges between
+    # them; only the first fold is broken, and the defect surfaces in the
+    # final fold's colouring
+    module = importlib.import_module("boxcolour.compose")
+    real = module.brooks_colouring
+    calls = []
+
+    def first_call_broken(g):
+        calls.append(g)
+        return _all_zero(g) if len(calls) == 1 else real(g)
+
+    monkeypatch.setattr(module, "brooks_colouring", first_call_broken)
+    p3 = path(3)
+    xp = solved(p3)
+    with pytest.raises(RuntimeError, match="failed verification"):
+        compose_many([(p3, xp)] * 3)
+    assert len(calls) == 2
+
+
+def test_a_defective_construction_never_leaves_compose_or_exact_aci(monkeypatch):
+    module = importlib.import_module("boxcolour.compose")
+    monkeypatch.setattr(module, "brooks_colouring", _all_zero)
+    p3 = path(3)
+    xp = solved(p3)
+    with pytest.raises(RuntimeError, match="failed verification"):
+        compose(ComposeInput(p3, xp, p3, xp))
+    with pytest.raises(RuntimeError, match="invalid colouring"):
+        exact_aci(hypercube(4))

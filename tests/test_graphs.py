@@ -3,7 +3,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from boxcolour.compose import hypercube_colouring
 from boxcolour.graphs import (
+    MAX_EDGES,
     MAX_VERTICES,
     GEdge,
     Graph,
@@ -17,10 +19,10 @@ from boxcolour.graphs import (
     is_connected,
     path,
     product_coords,
-    product_edge_endpoints,
-    product_vertex,
 )
-from boxcolour.graphs import _check_order
+from boxcolour.graphs import _check_dimension, _check_order, _check_size
+
+from bruteforce import product_edge_endpoints, product_vertex
 
 
 def test_graph_normalizes_and_dedups_edges():
@@ -40,8 +42,17 @@ def test_graph_normalizes_and_dedups_edges():
         (hypercube, (10**10,)),
         (cartesian_product, (path(2048), path(1024))),
         (grid, (MAX_VERTICES, 2)),
+        # within the vertex limit, past the edge limit
+        (complete, (MAX_VERTICES,)),
+        (hypercube, (19,)),
+        (hypercube, (20,)),
+        (hypercube_colouring, (20,)),
+        (cartesian_product, (complete(200), complete(200))),
     ],
-    ids=["Graph", "Graph-limit+1", "path", "complete", "Q21", "Q(10^10)", "product", "grid"],
+    ids=[
+        "Graph", "Graph-limit+1", "path", "complete", "Q21", "Q(10^10)", "product", "grid",
+        "complete-edges", "Q19-edges", "Q20-edges", "Q20-colouring-edges", "product-edges",
+    ],
 )
 def test_vertex_limit_is_checked_before_allocating(build, args):
     tracemalloc.start()
@@ -58,6 +69,13 @@ def test_vertex_limit_itself_is_allowed():
     _check_order(MAX_VERTICES)
     with pytest.raises(ValueError, match="limit"):
         _check_order(MAX_VERTICES + 1)
+    _check_size(MAX_EDGES)
+    with pytest.raises(ValueError, match="limit"):
+        _check_size(MAX_EDGES + 1)
+    # the largest cube within the edge limit: 18 * 2^17 edges
+    _check_dimension(18)
+    with pytest.raises(ValueError, match="limit"):
+        _check_dimension(19)
 
 
 def test_graph_rejects_bad_edges():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import brute_aci, feasible, first_fit, isomorphic
+from bruteforce import brute_aci, colour_of, feasible, first_fit, isomorphic
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
 from boxcolour.corpus import connected_graphs_up_to
 from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
@@ -240,6 +240,6 @@ def test_incremental_detection_agrees_with_full_verifier():
         for cut in range(1, g.m + 1):
             kept = [g.edges[i] for i in order[:cut]]
             sub = Graph(g.n, kept)
-            colours = {e: r.witness.colour_of(*e) for e in sub.edges}
+            colours = {e: colour_of(r.witness, *e) for e in sub.edges}
             partial = EdgeColouring.from_edge_map(sub, colours, r.witness.palette)
             assert check_acyclic(partial) is None
