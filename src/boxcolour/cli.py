@@ -3,7 +3,9 @@
 Subcommands: gen, product, aci, greedy, vertex-color, compose, hypercube,
 verify, scan.  Exit codes: 0 success, 1 verification failure (witness
 printed), 2 usage or input error, 3 search budget exhausted, 4 internal
-error (an unexpected exception, reported on stderr).
+error (an unexpected exception, reported on stderr).  A reader that closes
+the pipe early (`boxcolour scan --max-n 7 | head`) is an output error:
+exit 2, without a traceback.
 
 Any argument of the form @file pulls extra arguments from that file, one
 per line, where "key=value" means "--key=value" and '#' starts a comment.
@@ -12,12 +14,12 @@ per line, where "key=value" means "--key=value" and '#' starts a comment.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from typing import Optional
 
-from . import corpus, io
+from . import io
 from .colouring import EdgeColouring, check_acyclic, colours_used
 from .compose import ComposeInput, compose_or_solve, hypercube_colouring
 from .graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
@@ -195,6 +197,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    # only scan needs these, so the other subcommands start without them
+    import csv
+
+    from . import corpus
+
     if (args.max_n is None) == (args.infile is None):
         print("scan needs exactly one of --max-n or --in", file=sys.stderr)
         return USAGE
@@ -314,7 +321,7 @@ def run(argv: list[str]) -> int:
         return OK if exc.code in (0, None) else USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except Exception as exc:
@@ -326,8 +333,29 @@ def run(argv: list[str]) -> int:
         return INTERNAL
 
 
+def _pipe_closed() -> int:
+    """A reader closed stdout, and stderr too if `run` could not report
+    that.  As the Python docs advise for SIGPIPE, point each stream that
+    cannot be flushed at devnull, so the interpreter's final flush of what
+    it still buffers does not fail again and turn the exit code into 120."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+    return USAGE
+
+
 def entry() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        # buffered output shorter than the buffer meets a closed pipe only here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _pipe_closed()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

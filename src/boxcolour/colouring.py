@@ -25,10 +25,9 @@ colouring once, after mapping it onto its input graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
-from .graphs import Edge, Graph, _norm_edge
+from .graphs import Edge, Graph, Record, _norm_edge
 
 
 # ---------------------------------------------------------------------------
@@ -55,26 +54,26 @@ def colour_label(colour: int) -> str:
 
 
 def parse_colour_label(label: str) -> int:
-    text = label.strip()
-    flag = text.endswith("'")
-    if flag:
-        text = text[:-1]
+    """Inverse of `colour_label`, which is the only writer of labels: ASCII
+    digits with no leading zero, then at most one "'".  Anything else,
+    such as " 3", "+3", "03" or "1_0", raises ValueError."""
+    flag = label.endswith("'")
+    text = label[:-1] if flag else label
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+        raise ValueError(f"invalid colour label {label!r}")
     index = int(text)
-    if index < 0:
-        raise ValueError(f"negative colour index in label {label!r}")
     return primed(index) if flag else unprimed(index)
 
 
-@dataclass(frozen=True)
-class ColourPalette:
+class ColourPalette(Record):
     """Ordered disjoint union of an unprimed and a primed colour family."""
 
-    g_size: int
-    h_size: int = 0
+    __slots__ = ("g_size", "h_size")
 
-    def __post_init__(self):
-        if self.g_size < 0 or self.h_size < 0:
+    def __init__(self, g_size: int, h_size: int = 0):
+        if g_size < 0 or h_size < 0:
             raise ValueError("palette sizes must be non-negative")
+        Record.__init__(self, g_size, h_size)
 
     @property
     def size(self) -> int:
@@ -228,13 +227,10 @@ class VertexColouring:
 # Violations
 
 
-@dataclass(frozen=True)
-class NotProper:
-    """Two incident edges sharing a colour at `vertex`."""
+class NotProper(Record):
+    """Two incident edges, `edge1` and `edge2`, sharing a colour at `vertex`."""
 
-    vertex: int
-    edge1: Edge
-    edge2: Edge
+    __slots__ = ("vertex", "edge1", "edge2")
 
     def to_json_dict(self) -> dict:
         return {
@@ -244,18 +240,16 @@ class NotProper:
         }
 
 
-@dataclass(frozen=True)
-class BichromaticCycle:
-    """A closed walk alternating exactly two colours.
+class BichromaticCycle(Record):
+    """A closed walk alternating exactly two colours, `colour_a` and
+    `colour_b`.
 
-    The vertex sequence is canonical: it starts at the smallest vertex and
-    runs toward its smaller cycle neighbour; the closing edge back to the
-    start is implicit.
+    The vertex sequence `cycle` is canonical: it starts at the smallest
+    vertex and runs toward its smaller cycle neighbour; the closing edge
+    back to the start is implicit.
     """
 
-    colour_a: int
-    colour_b: int
-    cycle: tuple[int, ...]
+    __slots__ = ("colour_a", "colour_b", "cycle")
 
     def to_json_dict(self) -> dict:
         return {

@@ -35,8 +35,6 @@ colouring it maps back onto its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .colouring import (
     ColourPalette,
     EdgeColouring,
@@ -44,7 +42,14 @@ from .colouring import (
     primed,
     unprimed,
 )
-from .graphs import Graph, _check_dimension, _product_layout, cartesian_product, is_connected
+from .graphs import (
+    Graph,
+    Record,
+    _check_dimension,
+    _product_layout,
+    cartesian_product,
+    is_connected,
+)
 from .search import _search
 from .vertex_colouring import brooks_colouring
 
@@ -55,12 +60,10 @@ class C4ProductError(ValueError):
     instead (see compose_or_solve)."""
 
 
-@dataclass(frozen=True)
-class ComposeInput:
-    g: Graph
-    g_colouring: EdgeColouring
-    h: Graph
-    h_colouring: EdgeColouring
+class ComposeInput(Record):
+    """The factors g and h, each with an acyclic edge colouring."""
+
+    __slots__ = ("g", "g_colouring", "h", "h_colouring")
 
 
 def _validate_factor(name: str, graph: Graph, colouring: EdgeColouring) -> None:

@@ -21,13 +21,63 @@ file is bounded by the file's size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
 MAX_VERTICES = 1 << 20
 MAX_EDGES = 1 << 22
+
+
+class Record:
+    """Immutable value record, a slotted stand-in for a frozen dataclass.
+
+    A subclass lists its fields, in order, as its `__slots__`; it is built
+    from them positionally or by keyword, and a subclass with defaults or
+    checks gives `__init__` its own signature and calls this one.  Records
+    are equal, and hash alike, when they are of the same class and their
+    fields are equal, and their repr is the dataclass one,
+    `ColourPalette(g_size=1, h_size=0)`.  Unlike `dataclasses`, this costs
+    nothing at import: no methods are generated.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = list(args)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            values.append(kwargs.pop(name))
+        if kwargs or len(values) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -188,20 +238,18 @@ def hypercube(d: int) -> Graph:
 # Cartesian product
 
 
-@dataclass(frozen=True)
-class GEdge:
-    """A product edge running inside a copy of the first factor."""
+class GEdge(Record):
+    """A product edge running inside a copy of the first factor: the
+    g-edge `g_edge` at the h-vertex `h_vertex`."""
 
-    g_edge: Edge
-    h_vertex: int
+    __slots__ = ("g_edge", "h_vertex")
 
 
-@dataclass(frozen=True)
-class HEdge:
-    """A product edge running inside a copy of the second factor."""
+class HEdge(Record):
+    """A product edge running inside a copy of the second factor: the
+    h-edge `h_edge` at the g-vertex `g_vertex`."""
 
-    h_edge: Edge
-    g_vertex: int
+    __slots__ = ("h_edge", "g_vertex")
 
 
 def product_coords(index: int, h_order: int) -> tuple[int, int]:
@@ -284,12 +332,8 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-@dataclass(frozen=True)
-class GraphClass:
-    max_degree: int
-    is_regular: bool
-    is_complete: bool
-    is_odd_cycle: bool
+class GraphClass(Record):
+    __slots__ = ("max_degree", "is_regular", "is_complete", "is_odd_cycle")
 
 
 def classify(h: Graph) -> GraphClass:

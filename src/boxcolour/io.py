@@ -1,8 +1,8 @@
 """File formats: plain edge lists, graph6 (read only), colouring JSON.
 
 Edge list format: first non-comment line is "n m", then m lines "u v"
-with 0-based endpoints.  Lines starting with '#' and blank lines are
-ignored anywhere.
+with 0-based endpoints, each edge listed once in either orientation.
+Lines starting with '#' and blank lines are ignored anywhere.
 
 graph6 is the compact ASCII encoding used by nauty and friends; only
 reading is supported, one graph per line.
@@ -44,7 +44,10 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise ValueError(f"expected edge line 'u v', got {line!r}")
         edges.append((int(parts[0]), int(parts[1])))
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    if g.m != m:
+        raise ValueError(f"header announces {m} edges, but only {g.m} are distinct")
+    return g
 
 
 def format_edge_list(g: Graph) -> str:

@@ -28,25 +28,22 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .colouring import EdgeColouring, check_acyclic, colours_used
-from .graphs import Graph
+from .graphs import Graph, Record
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 100_000_000
-    max_time: float = 60.0
+class SearchBudget(Record):
+    __slots__ = ("max_nodes", "max_time")
 
-    def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_time <= 0:
+    def __init__(self, max_nodes: int = 100_000_000, max_time: float = 60.0):
+        if max_nodes <= 0 or max_time <= 0:
             raise ValueError("budget limits must be positive")
+        Record.__init__(self, max_nodes, max_time)
 
 
-@dataclass(frozen=True)
-class AciResult:
+class AciResult(Record):
     """Outcome of an exact solve.
 
     On success `aci` is the exact value, `witness` a verified colouring with
@@ -62,17 +59,10 @@ class AciResult:
     the colouring behind `upper`: "search" (the backtracking search),
     "factor" (the paper's construction on a recognised product, see
     `solver.exact_aci`) or "greedy".  `nodes` counts every search node
-    placed, in the factors' solves as well.
+    placed, in the factors' solves as well, and `seconds` the wall time.
     """
 
-    aci: Optional[int]
-    witness: Optional[EdgeColouring]
-    nodes: int
-    seconds: float
-    exhausted: bool
-    lower: int
-    upper: Optional[int]
-    tactic: str
+    __slots__ = ("aci", "witness", "nodes", "seconds", "exhausted", "lower", "upper", "tactic")
 
 
 class _OutOfBudget(Exception):

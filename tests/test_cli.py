@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -230,6 +231,9 @@ def test_verify_failure_prints_witness(tmp_path, capsys):
         # one edge given two colours, in either orientation
         {"n": 2, "palette": {"g": 2, "h": 0}, "edges": [[0, 1, "0"], [1, 0, "1"]]},
         {"n": 2, "palette": {"g": 2, "h": 0}, "edges": [[0, 1, "0"], [0, 1, "0"]]},
+        # labels the writer never produces, though int() reads them as 10 and 0
+        {"n": 2, "palette": {"g": 11, "h": 0}, "edges": [[0, 1, "1_0"]]},
+        {"n": 2, "palette": {"g": 1, "h": 0}, "edges": [[0, 1, " 0"]]},
     ],
 )
 def test_verify_rejects_malformed_colouring_json(tmp_path, capsys, doc):
@@ -343,3 +347,64 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert parse_edge_list(proc.stdout) == path(3)
+
+
+# Run in a child interpreter: at exit, write the names in sys.modules to stderr.
+_LIST_MODULES = (
+    "import atexit, sys; atexit.register(lambda: sys.stderr.write(' '.join(sys.modules)))"
+)
+
+
+def _modules_loaded(code):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    return proc, set(proc.stderr.split())
+
+
+def test_aci_start_up_skips_dataclasses_and_the_scan_only_modules(tmp_path):
+    f = tmp_path / "k4.el"
+    f.write_text(format_edge_list(complete(4)))
+    _, bare = _modules_loaded(_LIST_MODULES)
+    # as `python -m boxcolour.cli aci k4.el` runs it
+    proc, loaded = _modules_loaded(
+        _LIST_MODULES
+        + f"; import runpy; sys.argv = ['boxcolour', 'aci', {str(f)!r}]"
+        + "; runpy.run_module('boxcolour.cli', run_name='__main__', alter_sys=True)"
+    )
+    assert proc.returncode == 0 and json.loads(proc.stdout)["aci"] == 5
+    assert "boxcolour.solver" in loaded
+    # compared with a bare interpreter, so a site hook importing one is no failure
+    heavy = {"dataclasses", "inspect", "csv", "boxcolour.corpus"}
+    assert heavy & (loaded - bare) == set()
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr_too", [False, True], ids=["stdout", "stdout-and-stderr"])
+@pytest.mark.parametrize(
+    "argv",
+    [["aci", "K4"], ["scan", "--max-n", "5"], ["hypercube", "8"]],
+    ids=["aci-short-output", "scan", "hypercube-long-output"],
+)
+def test_a_closed_pipe_exits_2_without_a_traceback(tmp_path, argv, stderr_too, buffered):
+    f = tmp_path / "k4.el"
+    f.write_text(format_edge_list(complete(4)))
+    argv = [str(f) if a == "K4" else a for a in argv]
+    # a block-buffered stdout meets the closed pipe later than an unbuffered one
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "boxcolour.cli", *argv],
+            stdout=write_end,
+            stderr=write_end if stderr_too else subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    if not stderr_too:
+        # the run's own stderr output and an `error:` report may remain
+        assert b"Traceback" not in proc.stderr
+        assert b"internal error" not in proc.stderr

@@ -38,11 +38,26 @@ def test_colour_encoding_roundtrip():
     assert colour_label(unprimed(3)) == "3"
     assert colour_label(primed(3)) == "3'"
     assert parse_colour_label("3") == unprimed(3)
-    assert parse_colour_label(" 3' ") == primed(3)
+    assert parse_colour_label("3'") == primed(3)
     with pytest.raises(ValueError):
         parse_colour_label("-1")
     with pytest.raises(ValueError):
         parse_colour_label("x")
+
+
+@pytest.mark.parametrize("colour", [0, 1, 2, 3, 20, 21, 2 * 10**6 + 1])
+def test_colour_labels_parse_back(colour):
+    assert parse_colour_label(colour_label(colour)) == colour
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["", "'", "''", "0''", "1_0", "+1", "-0", " 0", "0 ", "00", "01", "00'",
+     "\u0663", "\u00b2", "1.0", "1e3", "0x1"],
+)
+def test_colour_labels_never_written_are_rejected(label):
+    with pytest.raises(ValueError, match="invalid colour label"):
+        parse_colour_label(label)
 
 
 def test_palette_order_puts_unprimed_first():

@@ -1,14 +1,18 @@
+import copy
+import pickle
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from boxcolour.compose import hypercube_colouring
+from boxcolour.colouring import BichromaticCycle, ColourPalette, EdgeColouring, NotProper
+from boxcolour.compose import ComposeInput, hypercube_colouring
 from boxcolour.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
     GEdge,
     Graph,
+    GraphClass,
     HEdge,
     cartesian_product,
     classify,
@@ -21,6 +25,7 @@ from boxcolour.graphs import (
     product_coords,
 )
 from boxcolour.graphs import _check_dimension, _check_order, _check_size
+from boxcolour.search import AciResult, SearchBudget
 
 from bruteforce import product_edge_endpoints, product_vertex
 
@@ -254,6 +259,126 @@ def test_is_connected():
     assert is_connected(Graph(1, []))
     with pytest.raises(ValueError):
         is_connected(Graph(0, []))
+
+
+_K2 = path(2)
+_K2_COLOURING = EdgeColouring.single_family(_K2, [0], 1)
+
+# class, fields in order, defaults, repr, field values that raise ValueError
+_RECORDS = [
+    (GEdge, {"g_edge": (0, 1), "h_vertex": 2}, {}, "GEdge(g_edge=(0, 1), h_vertex=2)", []),
+    (HEdge, {"h_edge": (0, 1), "g_vertex": 2}, {}, "HEdge(h_edge=(0, 1), g_vertex=2)", []),
+    (
+        GraphClass,
+        {"max_degree": 3, "is_regular": True, "is_complete": False, "is_odd_cycle": False},
+        {},
+        "GraphClass(max_degree=3, is_regular=True, is_complete=False, is_odd_cycle=False)",
+        [],
+    ),
+    (
+        ColourPalette,
+        {"g_size": 1, "h_size": 0},
+        {"h_size": 0},
+        "ColourPalette(g_size=1, h_size=0)",
+        [{"g_size": -1}, {"h_size": -1}],
+    ),
+    (
+        SearchBudget,
+        {"max_nodes": 5, "max_time": 1.5},
+        {"max_nodes": 100_000_000, "max_time": 60.0},
+        "SearchBudget(max_nodes=5, max_time=1.5)",
+        [{"max_nodes": 0}, {"max_time": 0.0}, {"max_nodes": -1}],
+    ),
+    (
+        NotProper,
+        {"vertex": 1, "edge1": (0, 1), "edge2": (1, 2)},
+        {},
+        "NotProper(vertex=1, edge1=(0, 1), edge2=(1, 2))",
+        [],
+    ),
+    (
+        BichromaticCycle,
+        {"colour_a": 0, "colour_b": 2, "cycle": (0, 1, 2, 3)},
+        {},
+        "BichromaticCycle(colour_a=0, colour_b=2, cycle=(0, 1, 2, 3))",
+        [],
+    ),
+    (
+        AciResult,
+        {"aci": 2, "witness": None, "nodes": 3, "seconds": 0.5, "exhausted": False,
+         "lower": 2, "upper": 2, "tactic": "search"},
+        {},
+        "AciResult(aci=2, witness=None, nodes=3, seconds=0.5, exhausted=False, "
+        "lower=2, upper=2, tactic='search')",
+        [],
+    ),
+    (
+        ComposeInput,
+        {"g": _K2, "g_colouring": _K2_COLOURING, "h": _K2, "h_colouring": _K2_COLOURING},
+        {},
+        "ComposeInput(g=Graph(n=2, m=1), g_colouring=EdgeColouring(Graph(n=2, m=1), 1 colours), "
+        "h=Graph(n=2, m=1), h_colouring=EdgeColouring(Graph(n=2, m=1), 1 colours))",
+        [],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, defaults, text, invalid", _RECORDS, ids=[r[0].__name__ for r in _RECORDS]
+)
+def test_records_behave_as_frozen_dataclasses(cls, fields, defaults, text, invalid):
+    values = tuple(fields.values())
+    r = cls(*values)
+    assert tuple(getattr(r, name) for name in fields) == values
+    assert cls(**fields) == r
+    assert cls(*values[:1], **dict(list(fields.items())[1:])) == r
+    try:
+        hash(values)
+    except TypeError:
+        # a record hashes its fields, and an EdgeColouring is unhashable
+        with pytest.raises(TypeError):
+            hash(r)
+    else:
+        assert hash(cls(**fields)) == hash(r) and {r: "found"}[cls(**fields)] == "found"
+    assert repr(r) == text
+    first = next(iter(fields))
+    assert cls(**{**fields, first: 99}) != r
+    assert r != values and r != None  # noqa: E711
+    assert copy.copy(r) == r
+
+    required = {name: v for name, v in fields.items() if name not in defaults}
+    filled = cls(**required)
+    for name, v in defaults.items():
+        assert getattr(filled, name) == v
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+    with pytest.raises(TypeError):
+        cls(*values, **{first: 0})
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=0)
+    if not defaults:
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(r, name, 99)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    assert tuple(getattr(r, name) for name in fields) == values
+
+    for bad in invalid:
+        with pytest.raises(ValueError):
+            cls(**{**fields, **bad})
+
+
+def test_records_of_different_classes_are_never_equal():
+    assert GEdge((0, 1), 2) != HEdge((0, 1), 2)
+    assert HEdge((0, 1), 2) != GEdge((0, 1), 2)
+    assert len({GEdge((0, 1), 2), HEdge((0, 1), 2)}) == 2
+    assert pickle.loads(pickle.dumps(GEdge((0, 1), 2))) == GEdge((0, 1), 2)
 
 
 def test_classify():

@@ -46,6 +46,16 @@ def test_edge_list_errors():
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["3 2\n0 1\n0 1\n", "3 2\n0 1\n1 0\n", "4 4\n0 1\n1 2\n2 3\n2 1\n"],
+    ids=["same-orientation", "reversed", "among-others"],
+)
+def test_edge_list_rejects_an_edge_listed_twice(text):
+    with pytest.raises(ValueError, match="distinct"):
+        parse_edge_list(text)
+
+
+@pytest.mark.parametrize(
     "parse, arg",
     [
         (parse_edge_list, "10000000000 0"),
@@ -210,6 +220,7 @@ def test_edge_list_parser_rejects_bad_graphs(n, edges, miscount, filler):
     g = _parse_or_reject(parse_edge_list, f"{n} {len(edges) + miscount}\n{body}")
     if g is not None:
         assert g.n == n and set(g.edges) == {(min(e), max(e)) for e in edges}
+        assert g.m == len(edges)
 
 
 @settings(max_examples=300)
