@@ -21,7 +21,6 @@ from .colouring import (
 )
 from .compose import (
     C4ProductError,
-    ComposeInput,
     compose,
     compose_many,
     compose_or_solve,
@@ -50,7 +49,6 @@ __all__ = [
     "BichromaticCycle",
     "C4ProductError",
     "ColourPalette",
-    "ComposeInput",
     "EdgeColouring",
     "GEdge",
     "Graph",

@@ -17,12 +17,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from . import io
 from .colouring import EdgeColouring, check_acyclic, colours_used
-from .compose import ComposeInput, compose_or_solve, hypercube_colouring
-from .graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
+from .compose import compose_or_solve, hypercube_colouring
+from .graphs import cartesian_product, complete, cycle, grid, hypercube, path
 from .solver import AciResult, SearchBudget, exact_aci, greedy_acyclic, lower_bound
 from .vertex_colouring import brooks_colouring
 
@@ -136,37 +135,25 @@ def _cmd_vertex_color(args) -> int:
     return OK
 
 
-def _factor_colouring(
-    graph: Graph, colouring_path: Optional[str], solve: bool, budget: SearchBudget
-) -> EdgeColouring:
-    if colouring_path is not None:
-        x = io.read_colouring(colouring_path)
-        if x.graph != graph:
-            raise ValueError(f"colouring in {colouring_path} is for a different graph")
-        return x
-    if not solve:
-        raise ValueError("factor colourings missing; pass --xg/--xh or --solve-factors")
-    result = exact_aci(graph, budget)
-    if result.witness is None:
-        raise _Exhausted(result)
-    return result.witness
-
-
-class _Exhausted(Exception):
-    def __init__(self, result: AciResult):
-        self.result = result
-
-
 def _cmd_compose(args) -> int:
     g = io.load_graph(args.g, args.format)
     h = io.load_graph(args.h, args.format)
     budget = _budget(args)
-    try:
-        xg = _factor_colouring(g, args.xg, args.solve_factors, budget)
-        xh = _factor_colouring(h, args.xh, args.solve_factors, budget)
-    except _Exhausted as exc:
-        return _report_exhausted(exc.result)
-    product, x = compose_or_solve(ComposeInput(g, xg, h, xh))
+    factors = []
+    for graph, colouring_path in ((g, args.xg), (h, args.xh)):
+        if colouring_path is not None:
+            x = io.read_colouring(colouring_path)
+            if x.graph != graph:
+                raise ValueError(f"colouring in {colouring_path} is for a different graph")
+        elif not args.solve_factors:
+            raise ValueError("factor colourings missing; pass --xg/--xh or --solve-factors")
+        else:
+            result = exact_aci(graph, budget)
+            if result.exhausted:
+                return _report_exhausted(result)
+            x = result.witness
+        factors.append(x)
+    product, x = compose_or_solve(*factors)
     if args.out_graph:
         io.write_edge_list(product, args.out_graph)
     _print_colouring(x)
@@ -206,7 +193,7 @@ def _cmd_scan(args) -> int:
         print("scan needs exactly one of --max-n or --in", file=sys.stderr)
         return USAGE
     if args.max_n is not None:
-        graphs = [g for g in corpus.connected_graphs_up_to(args.max_n) if g.n >= 1]
+        graphs = corpus.connected_graphs_up_to(args.max_n)
     else:
         fmt = args.format
         if fmt == "graph6":

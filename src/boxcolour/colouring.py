@@ -16,11 +16,13 @@ per pair.
 
 Library code checks each colouring once per trust boundary, where it
 leaves the code that built it or enters from a caller.  The search and
-greedy check each colouring they return; `compose` checks the factors it
-is handed and the colouring it returns; `compose_many` checks its factors
-and only its final output, since every fold relabels the previous one
-injectively (see `compose`); and `solver.exact_aci` checks a composed
-colouring once, after mapping it onto its input graph.
+greedy check each colouring they return; `compose` checks the factor
+colourings it is handed and the colouring it returns; `compose_many`
+checks its factors and only its final output, since every fold relabels
+the previous one injectively (see `compose`); the four-cycle's fixed
+colouring is checked each time compose hands it out; and
+`solver.exact_aci` checks a composed colouring once, after mapping it onto
+its input graph.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class ColourPalette(Record):
 # Colourings
 
 
-class EdgeColouring:
+class EdgeColouring(Record):
     """Total assignment of palette colours to the edges of a graph.
 
     `colours[i]` is the colour of `graph.edges[i]`.
@@ -110,12 +112,7 @@ class EdgeColouring:
         for c in colours:
             if c not in palette:
                 raise ValueError(f"colour {colour_label(c)} outside palette {palette}")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "colours", colours)
-        object.__setattr__(self, "palette", palette)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EdgeColouring is immutable")
+        Record.__init__(self, graph, colours, palette)
 
     @classmethod
     def single_family(cls, graph: Graph, indices: Iterable[int], k: int) -> "EdgeColouring":
@@ -174,15 +171,6 @@ class EdgeColouring:
         graph = Graph(_json_int(data["n"], "vertex count"), mapping)
         return cls.from_edge_map(graph, mapping, palette)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EdgeColouring):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.colours == other.colours
-            and self.palette == other.palette
-        )
-
     def __repr__(self) -> str:
         return f"EdgeColouring({self.graph!r}, {len(self.distinct_colours())} colours)"
 
@@ -198,7 +186,7 @@ def colours_used(x: EdgeColouring) -> int:
     return len(set(x.colours))
 
 
-class VertexColouring:
+class VertexColouring(Record):
     """Total assignment of colour indices 0..d-1 to the vertices of a graph."""
 
     __slots__ = ("graph", "colours")
@@ -210,11 +198,7 @@ class VertexColouring:
         for c in colours:
             if c < 0:
                 raise ValueError("vertex colour indices must be non-negative")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "colours", colours)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexColouring is immutable")
+        Record.__init__(self, graph, colours)
 
     def count(self) -> int:
         return len(set(self.colours))

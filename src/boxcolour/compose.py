@@ -1,5 +1,5 @@
 """Build an acyclic edge colouring of a cartesian product from acyclic
-colourings of the two factors.
+colourings of the two factors; each colouring carries its factor graph.
 
 The factor with the larger palette (size eta) keeps its colours, shifted:
 inside the copy sitting at vertex v of the other factor, every one of its
@@ -14,11 +14,9 @@ degree, plus one if regular) on every connected graph but a single edge,
 so at most beta <= eta colours: the eta rotations cover every vertex
 colour and the modulus never needs padding.  A single edge takes 2 colours
 against beta = 1, which is fine unless eta = 1 as well.  That product of
-two single edges is a four-cycle, which no 2-colouring handles acyclically;
-it is a dedicated error and `compose_or_solve` falls back to the exact
-search for it.  The search lives in `search`, below this module, because
-`solver.exact_aci` in turn uses the construction on the products it
-recognises.
+two single edges is the four-cycle, which no 2-colouring handles
+acyclically; `compose` raises a dedicated error for it, and
+`compose_or_solve` and `compose_many` return its known 3-colouring.
 
 `_compose` only builds the colouring; `check_acyclic` runs at the entry
 points.  `compose` checks both factors and its output.  `compose_many`
@@ -42,38 +40,22 @@ from .colouring import (
     primed,
     unprimed,
 )
-from .graphs import (
-    Graph,
-    Record,
-    _check_dimension,
-    _product_layout,
-    cartesian_product,
-    is_connected,
-)
-from .search import _search
+from .graphs import Graph, _check_dimension, _product_layout, is_connected
 from .vertex_colouring import brooks_colouring
 
 
 class C4ProductError(ValueError):
     """Both factors are single edges: their product is the four-cycle,
-    whose acyclic chromatic index is 3, not 1+1.  Solve it exactly
-    instead (see compose_or_solve)."""
+    whose acyclic chromatic index is 3, not 1+1.  compose_or_solve
+    returns its 3-colouring instead."""
 
 
-class ComposeInput(Record):
-    """The factors g and h, each with an acyclic edge colouring."""
-
-    __slots__ = ("g", "g_colouring", "h", "h_colouring")
-
-
-def _validate_factor(name: str, graph: Graph, colouring: EdgeColouring) -> None:
-    if graph.n < 2:
+def _validate_factor(name: str, x: EdgeColouring) -> None:
+    if x.graph.n < 2:
         raise ValueError(f"factor {name} must have at least two vertices")
-    if not is_connected(graph):
+    if not is_connected(x.graph):
         raise ValueError(f"factor {name} must be connected")
-    if colouring.graph != graph:
-        raise ValueError(f"colouring of factor {name} belongs to a different graph")
-    bad = check_acyclic(colouring)
+    bad = check_acyclic(x)
     if bad is not None:
         raise ValueError(f"colouring of factor {name} is not acyclic: {bad}")
 
@@ -85,22 +67,22 @@ def _verified(x: EdgeColouring) -> EdgeColouring:
     return x
 
 
-def compose(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
-    """Colour g x h with at most (palette of g) + (palette of h) colours.
+def compose(xg: EdgeColouring, xh: EdgeColouring) -> tuple[Graph, EdgeColouring]:
+    """Colour g x h, the product of the graphs of xg and xh, with at most
+    (palette of xg) + (palette of xh) colours.
 
     The output graph is always the product in caller order, whichever
     factor ends up supplying the shifted family.
     """
-    _validate_factor("g", inp.g, inp.g_colouring)
-    _validate_factor("h", inp.h, inp.h_colouring)
-    product, x = _compose(inp)
+    _validate_factor("g", xg)
+    _validate_factor("h", xh)
+    product, x = _compose(xg, xh)
     return product, _verified(x)
 
 
-def _compose(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
+def _compose(xg: EdgeColouring, xh: EdgeColouring) -> tuple[Graph, EdgeColouring]:
     """The construction alone, on factors the caller has checked."""
-    eta = inp.g_colouring.palette.size
-    beta = inp.h_colouring.palette.size
+    eta, beta = xg.palette.size, xh.palette.size
     if eta == 1 and beta == 1:
         raise C4ProductError(
             "both factors are coloured with one colour (single edges); "
@@ -110,11 +92,11 @@ def _compose(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
     # orientation: the larger palette plays the shifted role
     swapped = eta < beta
     if swapped:
-        shift_x, match_graph, match_x = inp.h_colouring, inp.g, inp.g_colouring
+        shift_x, match_x = xh, xg
         eta, beta = beta, eta
     else:
-        shift_x, match_graph, match_x = inp.g_colouring, inp.h, inp.h_colouring
-    y = brooks_colouring(match_graph)  # at most eta colours (module docstring)
+        shift_x, match_x = xg, xh
+    y = brooks_colouring(match_x.graph)  # at most eta colours (module docstring)
 
     # Colour every product edge in provenance order (see _product_layout):
     # the copy of the shifted factor at matching vertex v has its colour
@@ -122,57 +104,62 @@ def _compose(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
     # own colours, primed.
     shift_ranks = [shift_x.palette.rank(c) for c in shift_x.colours]
     shifted = [unprimed((r + s) % eta) for s in y.colours for r in shift_ranks]
-    matched = [primed(match_x.palette.rank(c)) for c in match_x.colours] * (
-        inp.h.n if swapped else inp.g.n
-    )
+    matched = [primed(match_x.palette.rank(c)) for c in match_x.colours] * shift_x.graph.n
     by_origin = matched + shifted if swapped else shifted + matched
 
-    product, origin = _product_layout(inp.g, inp.h)
+    product, origin = _product_layout(xg.graph, xh.graph)
     colours = [by_origin[o] for o in origin]
     return product, EdgeColouring(product, colours, ColourPalette(eta, beta))
 
 
-def compose_or_solve(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
-    """compose, except the single-edge-by-single-edge case is solved
-    exactly (it is a 4-cycle; the search returns its 3-colouring)."""
+def compose_or_solve(xg: EdgeColouring, xh: EdgeColouring) -> tuple[Graph, EdgeColouring]:
+    """compose, except that the product of two single edges, the
+    four-cycle, gets its 3-colouring."""
     try:
-        return compose(inp)
+        return compose(xg, xh)
     except C4ProductError:
-        return _solve_four_cycle(inp)
+        return _solve_four_cycle()
 
 
-def _solve_four_cycle(inp: ComposeInput) -> tuple[Graph, EdgeColouring]:
-    # the search verifies its witness; it places 4 nodes, so no budget binds
-    product, _ = cartesian_product(inp.g, inp.h)
-    return product, _search(product).witness
+def _solve_four_cycle() -> tuple[Graph, EdgeColouring]:
+    """K2 x K2 with an acyclic 3-colouring, which is optimal.
 
-
-def compose_many(factors: list[tuple[Graph, EdgeColouring]]) -> tuple[Graph, EdgeColouring]:
-    """Left fold of compose_or_solve over two or more coloured factors.
-
-    Every factor passed in is verified once, and so is the final output;
-    the intermediate folds are not (module docstring).
+    It is the only product `_compose` refuses: a proper colouring from a
+    palette of one colour leaves every vertex at most one edge, so a
+    connected factor with at least two vertices, as every checked factor
+    is, is a single edge.  The product is laid out row-major, so its
+    edges are (0,1), (0,2), (1,3), (2,3); the colours 0, 1, 1, 2 are
+    proper, and no cycle is two-coloured since the only cycle has three.
     """
-    if len(factors) < 2:
+    c4 = Graph._from_sorted(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    return c4, _verified(EdgeColouring.single_family(c4, [0, 1, 1, 2], 3))
+
+
+def compose_many(colourings: list[EdgeColouring]) -> tuple[Graph, EdgeColouring]:
+    """Left fold of compose_or_solve over two or more factor colourings.
+
+    Every colouring passed in is verified once, and so is the final
+    output; the intermediate folds are not (module docstring).
+    """
+    if len(colourings) < 2:
         raise ValueError("need at least two factors")
-    for i, (graph, colouring) in enumerate(factors):
-        _validate_factor(str(i), graph, colouring)
-    graph, colouring = factors[0]
-    for next_graph, next_colouring in factors[1:]:
-        inp = ComposeInput(graph, colouring, next_graph, next_colouring)
+    for i, x in enumerate(colourings):
+        _validate_factor(str(i), x)
+    x = colourings[0]
+    for next_x in colourings[1:]:
         try:
-            graph, colouring = _compose(inp)
+            _, x = _compose(x, next_x)
         except C4ProductError:
-            graph, colouring = _solve_four_cycle(inp)
-    return graph, _verified(colouring)
+            _, x = _solve_four_cycle()
+    return x.graph, _verified(x)
 
 
 def hypercube_colouring(d: int) -> tuple[Graph, EdgeColouring]:
     """Acyclic colouring of the d-cube: 1 colour for a single edge,
     exactly d+1 colours for d >= 2, built by folding single edges onto
-    the exactly-solved four-cycle."""
+    the four-cycle's 3-colouring."""
     _check_dimension(d)
     k2 = Graph(2, [(0, 1)])
     one = EdgeColouring.single_family(k2, [0], 1)
     # the fold's product is laid out row-major, so it equals hypercube(d)
-    return (k2, _verified(one)) if d == 1 else compose_many([(k2, one)] * d)
+    return (k2, _verified(one)) if d == 1 else compose_many([one] * d)

@@ -152,6 +152,9 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        return Graph._from_sorted, (self.n, self.edges)
+
     @property
     def m(self) -> int:
         return len(self.edges)

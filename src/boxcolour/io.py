@@ -141,7 +141,12 @@ def format_colouring(x: EdgeColouring) -> str:
 
 
 def read_colouring(path: PathLike) -> EdgeColouring:
-    return EdgeColouring.from_json_dict(json.loads(Path(path).read_text()))
+    """A malformed file raises ValueError, deep nesting included."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"colouring JSON in {path} is nested too deeply") from None
+    return EdgeColouring.from_json_dict(data)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from boxcolour.colouring import (
 )
 from boxcolour.compose import (
     C4ProductError,
-    ComposeInput,
     compose,
     compose_many,
     compose_or_solve,
@@ -61,14 +60,12 @@ def test_criterion_3_grid_tightness():
     for m in range(3, 7):
         for n in range(3, 7):
             pm, pn = path(m), path(n)
-            product, x = compose(
-                ComposeInput(pm, exact_aci(pm).witness, pn, exact_aci(pn).witness)
-            )
+            product, x = compose(exact_aci(pm).witness, exact_aci(pn).witness)
             ok = ok and check_acyclic(x) is None
             ok = ok and colours_used(x) == 4 == product.max_degree
     p3 = path(3)
     xp = exact_aci(p3).witness
-    product, x = compose_many([(p3, xp)] * 3)
+    product, x = compose_many([xp] * 3)
     ok = ok and check_acyclic(x) is None and colours_used(x) == 6
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 10.0
@@ -126,7 +123,7 @@ def test_criterion_4_theorem_property_suite():
         xg, xh = witness(g), witness(h)
         if max(xg.palette.size, xh.palette.size) <= 1:
             continue
-        _, x = compose(ComposeInput(g, xg, h, xh))
+        _, x = compose(xg, xh)
         if not _invariants_hold(g, h, xg, xh, x):
             failures += 1
         pairs_checked += 1
@@ -179,10 +176,10 @@ def test_criterion_8_single_edge_square():
     one = EdgeColouring.single_family(k2, [0], 1)
     raised = False
     try:
-        compose(ComposeInput(k2, one, k2, one))
+        compose(one, one)
     except C4ProductError:
         raised = True
-    product, x = compose_or_solve(ComposeInput(k2, one, k2, one))
+    product, x = compose_or_solve(one, one)
     ok = (
         raised
         and (product.n, product.m) == (4, 4)

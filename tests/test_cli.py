@@ -12,6 +12,10 @@ from boxcolour.io import format_colouring, format_edge_list, parse_edge_list
 from boxcolour.solver import exact_aci
 
 
+# a 200 KB colouring file of nothing but opening brackets
+DEEP_NESTING = "[" * 200_000
+
+
 def run(*argv):
     return cli.run(list(argv))
 
@@ -79,6 +83,16 @@ def test_aci_budget_exhaustion(tmp_path, capsys):
     assert data["exhausted"] is True
     assert data["lower"] <= data["upper"]
     assert "budget" in captured.err
+
+
+def test_a_nan_time_budget_is_a_usage_error(tmp_path, capsys):
+    # no elapsed time exceeds NaN, so accepting it would turn the budget off
+    f = tmp_path / "p3.el"
+    f.write_text(format_edge_list(path(3)))
+    assert run("aci", str(f), "--budget-secs", "nan") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget limits must be positive\n"
 
 
 def test_greedy_command_is_seeded_and_verifies(tmp_path, capsys):
@@ -163,6 +177,24 @@ def test_compose_solve_factors_on_a_large_grid(tmp_path, capsys):
     assert check_acyclic(x) is None and colours_used(x) <= 4 + 5
 
 
+def test_compose_solve_factors_budget_exhaustion(tmp_path, capsys):
+    # K6 is 5-regular, so the search starts at 6 colours, and 5 nodes
+    # cannot settle that; compose stops at the first factor that runs out
+    a = tmp_path / "k6.el"
+    b = tmp_path / "k2.el"
+    a.write_text(format_edge_list(complete(6)))
+    b.write_text(format_edge_list(complete(2)))
+    assert (
+        run("compose", "--g", str(a), "--h", str(b), "--solve-factors",
+            "--budget-nodes", "5") == 3
+    )
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert (data["exhausted"], data["lower"], data["nodes"]) == (True, 6, 6)
+    assert data["upper"] > 6
+    assert captured.err == "search budget exhausted\n"
+
+
 def test_compose_with_explicit_colourings(tmp_path, capsys):
     g, h = path(3), path(4)
     files = {}
@@ -234,15 +266,31 @@ def test_verify_failure_prints_witness(tmp_path, capsys):
         # labels the writer never produces, though int() reads them as 10 and 0
         {"n": 2, "palette": {"g": 11, "h": 0}, "edges": [[0, 1, "1_0"]]},
         {"n": 2, "palette": {"g": 1, "h": 0}, "edges": [[0, 1, " 0"]]},
+        # raw text, nested deeper than the JSON decoder recurses
+        pytest.param(DEEP_NESTING, id="deep-nesting"),
     ],
 )
 def test_verify_rejects_malformed_colouring_json(tmp_path, capsys, doc):
     f = tmp_path / "bad.json"
-    f.write_text(json.dumps(doc))
+    f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run("verify", str(f)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_compose_rejects_a_deeply_nested_colouring(tmp_path, capsys):
+    el = tmp_path / "p3.el"
+    el.write_text(format_edge_list(path(3)))
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_NESTING)
+    assert (
+        run("compose", "--g", str(el), "--h", str(el), "--xg", str(deep),
+            "--solve-factors") == 2
+    )
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
 
 
 def test_verify_cross_checks_graph_file(tmp_path, capsys):

@@ -14,7 +14,6 @@ from boxcolour.colouring import (
 )
 from boxcolour.compose import (
     C4ProductError,
-    ComposeInput,
     compose,
     compose_many,
     compose_or_solve,
@@ -57,15 +56,15 @@ def test_shifts_are_mutually_non_fixing():
 
 
 def test_two_single_edges_are_rejected():
-    k2, x = one_edge()
+    _, x = one_edge()
     with pytest.raises(C4ProductError) as err:
-        compose(ComposeInput(k2, x, k2, x))
+        compose(x, x)
     assert "4-cycle" in str(err.value)
 
 
 def test_compose_or_solve_falls_back_to_the_four_cycle():
-    k2, x = one_edge()
-    product, result = compose_or_solve(ComposeInput(k2, x, k2, x))
+    _, x = one_edge()
+    product, result = compose_or_solve(x, x)
     assert (product.n, product.m) == (4, 4)
     assert colours_used(result) == 3
     assert check_acyclic(result) is None
@@ -74,7 +73,7 @@ def test_compose_or_solve_falls_back_to_the_four_cycle():
 def test_cube_from_cycle_and_edge():
     c4 = cycle(4)
     k2, xk = one_edge()
-    product, x = compose(ComposeInput(c4, solved(c4), k2, xk))
+    product, x = compose(solved(c4), xk)
     assert product == cartesian_product(c4, k2)[0]
     assert check_acyclic(x) is None
     assert colours_used(x) <= 4
@@ -82,7 +81,7 @@ def test_cube_from_cycle_and_edge():
 
 def test_grid_from_paths_is_degree_tight():
     p3 = path(3)
-    product, x = compose(ComposeInput(p3, solved(p3), p3, solved(p3)))
+    product, x = compose(solved(p3), solved(p3))
     assert product == grid(3, 3)
     assert check_acyclic(x) is None
     assert colours_used(x) == 4 == product.max_degree
@@ -92,7 +91,7 @@ def test_restrictions_match_the_factors():
     # the first factor's palette (3) dominates, so roles stay in caller order
     g, h = cycle(5), path(4)
     xg, xh = solved(g), solved(h)
-    product, x = compose(ComposeInput(g, xg, h, xh))
+    product, x = compose(xg, xh)
     _, kinds = cartesian_product(g, h)
     y = brooks_colouring(h)  # the shifts compose uses
     eta = xg.palette.size
@@ -111,7 +110,7 @@ def test_restrictions_match_the_factors():
 def test_swap_when_second_palette_is_larger():
     k2, xk = one_edge()
     c4 = cycle(4)
-    product, x = compose(ComposeInput(k2, xk, c4, solved(c4)))
+    product, x = compose(xk, solved(c4))
     # output stays in caller order
     assert product == cartesian_product(k2, c4)[0]
     assert check_acyclic(x) is None
@@ -123,36 +122,33 @@ def test_swap_when_second_palette_is_larger():
 
 
 def test_factor_validation():
-    k2, xk = one_edge()
-    p3 = path(3)
+    _, xk = one_edge()
     with pytest.raises(ValueError, match="connected"):
-        compose(ComposeInput(Graph(2, []), EdgeColouring.single_family(Graph(2, []), [], 1), k2, xk))
+        compose(EdgeColouring.single_family(Graph(2, []), [], 1), xk)
     with pytest.raises(ValueError, match="two vertices"):
-        compose(ComposeInput(Graph(1, []), EdgeColouring.single_family(Graph(1, []), [], 1), k2, xk))
-    with pytest.raises(ValueError, match="different graph"):
-        compose(ComposeInput(p3, xk, k2, xk))
+        compose(EdgeColouring.single_family(Graph(1, []), [], 1), xk)
     # proper but bichromatic factor colouring
     c4 = cycle(4)
     bad = EdgeColouring.single_family(c4, [0, 1, 1, 0], 2)
     with pytest.raises(ValueError, match="acyclic"):
-        compose(ComposeInput(c4, bad, k2, xk))
+        compose(bad, xk)
 
 
-def _reference_colours(inp: ComposeInput) -> tuple[int, ...]:
+def _reference_colours(xg: EdgeColouring, xh: EdgeColouring) -> tuple[int, ...]:
     # the construction spelled out edge by edge from the public classifier:
     # the larger palette is shifted by a rotation per copy, the other primed
-    eta, beta = inp.g_colouring.palette.size, inp.h_colouring.palette.size
+    eta, beta = xg.palette.size, xh.palette.size
     swapped = eta < beta
-    match_graph = inp.g if swapped else inp.h
+    match_graph = xg.graph if swapped else xh.graph
     y, d = brooks_colouring(match_graph), brooks_bound(match_graph)
     modulus = max(eta, beta, d)
-    _, kinds = cartesian_product(inp.g, inp.h)
+    _, kinds = cartesian_product(xg.graph, xh.graph)
     out = []
     for kind in kinds:
         if isinstance(kind, GEdge):
-            x, edge, copy = inp.g_colouring, kind.g_edge, kind.h_vertex
+            x, edge, copy = xg, kind.g_edge, kind.h_vertex
         else:
-            x, edge, copy = inp.h_colouring, kind.h_edge, kind.g_vertex
+            x, edge, copy = xh, kind.h_edge, kind.g_vertex
         rank = x.palette.rank(colour_of(x, *edge))
         if isinstance(kind, GEdge) == swapped:
             out.append(primed(rank))
@@ -163,9 +159,9 @@ def _reference_colours(inp: ComposeInput) -> tuple[int, ...]:
 
 def test_compose_matches_the_classifier_construction():
     cases = [
-        ComposeInput(cycle(5), solved(cycle(5)), path(4), solved(path(4))),
-        ComposeInput(path(4), solved(path(4)), cycle(5), solved(cycle(5))),  # swapped
-        ComposeInput(grid(3, 4), solved(grid(3, 4)), complete(4), solved(complete(4))),
+        (solved(cycle(5)), solved(path(4))),
+        (solved(path(4)), solved(cycle(5))),  # swapped
+        (solved(grid(3, 4)), solved(complete(4))),
     ]
     pool = [g for g in connected_graphs_up_to(5) if g.n >= 2]
     rng = random.Random(5)
@@ -173,11 +169,11 @@ def test_compose_matches_the_classifier_construction():
         g, h = rng.choice(pool), rng.choice(pool)
         xg, xh = solved(g), solved(h)
         if max(xg.palette.size, xh.palette.size) > 1:
-            cases.append(ComposeInput(g, xg, h, xh))
-    for inp in cases:
-        product, x = compose(inp)
-        assert product == cartesian_product(inp.g, inp.h)[0]
-        assert x.colours == _reference_colours(inp)
+            cases.append((xg, xh))
+    for xg, xh in cases:
+        product, x = compose(xg, xh)
+        assert product == cartesian_product(xg.graph, xh.graph)[0]
+        assert x.colours == _reference_colours(xg, xh)
 
 
 def test_brooks_shifts_fit_in_any_acyclic_palette():
@@ -216,31 +212,31 @@ def test_compose_many_verifies_each_colouring_once(monkeypatch):
     checked = _count_checks(monkeypatch, "compose")
     p3 = path(3)
     xp = solved(p3)
-    _, x = compose_many([(p3, xp)] * 3)
+    _, x = compose_many([xp] * 3)
     assert len(checked) == 4
     assert checked[-1] is x
     # a cyclic factor later in the fold is still rejected
     c4 = cycle(4)
     bad = EdgeColouring.single_family(c4, [0, 1, 1, 0], 2)
     with pytest.raises(ValueError, match="acyclic"):
-        compose_many([(p3, xp), (p3, xp), (c4, bad)])
+        compose_many([xp, xp, bad])
 
 
 def test_compose_many_folds_left():
-    k2, xk = one_edge()
-    product, x = compose_many([(k2, xk)] * 3)
+    _, xk = one_edge()
+    product, x = compose_many([xk] * 3)
     assert (product.n, product.m) == (8, 12)
     assert check_acyclic(x) is None
     assert colours_used(x) <= 4
     with pytest.raises(ValueError):
-        compose_many([(k2, xk)])
+        compose_many([xk])
 
 
 def test_compose_many_two_factors_reduces_to_compose():
     p3 = path(3)
     xp = solved(p3)
-    via_many = compose_many([(p3, xp), (p3, xp)])
-    via_one = compose(ComposeInput(p3, xp, p3, xp))
+    via_many = compose_many([xp, xp])
+    via_one = compose(xp, xp)
     assert via_many[0] == via_one[0]
     assert via_many[1] == via_one[1]
 
@@ -248,7 +244,7 @@ def test_compose_many_two_factors_reduces_to_compose():
 def test_three_fold_path_power_is_degree_tight():
     p3 = path(3)
     xp = solved(p3)
-    product, x = compose_many([(p3, xp)] * 3)
+    product, x = compose_many([xp] * 3)
     assert product.max_degree == 6
     assert colours_used(x) == 6
     assert check_acyclic(x) is None
@@ -260,7 +256,7 @@ def test_mixed_tight_factors_hit_the_degree_sum():
     p4 = path(4)
     xs, xp = solved(star), solved(p4)
     assert colours_used(xs) == 3 and colours_used(xp) == 2
-    product, x = compose(ComposeInput(p4, xp, star, xs))
+    product, x = compose(xp, xs)
     assert product.max_degree == 5
     assert colours_used(x) == 5
     assert check_acyclic(x) is None
@@ -286,7 +282,7 @@ def test_random_pairs_hold_the_bound():
         xg, xh = solved(g), solved(h)
         if max(xg.palette.size, xh.palette.size) <= 1:
             continue
-        product, x = compose_or_solve(ComposeInput(g, xg, h, xh))
+        product, x = compose_or_solve(xg, xh)
         assert check_acyclic(x) is None
         assert colours_used(x) <= xg.palette.size + xh.palette.size
 
@@ -296,7 +292,7 @@ def test_exact_aci_checks_each_colouring_once_per_boundary(monkeypatch):
     # search solves: 4 K2 witnesses and 1 four-cycle witness checked by the
     # search, and 1 check per level Q3..Q6 of the composed colouring mapped
     # onto the input; compose's own entry checks are not on this path
-    checked = _count_checks(monkeypatch, "search", "solver", "compose")
+    checked = _count_checks(monkeypatch, "solver", "compose")
     result = exact_aci(hypercube(6))
     assert result.aci == 7 and result.tactic == "factor"
     assert sorted(x.graph.n for x in checked) == [2, 2, 2, 2, 4, 8, 16, 32, 64]
@@ -324,7 +320,7 @@ def test_a_defect_in_an_inner_fold_fails_the_final_check(monkeypatch):
     p3 = path(3)
     xp = solved(p3)
     with pytest.raises(RuntimeError, match="failed verification"):
-        compose_many([(p3, xp)] * 3)
+        compose_many([xp] * 3)
     assert len(calls) == 2
 
 
@@ -334,6 +330,6 @@ def test_a_defective_construction_never_leaves_compose_or_exact_aci(monkeypatch)
     p3 = path(3)
     xp = solved(p3)
     with pytest.raises(RuntimeError, match="failed verification"):
-        compose(ComposeInput(p3, xp, p3, xp))
+        compose(xp, xp)
     with pytest.raises(RuntimeError, match="invalid colouring"):
         exact_aci(hypercube(4))

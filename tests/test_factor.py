@@ -18,8 +18,7 @@ from boxcolour.graphs import (
     hypercube,
     path,
 )
-from boxcolour.search import _search
-from boxcolour.solver import exact_aci, lower_bound
+from boxcolour.solver import _search, exact_aci, lower_bound
 
 FACTORS = [g for g in connected_graphs_up_to(5) if g.n >= 2]
 SMALL = [g for g in connected_graphs_up_to(6) if g.n >= 2]

@@ -5,8 +5,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from boxcolour.colouring import BichromaticCycle, ColourPalette, EdgeColouring, NotProper
-from boxcolour.compose import ComposeInput, hypercube_colouring
+from boxcolour.colouring import BichromaticCycle, ColourPalette, NotProper
+from boxcolour.compose import hypercube_colouring
 from boxcolour.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
@@ -25,7 +25,8 @@ from boxcolour.graphs import (
     product_coords,
 )
 from boxcolour.graphs import _check_dimension, _check_order, _check_size
-from boxcolour.search import AciResult, SearchBudget
+from boxcolour.solver import AciResult, SearchBudget, exact_aci
+from boxcolour.vertex_colouring import brooks_colouring
 
 from bruteforce import product_edge_endpoints, product_vertex
 
@@ -261,9 +262,6 @@ def test_is_connected():
         is_connected(Graph(0, []))
 
 
-_K2 = path(2)
-_K2_COLOURING = EdgeColouring.single_family(_K2, [0], 1)
-
 # class, fields in order, defaults, repr, field values that raise ValueError
 _RECORDS = [
     (GEdge, {"g_edge": (0, 1), "h_vertex": 2}, {}, "GEdge(g_edge=(0, 1), h_vertex=2)", []),
@@ -287,7 +285,7 @@ _RECORDS = [
         {"max_nodes": 5, "max_time": 1.5},
         {"max_nodes": 100_000_000, "max_time": 60.0},
         "SearchBudget(max_nodes=5, max_time=1.5)",
-        [{"max_nodes": 0}, {"max_time": 0.0}, {"max_nodes": -1}],
+        [{"max_nodes": 0}, {"max_time": 0.0}, {"max_nodes": -1}, {"max_time": float("nan")}],
     ),
     (
         NotProper,
@@ -312,14 +310,6 @@ _RECORDS = [
         "lower=2, upper=2, tactic='search')",
         [],
     ),
-    (
-        ComposeInput,
-        {"g": _K2, "g_colouring": _K2_COLOURING, "h": _K2, "h_colouring": _K2_COLOURING},
-        {},
-        "ComposeInput(g=Graph(n=2, m=1), g_colouring=EdgeColouring(Graph(n=2, m=1), 1 colours), "
-        "h=Graph(n=2, m=1), h_colouring=EdgeColouring(Graph(n=2, m=1), 1 colours))",
-        [],
-    ),
 ]
 
 
@@ -332,14 +322,7 @@ def test_records_behave_as_frozen_dataclasses(cls, fields, defaults, text, inval
     assert tuple(getattr(r, name) for name in fields) == values
     assert cls(**fields) == r
     assert cls(*values[:1], **dict(list(fields.items())[1:])) == r
-    try:
-        hash(values)
-    except TypeError:
-        # a record hashes its fields, and an EdgeColouring is unhashable
-        with pytest.raises(TypeError):
-            hash(r)
-    else:
-        assert hash(cls(**fields)) == hash(r) and {r: "found"}[cls(**fields)] == "found"
+    assert hash(cls(**fields)) == hash(r) and {r: "found"}[cls(**fields)] == "found"
     assert repr(r) == text
     first = next(iter(fields))
     assert cls(**{**fields, first: 99}) != r
@@ -379,6 +362,19 @@ def test_records_of_different_classes_are_never_equal():
     assert HEdge((0, 1), 2) != GEdge((0, 1), 2)
     assert len({GEdge((0, 1), 2), HEdge((0, 1), 2)}) == 2
     assert pickle.loads(pickle.dumps(GEdge((0, 1), 2))) == GEdge((0, 1), 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: path(3), lambda: exact_aci(hypercube(4)), lambda: brooks_colouring(path(3))],
+    ids=["Graph", "AciResult", "VertexColouring"],
+)
+def test_graphs_and_colourings_copy_and_pickle(make):
+    # an AciResult carries a Graph inside its EdgeColouring witness
+    value = make()
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        twin = clone(value)
+        assert twin == value and type(twin) is type(value)
 
 
 def test_classify():

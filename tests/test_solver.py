@@ -5,10 +5,11 @@ from bruteforce import brute_aci, colour_of, feasible, first_fit, isomorphic
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
 from boxcolour.corpus import connected_graphs_up_to
 from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
-from boxcolour.search import _edge_order, _search
 from boxcolour.solver import (
     AciResult,
     SearchBudget,
+    _edge_order,
+    _search,
     exact_aci,
     greedy_acyclic,
     lower_bound,
