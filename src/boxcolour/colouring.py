@@ -6,13 +6,18 @@ family is ``2*j + 1``.  A palette records how many colours each family
 holds; its canonical order puts all unprimed colours before all primed
 ones.  Single-family colourings simply use a palette with no primed part.
 
-The verifier here is the trusted oracle for every other module.  Properness
-is a per-vertex scan, which also builds each vertex's colour -> (neighbour,
-edge) map.  In a proper colouring any two colour classes form a subgraph of
-maximum degree 2, a union of paths and cycles, so acyclicity is a walk along
-those alternating paths, once per colour pair, starting from the edges of
-the smaller class: O(k*m) over all pairs rather than a pass over every edge
-per pair.
+The verifier here is the trusted oracle for every other module.  One pass
+over the edges builds, per colour, a mate map: vertex -> the other end of
+its edge of that colour; a vertex met twice by one colour makes the
+colouring improper, and a scan of the vertices in index order then picks
+the witness.  In a proper colouring any two colour classes form a subgraph
+of maximum degree 2, a union of paths and cycles, so acyclicity is a walk
+along those alternating paths, once per colour pair, over the mate map of
+the smaller class: O(k*m) time over all pairs and O(n + m) memory.  A
+colour used on one edge is never walked, since a two-coloured cycle holds
+at least two edges of each colour, and neither is a pair whose classes
+share no vertex.  The walk only detects a cycle; the first pair that has
+one is walked again with edge indices to pick its witness.
 
 Library code checks each colouring once per trust boundary, where it
 leaves the code that built it or enters from a caller.  The search and
@@ -82,8 +87,7 @@ class ColourPalette(Record):
         return self.g_size + self.h_size
 
     def __contains__(self, colour: int) -> bool:
-        index = colour >> 1
-        return index < (self.h_size if colour & 1 else self.g_size)
+        return colour >= 0 and colour >> 1 < (self.h_size if colour & 1 else self.g_size)
 
     def rank(self, colour: int) -> int:
         """Dense 0-based position of a colour in the canonical order."""
@@ -262,28 +266,35 @@ def canonical_cycle(vertices: Iterable[int]) -> tuple[int, ...]:
 # Checks
 
 
-def _colour_incidence(
-    x: EdgeColouring,
-) -> tuple[list[dict[int, tuple[int, int]]], Optional[NotProper]]:
-    """Per vertex, colour -> (neighbour, edge index) over its incident edges.
+def _mate_maps(x: EdgeColouring) -> Optional[dict[int, dict[int, int]]]:
+    """Per colour used, vertex -> the other end of its edge of that colour;
+    None if some vertex meets two edges of one colour."""
+    mates: dict[int, dict[int, int]] = {}
+    for (u, v), c in zip(x.graph.edges, x.colours):
+        mate = mates.get(c)
+        if mate is None:
+            mates[c] = {u: v, v: u}
+        elif u in mate or v in mate:
+            return None
+        else:
+            mate[u] = v
+            mate[v] = u
+    return mates
 
-    Vertices and their incident edges are scanned in index order; the first
-    colour met twice at a vertex is returned as the NotProper witness, and
-    the map is then incomplete.  For a proper colouring the map is total and
-    every colour occurs at most once per vertex.
-    """
+
+def _first_clash(x: EdgeColouring) -> Optional[NotProper]:
+    """The first colour met twice at a vertex, with vertices and their
+    incident edges scanned in index order; None for a proper colouring."""
     g = x.graph
     edges, colours = g.edges, x.colours
-    at: list[dict[int, tuple[int, int]]] = []
     for v in range(g.n):
-        here: dict[int, tuple[int, int]] = {}
-        for w, ei in zip(g.neighbours(v), g.incident_edges(v)):
+        here: dict[int, int] = {}
+        for ei in g.incident_edges(v):
             c = colours[ei]
             if c in here:
-                return at, NotProper(v, edges[here[c][1]], edges[ei])
-            here[c] = (w, ei)
-        at.append(here)
-    return at, None
+                return NotProper(v, edges[here[c]], edges[ei])
+            here[c] = ei
+    return None
 
 
 def check_proper_vertex(y: VertexColouring) -> Optional[Edge]:
@@ -294,33 +305,73 @@ def check_proper_vertex(y: VertexColouring) -> Optional[Edge]:
     return None
 
 
-def _pair_cycle(
-    at: list[dict[int, tuple[int, int]]],
-    edges: tuple[Edge, ...],
-    starts: list[int],
-    a: int,
-    b: int,
-) -> Optional[list[int]]:
-    """The cycle of the {a, b} subgraph whose largest edge index is smallest,
-    as a vertex sequence; None if that subgraph is a forest.
+def _has_cycle(mate_a: dict[int, int], mate_b: dict[int, int]) -> bool:
+    """Whether the union of two matchings, given by their mate maps, holds a
+    cycle.  Its components are paths and cycles; each one holding an edge
+    of `a` is walked once, so pass the smaller matching as `a`."""
+    seen: set[int] = set()
+    for u in mate_a:
+        if u in seen:
+            continue
+        # forward from u along its a-edge; a cycle closes back at u
+        w = mate_a[u]
+        seen.add(w)
+        while True:
+            v = mate_b.get(w)
+            if v is None:
+                break
+            if v == u:
+                return True
+            w = mate_a.get(v)
+            if w is None:
+                break
+            seen.add(v)
+            seen.add(w)
+        # an open path: mark the a-edges on u's other side as well
+        v = mate_b.get(u)
+        while v is not None:
+            w = mate_a.get(v)
+            if w is None:
+                break
+            seen.add(v)
+            seen.add(w)
+            v = mate_b.get(w)
+    return False
 
-    `starts` lists the a-coloured edge indices in increasing order.  Every
-    vertex meets at most one edge of each colour, so the components are
-    paths and cycles; each one holding an a-edge is walked once, from its
-    first a-edge.  A union-find pass over the edges in index order closes
+
+def _cycle_witness(x: EdgeColouring, a: int, b: int) -> list[int]:
+    """The cycle of the {a, b} subgraph whose largest edge index is smallest,
+    as a vertex sequence; the subgraph must hold a cycle.
+
+    Every a-edge is a start, in increasing index order, and each component
+    holding one is walked once, from its first a-edge; pass the smaller
+    class as `a`.  A union-find pass over the edges in index order closes
     exactly this cycle first: a cycle closes at its largest edge.
     """
+    edges = x.graph.edges
+    steps: dict[int, dict[int, tuple[int, int]]] = {a: {}, b: {}}
+    starts = []
+    for ei, c in enumerate(x.colours):
+        step = steps.get(c)
+        if step is not None:
+            u, v = edges[ei]
+            step[u] = (v, ei)
+            step[v] = (u, ei)
+            if c == a:
+                starts.append(ei)
+    step_a, step_b = steps[a], steps[b]
     seen: set[int] = set()
-    best, best_top = None, -1
+    best: list[int] = []
+    best_top = -1
     for ei in starts:
-        if best is not None and ei > best_top:
+        if best and ei > best_top:
             break  # every cycle still unseen contains a larger edge
         if ei in seen:
             continue
         u, w = edges[ei]
         walk, top, closed = [u, w], ei, False
         while True:
-            step = at[w].get(b)
+            step = step_b.get(w)
             if step is None:
                 break
             w, ej = step
@@ -330,7 +381,7 @@ def _pair_cycle(
                 closed = True
                 break
             walk.append(w)
-            step = at[w].get(a)
+            step = step_a.get(w)
             if step is None:
                 break
             w, ej = step
@@ -339,16 +390,16 @@ def _pair_cycle(
                 top = ej
             walk.append(w)
         if closed:
-            if best is None or top < best_top:
+            if not best or top < best_top:
                 best, best_top = walk, top
             continue
         # an open path: mark the a-edges on its other side as well
         w = u
         while True:
-            step = at[w].get(b)
+            step = step_b.get(w)
             if step is None:
                 break
-            step = at[step[0]].get(a)
+            step = step_a.get(step[0])
             if step is None:
                 break
             w, ej = step
@@ -357,27 +408,27 @@ def _pair_cycle(
 
 
 def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
-    """Full verification: properness first, then the walk per colour pair.
+    """Full verification: properness first, then a walk per colour pair.
 
-    An improper colouring yields its first NotProper.  Otherwise colour
-    pairs are scanned in palette order, and within a pair the witness is
-    the cycle whose largest edge index is smallest.
+    An improper colouring yields the first colour met twice at a vertex,
+    vertices and their incident edges taken in index order.  Otherwise
+    colour pairs are scanned in palette order, skipping colours used on a
+    single edge and pairs whose classes share no vertex, and within the
+    first pair holding a cycle the witness is the cycle whose largest edge
+    index is smallest.  Memory is O(n + m), whatever the number of colours.
     """
-    at, bad = _colour_incidence(x)
-    if bad is not None:
-        return bad
-    buckets: dict[int, list[int]] = {c: [] for c in set(x.colours)}
-    for ei, c in enumerate(x.colours):
-        buckets[c].append(ei)
-    used = sorted(buckets, key=colour_order_key)
-    edges = x.graph.edges
-    for i, a in enumerate(used):
-        for b in used[i + 1 :]:
-            # the walk starts from the smaller class; the cycle found is the same
-            if len(buckets[a]) <= len(buckets[b]):
-                cyc = _pair_cycle(at, edges, buckets[a], a, b)
-            else:
-                cyc = _pair_cycle(at, edges, buckets[b], b, a)
-            if cyc is not None:
-                return BichromaticCycle(a, b, canonical_cycle(cyc))
+    mates = _mate_maps(x)
+    if mates is None:
+        return _first_clash(x)
+    # a two-coloured cycle holds at least two edges of each colour
+    paired = sorted((c for c, mate in mates.items() if len(mate) > 2), key=colour_order_key)
+    classes = [(c, mates[c], mates[c].keys()) for c in paired]
+    for i, (a, mate_a, ends_a) in enumerate(classes):
+        for b, mate_b, ends_b in classes[i + 1 :]:
+            if ends_a.isdisjoint(ends_b):
+                continue
+            # the walks start from the smaller class; the cycle found is the same
+            small, large = (a, b) if len(mate_a) <= len(mate_b) else (b, a)
+            if _has_cycle(mates[small], mates[large]):
+                return BichromaticCycle(a, b, canonical_cycle(_cycle_witness(x, small, large)))
     return None

@@ -18,7 +18,8 @@ tries colours 0, 1, ... per edge, with the checks above.
 `bichromatic_cycle` is the reference for the library's verifier: the
 union-find forest check per colour pair that `check_acyclic` replaced,
 kept so the faster walk can be held to the same witnesses.  `proper` is
-the reference for its properness half.
+the reference for its properness half, and `first_clash` for the witness
+it reports on an improper colouring.
 
 The colour, palette and product helpers at the end spell out encodings
 the library computes inline (`colouring`'s primed low bit, `graphs`'
@@ -39,6 +40,7 @@ from boxcolour.colouring import (
     BichromaticCycle,
     ColourPalette,
     EdgeColouring,
+    NotProper,
     canonical_cycle,
     primed,
     unprimed,
@@ -200,6 +202,20 @@ def bichromatic_cycle(x: EdgeColouring) -> Optional[BichromaticCycle]:
 def proper(x: EdgeColouring) -> bool:
     """No two edges of equal colour share a vertex."""
     return all(_proper_at(x.graph, x.colours, i) for i in range(x.graph.m))
+
+
+def first_clash(x: EdgeColouring) -> Optional[NotProper]:
+    """The first vertex, in index order, meeting two edges of one colour,
+    with the first of its incident edges, in index order, whose colour an
+    earlier one repeats, and that earlier edge; None for a proper colouring."""
+    g = x.graph
+    for v in range(g.n):
+        incident = g.incident_edges(v)
+        for j, ei in enumerate(incident):
+            for ek in incident[:j]:
+                if x.colours[ek] == x.colours[ei]:
+                    return NotProper(v, g.edges[ek], g.edges[ei])
+    return None
 
 
 def _invariant(g: Graph) -> tuple:

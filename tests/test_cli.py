@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from boxcolour import cli
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
-from boxcolour.graphs import cartesian_product, complete, cycle, grid, hypercube, path
+from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
 from boxcolour.io import format_colouring, format_edge_list, parse_edge_list
 from boxcolour.solver import exact_aci
 
@@ -248,6 +249,18 @@ def test_verify_failure_prints_witness(tmp_path, capsys):
     witness = json.loads(capsys.readouterr().out)
     assert witness["kind"] == "bichromatic_cycle"
     assert witness["cycle"] == [0, 1, 2, 3]
+
+
+def test_verify_a_star_with_distinct_colours(tmp_path, capsys):
+    # K1,20000 with 20,000 colours; the pair scan was once quadratic in them
+    n = 20_000
+    star = Graph(n + 1, [(0, i) for i in range(1, n + 1)])
+    f = tmp_path / "star.json"
+    f.write_text(format_colouring(EdgeColouring.single_family(star, range(n), n)))
+    t = time.perf_counter()
+    assert run("verify", str(f)) == 0
+    assert time.perf_counter() - t < 1.0
+    assert capsys.readouterr().out == f"ok: {n} colours, acyclic\n"
 
 
 @pytest.mark.parametrize(

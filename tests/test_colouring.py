@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,12 +21,15 @@ from boxcolour.colouring import (
     primed,
     unprimed,
 )
-from boxcolour.graphs import Graph, complete, cycle, grid, hypercube, path
+from boxcolour.compose import compose
+from boxcolour.graphs import GEdge, Graph, cartesian_product, complete, cycle, grid, hypercube, path
+from boxcolour.solver import exact_aci
 
 from bruteforce import (
     bichromatic_cycle,
     colour_index,
     colour_of,
+    first_clash,
     is_primed,
     palette_colours,
     proper,
@@ -81,6 +86,11 @@ def test_edge_colouring_validation():
         EdgeColouring(c4, [0, 0, 0], ColourPalette(1))
     with pytest.raises(ValueError):
         EdgeColouring(c4, [unprimed(2)] * 4, ColourPalette(2))
+    # -2 and -1 would be written as the labels "-1" and "-1'", which the
+    # reader refuses
+    for negative in (-2, -1):
+        with pytest.raises(ValueError):
+            EdgeColouring(path(2), [negative], ColourPalette(1, 1))
     x = EdgeColouring.single_family(c4, [0, 1, 1, 0], 2)
     with pytest.raises(AttributeError):
         x.colours = ()
@@ -324,3 +334,86 @@ def test_find_bichromatic_cycle_matches_reference_on_many_cycles():
             x = EdgeColouring.from_edge_map(Graph(graph.n, mapping), mapping, palette)
             found = check_acyclic(x)
             assert found is not None and found == bichromatic_cycle(x)
+
+
+@given(st.integers(2, 8), st.data())
+def test_check_acyclic_matches_the_references_on_any_colouring(n, data):
+    # colours drawn freely, so most of these are improper
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    g = Graph(n, chosen)
+    palette = ColourPalette(*data.draw(st.sampled_from([(1, 1), (2, 1), (3, 0), (2, 2), (3, 2)])))
+    ids = palette_colours(palette)
+    x = EdgeColouring(g, [data.draw(st.sampled_from(ids)) for _ in range(g.m)], palette)
+    clash = first_clash(x)
+    assert (clash is None) == proper(x)
+    assert check_acyclic(x) == (clash if clash is not None else bichromatic_cycle(x))
+
+
+def _relabelled(x: EdgeColouring, rng: random.Random) -> EdgeColouring:
+    perm = list(range(x.graph.n))
+    rng.shuffle(perm)
+    mapping = {
+        tuple(sorted((perm[u], perm[v]))): c for (u, v), c in zip(x.graph.edges, x.colours)
+    }
+    return EdgeColouring.from_edge_map(Graph(x.graph.n, mapping), mapping, x.palette)
+
+
+def _unshifted(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
+    """g x h coloured as compose would, but with every copy of h left
+    unshifted: h colours unprimed, g colours primed.  Proper, yet any h-edge
+    and the g-edges joining its two ends to another copy span a two-coloured
+    4-cycle."""
+    product, kinds = cartesian_product(xg.graph, xh.graph)
+    g_rank = {e: xg.palette.rank(c) for e, c in zip(xg.graph.edges, xg.colours)}
+    h_rank = {e: xh.palette.rank(c) for e, c in zip(xh.graph.edges, xh.colours)}
+    colours = [
+        primed(g_rank[k.g_edge]) if isinstance(k, GEdge) else unprimed(h_rank[k.h_edge])
+        for k in kinds
+    ]
+    return EdgeColouring(product, colours, ColourPalette(xh.palette.size, xg.palette.size))
+
+
+def test_check_acyclic_matches_the_references_on_a_large_product():
+    # grid 20x20 x K5, relabelled at random: as composed it is accepted; with
+    # one edge at the last vertex recoloured it clashes at a vertex the scan
+    # reaches late, and without the per-copy shifts it holds two-coloured
+    # cycles
+    rng = random.Random(20)
+    xg, xh = exact_aci(grid(20, 20)).witness, exact_aci(complete(5)).witness
+    composed = _relabelled(compose(xg, xh)[1], rng)
+    assert check_acyclic(composed) is None
+    g = composed.graph
+    top = g.incident_edges(g.n - 1)
+    colours = list(composed.colours)
+    colours[top[-1]] = colours[top[0]]
+    clashing = EdgeColouring(g, colours, composed.palette)
+    clash = first_clash(clashing)
+    assert clash is not None and clash.vertex >= 0.9 * g.n
+    assert check_acyclic(clashing) == clash
+    unshifted = _relabelled(_unshifted(xg, xh), rng)
+    assert proper(unshifted)
+    cyc = bichromatic_cycle(unshifted)
+    assert cyc is not None and check_acyclic(unshifted) == cyc
+
+
+def test_many_colours_verify_in_linear_time_and_memory():
+    # K1,20000 with 20,000 colours: a colour on one edge is never paired, so
+    # the pair scan, once quadratic in the colours, does no work here; and
+    # no per-colour table of length n is allocated.  Timed under tracemalloc,
+    # which only slows it.
+    n = 20_000
+    tracemalloc.start()
+    try:
+        star = Graph(n + 1, [(0, i) for i in range(1, n + 1)])
+        x = EdgeColouring.single_family(star, range(n), n)
+        own = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        t = time.perf_counter()
+        assert check_acyclic(x) is None
+        elapsed = time.perf_counter() - t
+        extra = tracemalloc.get_traced_memory()[1] - own
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert extra < 2 * own
