@@ -32,9 +32,17 @@ its input graph.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
-from .graphs import Edge, Graph, Record, _norm_edge
+from .graphs import (
+    Edge,
+    Graph,
+    Record,
+    _check_order,
+    _first_bad_edge,
+    _has_repeats,
+    _valid_sorted,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +121,10 @@ class EdgeColouring(Record):
         colours = tuple(colours)
         if len(colours) != graph.m:
             raise ValueError(f"expected {graph.m} edge colours, got {len(colours)}")
-        for c in colours:
+        for c in set(colours):
             if c not in palette:
+                # name the first edge's colour outside the palette
+                c = next(c for c in colours if c not in palette)
                 raise ValueError(f"colour {colour_label(c)} outside palette {palette}")
         Record.__init__(self, graph, colours, palette)
 
@@ -122,18 +132,6 @@ class EdgeColouring(Record):
     def single_family(cls, graph: Graph, indices: Iterable[int], k: int) -> "EdgeColouring":
         """Wrap dense colour indices 0..k-1 as an unprimed-only colouring."""
         return cls(graph, (unprimed(i) for i in indices), ColourPalette(k, 0))
-
-    @classmethod
-    def from_edge_map(
-        cls, graph: Graph, mapping: Mapping[Edge, int], palette: ColourPalette
-    ) -> "EdgeColouring":
-        """Build from an edge -> colour map; a missing edge is an error."""
-        colours = []
-        for e in graph.edges:
-            if e not in mapping:
-                raise ValueError(f"partial colouring: edge {e} has no colour")
-            colours.append(mapping[e])
-        return cls(graph, colours, palette)
 
     def distinct_colours(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.colours), key=colour_order_key))
@@ -150,7 +148,14 @@ class EdgeColouring(Record):
     @classmethod
     def from_json_dict(cls, data) -> "EdgeColouring":
         """Inverse of `to_json_dict`; a malformed document raises ValueError,
-        and so does an edge listed twice, in either orientation."""
+        and so does an edge listed twice, in either orientation.
+
+        One pass over the rows parses each distinct label once and collects
+        the edges, normalised, and their colours; one sort by edge then
+        gives the graph's edge order, which is the writer's.  Repeats,
+        range and self-loops are checked in bulk on the sorted edges.  When
+        a check fails, the rows are checked again in order, so the error is
+        the one a reader taking the rows one by one meets first."""
         if not isinstance(data, dict):
             raise ValueError("colouring JSON must be an object")
         missing = [key for key in ("n", "palette", "edges") if key not in data]
@@ -161,19 +166,39 @@ class EdgeColouring(Record):
             raise ValueError("colouring JSON 'palette' must be an object with 'g' and 'h'")
         if not isinstance(rows, list):
             raise ValueError("colouring JSON 'edges' must be a list")
-        mapping: dict[Edge, int] = {}
-        for row in rows:
-            if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], str)):
-                raise ValueError(f"edge row must be [u, v, colour label], got {row!r}")
-            e = _norm_edge(_json_int(row[0], "edge endpoint"), _json_int(row[1], "edge endpoint"))
-            if e in mapping:
-                raise ValueError(f"edge {e} is listed twice")
-            mapping[e] = parse_colour_label(row[2])
+        codes: dict[str, int] = {}
+        edges: list[Edge] = []
+        colours: list[int] = []
+        try:
+            for row in rows:
+                if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], str)):
+                    raise ValueError(f"edge row must be [u, v, colour label], got {row!r}")
+                u, v, label = row
+                if type(u) is not int or type(v) is not int:
+                    _json_int(u, "edge endpoint")
+                    _json_int(v, "edge endpoint")
+                edges.append((u, v) if u < v else (v, u))
+                colour = codes.get(label)
+                if colour is None:
+                    colour = codes[label] = parse_colour_label(label)
+                colours.append(colour)
+        except ValueError:
+            # a row-by-row reader stops at an edge listed twice in an earlier
+            # row, or in this one, before this row's own error
+            _first_repeat(edges)
+            raise
+        order = sorted(range(len(edges)), key=edges.__getitem__)
+        ordered_edges = tuple([edges[i] for i in order])
+        if _has_repeats(ordered_edges):
+            _first_repeat(edges)
         palette = ColourPalette(
             _json_int(sizes["g"], "palette size"), _json_int(sizes["h"], "palette size")
         )
-        graph = Graph(_json_int(data["n"], "vertex count"), mapping)
-        return cls.from_edge_map(graph, mapping, palette)
+        n = _json_int(data["n"], "vertex count")
+        _check_order(n)
+        if not _valid_sorted(n, ordered_edges):
+            _first_bad_edge(n, edges)
+        return cls(Graph._from_sorted(n, ordered_edges), [colours[i] for i in order], palette)
 
     def __repr__(self) -> str:
         return f"EdgeColouring({self.graph!r}, {len(self.distinct_colours())} colours)"
@@ -183,6 +208,15 @@ def _json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _first_repeat(edges: list[Edge]) -> None:
+    """Raise for the first edge, in row order, that an earlier row listed."""
+    seen: set[Edge] = set()
+    for e in edges:
+        if e in seen:
+            raise ValueError(f"edge {e} is listed twice")
+        seen.add(e)
 
 
 def colours_used(x: EdgeColouring) -> int:

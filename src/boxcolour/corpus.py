@@ -135,6 +135,8 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
 
 def connected_graphs_up_to(max_n: int) -> list[Graph]:
     """Corpus of all connected graphs with 1..max_n vertices, ordered by n."""
+    if max_n < 1:
+        raise ValueError("need at least one vertex")
     out: list[Graph] = []
     for n in range(1, max_n + 1):
         out.extend(connected_graphs(n))

@@ -3,16 +3,20 @@
 Vertices are always 0..n-1, and a vertex is nothing but its index.
 Edges are stored as sorted (u, v) pairs in lexicographic order, so edge
 indices are stable across runs and output is byte-for-byte reproducible.
-Graphs are immutable after construction; degrees, neighbours and incident
-edge indices are precomputed, and edge lookups scan a vertex's neighbours.
+Graphs are immutable after construction.  A graph stores only n and its
+edges; degrees, neighbours and incident edge indices are built together
+the first time one of them is read, and edge lookups scan a vertex's
+neighbours.  So a graph that is only compared, checked or written, as
+`verify` and `compose` do with their large inputs and outputs, never pays
+for them.
 
 The product of g and h is laid out row-major: vertex (i, j) is i * h.n + j,
 and `product_coords` recovers the pair.
 
-A graph has at most MAX_VERTICES = 2^20 vertices.  The per-vertex lists are
-allocated up front, so a vertex count read from a file is checked against
-that limit before anything is built: a 14-byte edge list announcing 10^10
-vertices is an input error, not a request for memory.  The generators and
+A graph has at most MAX_VERTICES = 2^20 vertices.  The indexes hold a list
+per vertex, so a vertex count read from a file is checked against that
+limit on construction: a 14-byte edge list announcing 10^10 vertices is an
+input error, not a request for memory.  The generators and
 the product also check their edge count, known from their parameters,
 against MAX_EDGES = 2^22 before building: within the vertex limit, K_n can
 have 5.5 * 10^11 edges and the 20-cube 10^7.  An edge list read from a
@@ -21,6 +25,8 @@ file is bounded by the file's size.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import eq, itemgetter
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -91,6 +97,36 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
+def _valid_sorted(n: int, pairs: Sequence[Edge]) -> bool:
+    """Whether sorted, normalised pairs all join two distinct vertices of
+    0..n-1: the first pair holds the smallest endpoint, and a self-loop is
+    a pair of equal ends."""
+    if not pairs:
+        return True
+    low, high = itemgetter(0), itemgetter(1)
+    return (
+        pairs[0][0] >= 0
+        and max(map(high, pairs)) < n
+        and not any(map(eq, map(low, pairs), map(high, pairs)))
+    )
+
+
+def _first_bad_edge(n: int, edges: Iterable[Sequence[int]]) -> None:
+    """Check the edges one by one, in order, and raise for the first one out
+    of range or a self-loop."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+    raise ValueError(f"edges must be pairs of vertices 0..{n - 1}")
+
+
+def _has_repeats(ordered: Sequence) -> bool:
+    """Whether a sorted sequence holds two equal neighbours."""
+    return any(map(eq, ordered, islice(ordered, 1, None)))
+
+
 def _check_size(m: int) -> None:
     if m > MAX_EDGES:
         raise ValueError(f"edge count {m} exceeds the limit of {MAX_EDGES}")
@@ -109,45 +145,65 @@ def _check_dimension(d: int) -> None:
 class Graph:
     """Immutable simple graph with stable vertex and edge indexing.
 
+    Construction normalises each edge to (min, max), sorts the edges once
+    (linear on input already in that order, as the writers emit it) and
+    drops repeats by comparing neighbours.  Range and self-loops are
+    checked in bulk on the sorted edges; only when that check fails are
+    the edges checked one by one in input order, so the error names the
+    first bad edge as given.  `degrees`, `neighbours` and `incident_edges`
+    read indexes built together on first use.  They catch the unset slot
+    themselves: a class with `__getattr__` loses CPython's specialised
+    attribute reads, so every `g.n` and `g.edges` would pay for it.
+
     Equality is structural: same n, same edge set.
     """
 
-    __slots__ = ("n", "edges", "degrees", "_adj", "_incident")
+    __slots__ = ("n", "edges", "_degrees", "_adj", "_incident")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         _check_order(n)
-        seen: set[Edge] = set()
-        for pair in edges:
-            u, v = pair
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            seen.add(_norm_edge(u, v))
-        self._build(n, tuple(sorted(seen)))
+        edges = list(edges)
+        try:
+            pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+            pairs.sort()
+            valid = _valid_sorted(n, pairs)
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            _first_bad_edge(n, edges)
+        if _has_repeats(pairs):
+            pairs = [e for e, before in zip(pairs, [None] + pairs) if e != before]
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(pairs))
 
     @classmethod
     def _from_sorted(cls, n: int, edges: Sequence[Edge]) -> "Graph":
         """Trusted constructor for edges already in range, normalized, sorted
         and distinct."""
         g = object.__new__(cls)
-        g._build(n, tuple(edges))
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", tuple(edges))
         return g
 
-    def _build(self, n: int, edges: tuple[Edge, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-
-        adj: list[list[int]] = [[] for _ in range(n)]
-        incident: list[list[int]] = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(edges):
+    def _index(self) -> tuple[tuple[int, ...], tuple, tuple]:
+        """Build, store and return the degrees, adjacency and incidence
+        indexes; the accessors call this when reading an index slot not yet
+        set raises AttributeError."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        incident: list[list[int]] = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
             adj[u].append(v)
             adj[v].append(u)
             incident[u].append(i)
             incident[v].append(i)
-        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
-        object.__setattr__(self, "_incident", tuple(tuple(a) for a in incident))
-        object.__setattr__(self, "degrees", tuple(len(a) for a in adj))
+        indexes = (
+            tuple(len(a) for a in adj),
+            tuple(tuple(a) for a in adj),
+            tuple(tuple(a) for a in incident),
+        )
+        for name, index in zip(("_degrees", "_adj", "_incident"), indexes):
+            object.__setattr__(self, name, index)
+        return indexes
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -160,25 +216,42 @@ class Graph:
         return len(self.edges)
 
     @property
+    def degrees(self) -> tuple[int, ...]:
+        try:
+            return self._degrees
+        except AttributeError:
+            return self._index()[0]
+
+    @property
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
 
     def degree(self, v: int) -> int:
-        return self.degrees[v]
+        try:
+            return self._degrees[v]
+        except AttributeError:
+            return self._index()[0][v]
 
     def neighbours(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        try:
+            return self._adj[v]
+        except AttributeError:
+            return self._index()[1][v]
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Indices into `edges` of the edges incident to v."""
-        return self._incident[v]
+        try:
+            return self._incident[v]
+        except AttributeError:
+            return self._index()[2][v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._adj[u]
+        return 0 <= u < self.n and v in self.neighbours(u)
 
     def edge_index(self, u: int, v: int) -> int:
         if not self.has_edge(u, v):
             raise KeyError((u, v))
+        # has_edge built the indexes
         return self._incident[u][self._adj[u].index(v)]
 
     def __eq__(self, other) -> bool:

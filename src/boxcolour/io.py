@@ -2,7 +2,13 @@
 
 Edge list format: first non-comment line is "n m", then m lines "u v"
 with 0-based endpoints, each edge listed once in either orientation.
-Lines starting with '#' and blank lines are ignored anywhere.
+Lines starting with '#' and blank lines are ignored anywhere.  Each line
+is stripped once; the edges may come in any order, since `Graph` sorts
+them (linearly, on the writer's order).
+
+Colouring JSON is decoded by `json` and read by
+`EdgeColouring.from_json_dict` in one pass over its rows and one sort, so
+its rows, too, may come in any order and orientation.
 
 graph6 is the compact ASCII encoding used by nauty and friends; only
 reading is supported, one graph per line.
@@ -25,11 +31,7 @@ PathLike = Union[str, Path]
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     if not lines:
         raise ValueError("empty edge list")
     head = lines[0].split()

@@ -26,6 +26,17 @@ the library computes inline (`colouring`'s primed low bit, `graphs`'
 row-major product layout), so tests can read colourings and products
 without a library accessor.
 
+`graph` and `colouring_from_json_dict` are the references for ingest: the
+per-edge `Graph` construction (a set of normalised edges, each edge
+checked as it comes) and the dict-based reading of colouring JSON (each
+row checked, then looked up per edge of the sorted graph, its colour
+checked against the palette per edge) that the one-sort, bulk-checked
+readers replaced, kept so those can be held to the same graphs,
+colourings and error messages.  `from_edge_map` builds a colouring from
+an edge -> colour map, as the dict-based reader did.  `indexes` is the
+reference for a graph's degrees, neighbours and incident edges, computed
+from the edge list alone.
+
 `connected_graphs_up_to` is the reference for the corpus: the enumeration
 on `Graph` objects (invariant per candidate, pairwise backtracking
 `isomorphic` test) that the bitmask enumeration replaced, kept so the
@@ -34,7 +45,7 @@ faster one can be held to the same graphs, labellings and order.
 
 import random
 from itertools import combinations
-from typing import Optional
+from typing import Mapping, Optional
 
 from boxcolour.colouring import (
     BichromaticCycle,
@@ -42,10 +53,12 @@ from boxcolour.colouring import (
     EdgeColouring,
     NotProper,
     canonical_cycle,
+    colour_label,
+    parse_colour_label,
     primed,
     unprimed,
 )
-from boxcolour.graphs import Edge, GEdge, Graph, HEdge
+from boxcolour.graphs import MAX_VERTICES, Edge, GEdge, Graph, HEdge
 
 
 def _pair_has_cycle(g: Graph, colours: list[int], a: int, b: int) -> bool:
@@ -298,6 +311,89 @@ def palette_colours(palette: ColourPalette) -> tuple[int, ...]:
     return tuple(unprimed(j) for j in range(palette.g_size)) + tuple(
         primed(j) for j in range(palette.h_size)
     )
+
+
+def from_edge_map(
+    graph: Graph, mapping: Mapping[Edge, int], palette: ColourPalette
+) -> EdgeColouring:
+    """A colouring of `graph` from an edge -> colour map; a missing edge is
+    an error."""
+    colours = []
+    for e in graph.edges:
+        if e not in mapping:
+            raise ValueError(f"partial colouring: edge {e} has no colour")
+        colours.append(mapping[e])
+    return EdgeColouring(graph, colours, palette)
+
+
+def graph(n: int, edges) -> Graph:
+    """A graph built one edge at a time: each edge is checked for range,
+    then for a self-loop, as it comes, and the distinct normalised edges
+    are collected in a set and sorted."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    seen: set[Edge] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        seen.add((min(u, v), max(u, v)))
+    return Graph._from_sorted(n, sorted(seen))
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def colouring_from_json_dict(data) -> EdgeColouring:
+    """Colouring JSON read into an edge -> colour dict, one row at a time
+    (shape, endpoints, repeat, label), then the graph built from the dict's
+    edges by `graph`, and each of its edges looked up, in sorted order,
+    with its colour checked against the palette."""
+    if not isinstance(data, dict):
+        raise ValueError("colouring JSON must be an object")
+    missing = [key for key in ("n", "palette", "edges") if key not in data]
+    if missing:
+        raise ValueError(f"colouring JSON lacks {', '.join(map(repr, missing))}")
+    sizes, rows = data["palette"], data["edges"]
+    if not (isinstance(sizes, dict) and "g" in sizes and "h" in sizes):
+        raise ValueError("colouring JSON 'palette' must be an object with 'g' and 'h'")
+    if not isinstance(rows, list):
+        raise ValueError("colouring JSON 'edges' must be a list")
+    mapping: dict[Edge, int] = {}
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], str)):
+            raise ValueError(f"edge row must be [u, v, colour label], got {row!r}")
+        u, v = _json_int(row[0], "edge endpoint"), _json_int(row[1], "edge endpoint")
+        e = (min(u, v), max(u, v))
+        if e in mapping:
+            raise ValueError(f"edge {e} is listed twice")
+        mapping[e] = parse_colour_label(row[2])
+    palette = ColourPalette(
+        _json_int(sizes["g"], "palette size"), _json_int(sizes["h"], "palette size")
+    )
+    g = graph(_json_int(data["n"], "vertex count"), mapping)
+    for e in g.edges:
+        if mapping[e] not in palette:
+            raise ValueError(f"colour {colour_label(mapping[e])} outside palette {palette}")
+    return from_edge_map(g, mapping, palette)
+
+
+def indexes(g: Graph) -> tuple[tuple[int, ...], tuple, tuple]:
+    """Degrees, neighbours and incident edge indices per vertex, each
+    vertex's in edge order, found by scanning the edge list."""
+    adj = tuple(
+        tuple(b if a == v else a for a, b in g.edges if v in (a, b)) for v in range(g.n)
+    )
+    incident = tuple(
+        tuple(i for i, e in enumerate(g.edges) if v in e) for v in range(g.n)
+    )
+    return tuple(len(a) for a in adj), adj, incident
 
 
 def colour_of(x: EdgeColouring, u: int, v: int) -> int:

@@ -353,6 +353,14 @@ def test_scan_needs_exactly_one_source(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_scan_without_vertices_is_an_input_error(capsys, max_n):
+    assert run("scan", "--max-n", max_n) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one vertex\n"
+
+
 def test_scan_budget_exhaustion(tmp_path, capsys):
     assert run("scan", "--max-n", "5", "--budget-nodes", "2") == 3
     captured = capsys.readouterr()

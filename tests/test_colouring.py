@@ -30,6 +30,7 @@ from bruteforce import (
     colour_index,
     colour_of,
     first_clash,
+    from_edge_map,
     is_primed,
     palette_colours,
     proper,
@@ -99,10 +100,10 @@ def test_edge_colouring_validation():
 def test_from_edge_map_requires_total_map():
     g = path(3)
     full = {(0, 1): unprimed(0), (1, 2): unprimed(1)}
-    x = EdgeColouring.from_edge_map(g, full, ColourPalette(2))
+    x = from_edge_map(g, full, ColourPalette(2))
     assert colour_of(x, 1, 0) == unprimed(0)
     with pytest.raises(ValueError):
-        EdgeColouring.from_edge_map(g, {(0, 1): unprimed(0)}, ColourPalette(2))
+        from_edge_map(g, {(0, 1): unprimed(0)}, ColourPalette(2))
 
 
 def test_colouring_json_roundtrip():
@@ -146,7 +147,7 @@ def test_find_bichromatic_cycle_on_even_cycles():
         for i in range(n):
             u, v = walk[i], walk[(i + 1) % n]
             col[(min(u, v), max(u, v))] = unprimed(i % 2)
-        x = EdgeColouring.from_edge_map(c, col, ColourPalette(2))
+        x = from_edge_map(c, col, ColourPalette(2))
         found = check_acyclic(x)
         assert isinstance(found, BichromaticCycle)
         assert found.cycle == tuple(range(n))
@@ -166,9 +167,7 @@ def test_check_acyclic_orders_violations():
     k4 = complete(4)
     # three perfect matchings: proper but every pair of them is a 4-cycle
     matching = {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}
-    x = EdgeColouring.from_edge_map(
-        k4, {e: unprimed(c) for e, c in matching.items()}, ColourPalette(3)
-    )
+    x = from_edge_map(k4, {e: unprimed(c) for e, c in matching.items()}, ColourPalette(3))
     assert proper(x)
     bad = check_acyclic(x)
     assert isinstance(bad, BichromaticCycle)
@@ -311,7 +310,7 @@ def test_find_bichromatic_cycle_matches_union_find_reference(n, k, data):
             at[u].add(c)
             at[v].add(c)
             coloured[(u, v)] = c
-    x = EdgeColouring.from_edge_map(Graph(n, coloured), coloured, palette)
+    x = from_edge_map(Graph(n, coloured), coloured, palette)
     assert check_acyclic(x) == bichromatic_cycle(x)
 
 
@@ -331,7 +330,7 @@ def test_find_bichromatic_cycle_matches_reference_on_many_cycles():
             perm = list(range(graph.n))
             rng.shuffle(perm)
             mapping = {tuple(sorted((perm[u], perm[v]))): c for (u, v), c in colour.items()}
-            x = EdgeColouring.from_edge_map(Graph(graph.n, mapping), mapping, palette)
+            x = from_edge_map(Graph(graph.n, mapping), mapping, palette)
             found = check_acyclic(x)
             assert found is not None and found == bichromatic_cycle(x)
 
@@ -356,7 +355,7 @@ def _relabelled(x: EdgeColouring, rng: random.Random) -> EdgeColouring:
     mapping = {
         tuple(sorted((perm[u], perm[v]))): c for (u, v), c in zip(x.graph.edges, x.colours)
     }
-    return EdgeColouring.from_edge_map(Graph(x.graph.n, mapping), mapping, x.palette)
+    return from_edge_map(Graph(x.graph.n, mapping), mapping, x.palette)
 
 
 def _unshifted(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:

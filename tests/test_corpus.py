@@ -98,3 +98,10 @@ def test_up_to_concatenates_in_order():
 def test_rejects_nonpositive():
     with pytest.raises(ValueError):
         connected_graphs(0)
+
+
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_corpus_up_to_rejects_nonpositive(max_n):
+    # an empty corpus would read as a scan that found nothing to report
+    with pytest.raises(ValueError, match="at least one vertex"):
+        connected_graphs_up_to(max_n)

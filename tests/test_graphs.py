@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from boxcolour.colouring import BichromaticCycle, ColourPalette, NotProper
+from boxcolour.colouring import BichromaticCycle, ColourPalette, NotProper, check_acyclic
 from boxcolour.compose import hypercube_colouring
 from boxcolour.graphs import (
     MAX_EDGES,
@@ -25,10 +25,11 @@ from boxcolour.graphs import (
     product_coords,
 )
 from boxcolour.graphs import _check_dimension, _check_order, _check_size
+from boxcolour.io import format_edge_list, parse_edge_list
 from boxcolour.solver import AciResult, SearchBudget, exact_aci
 from boxcolour.vertex_colouring import brooks_colouring
 
-from bruteforce import product_edge_endpoints, product_vertex
+from bruteforce import indexes as reference_indexes, product_edge_endpoints, product_vertex
 
 
 def test_graph_normalizes_and_dedups_edges():
@@ -403,6 +404,63 @@ def test_degree_sum_is_twice_edge_count(n, data):
     assert sum(g.degrees) == 2 * g.m
     for u, v in g.edges:
         assert v in g.neighbours(u) and u in g.neighbours(v)
+
+
+# ---------------------------------------------------------------------------
+# Indexes built on first use
+
+_INDEX_NAMES = ("_degrees", "_adj", "_incident")
+
+
+def _built(g: Graph) -> list[str]:
+    """The index slots that are set."""
+    return [name for name in _INDEX_NAMES if hasattr(g, name)]
+
+
+def test_reading_comparing_checking_and_writing_build_no_index():
+    g = grid(6, 7)
+    x = hypercube_colouring(4)[1]
+    fresh = [g, x.graph, Graph(5, [(3, 4), (0, 1)]), parse_edge_list(format_edge_list(g))]
+    for h in fresh:
+        assert h == h and hash(h) == hash(Graph._from_sorted(h.n, h.edges))
+        for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            assert clone(h) == h and _built(clone(h)) == []
+        assert format_edge_list(h).count("\n") == h.m + 1
+        assert repr(h) == f"Graph(n={h.n}, m={h.m})"
+    assert check_acyclic(x) is None
+    assert all(_built(h) == [] for h in fresh)
+
+
+_ACCESSORS = [
+    lambda g: g.degrees,
+    lambda g: g.max_degree,
+    lambda g: g.degree(g.n - 1),
+    lambda g: g.neighbours(0),
+    lambda g: g.incident_edges(0),
+    lambda g: g.has_edge(0, g.n - 1),
+    lambda g: g.edge_index(*g.edges[0]),
+]
+
+
+@given(st.integers(2, 8), st.data(), st.sampled_from(range(len(_ACCESSORS))))
+def test_the_first_accessor_builds_every_index(n, data, which):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+    assert _built(g) == []
+    _ACCESSORS[which](g)
+    assert _built(g) == list(_INDEX_NAMES)
+    assert (g._degrees, g._adj, g._incident) == reference_indexes(g)
+
+
+@pytest.mark.parametrize("built", [False, True])
+@pytest.mark.parametrize("name", ["n", "edges", "degrees", *_INDEX_NAMES, "m", "extra"])
+def test_no_attribute_can_be_assigned(name, built):
+    g = path(4)
+    if built:
+        g.degrees
+    with pytest.raises(AttributeError):
+        setattr(g, name, ())
+    assert g == path(4) and _built(g) == (list(_INDEX_NAMES) if built else [])
 
 
 @given(st.integers(1, 5), st.integers(1, 5))

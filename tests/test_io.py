@@ -5,7 +5,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import palette_colours
+from bruteforce import (
+    colouring_from_json_dict as reference_colouring,
+    graph as reference_graph,
+    palette_colours,
+)
 from boxcolour.colouring import ColourPalette, EdgeColouring, unprimed
 from boxcolour.graphs import MAX_VERTICES, Graph, complete, cycle, path
 from boxcolour.io import (
@@ -289,3 +293,81 @@ def test_colouring_json_rejects_malformed_documents(doc, dropped):
 @given(_json)
 def test_colouring_json_rejects_arbitrary_values(value):
     _parse_or_reject(EdgeColouring.from_json_dict, value)
+
+
+# ---------------------------------------------------------------------------
+# Ingest against the per-edge references: the readers sort once and check in
+# bulk, and must still give the graph, the colouring or the error message
+# that checking one edge or row at a time gives.
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def _edge_rows(draw, faults=True):
+    """(n, edges): a graph's edges in the writer's order, perhaps shuffled
+    and reoriented, and with `faults` perhaps repeats, self-loops and
+    endpoints out of range mixed in."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rows = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+        rows = [(v, u) if draw(st.booleans()) else (u, v) for u, v in rows]
+    if faults:
+        vertex = st.integers(0, max(n - 1, 0))
+        fault = st.one_of(
+            st.sampled_from(rows).map(lambda e: e[::-1]) if rows else st.nothing(),
+            vertex.map(lambda v: (v, v)),
+            st.tuples(vertex, st.integers(n, n + 2)),
+            st.tuples(st.integers(-3, -1), vertex),
+        )
+        for extra in draw(st.lists(fault, max_size=3)):
+            rows.insert(draw(st.integers(0, len(rows))), extra)
+    return n, rows
+
+
+@settings(max_examples=300)
+@given(_edge_rows(), st.booleans())
+def test_graph_matches_the_per_edge_reference(case, as_iterator):
+    n, rows = case
+    assert _outcome(Graph, n, iter(rows) if as_iterator else rows) == _outcome(
+        reference_graph, n, rows
+    )
+
+
+_good_label = st.one_of(st.integers(0, 3).map(str), st.integers(0, 1).map(lambda i: f"{i}'"))
+_bad_row = st.one_of(
+    st.just([0, 1]),
+    st.just("0 1 0"),
+    st.sampled_from([1.0, True, "1", None]).map(lambda u: [u, 0, "0"]),
+    st.sampled_from(["03", " 1", "x", "1''", "", "+1"]).map(lambda label: [0, 1, label]),
+    st.just([0, 1, 0]),
+)
+
+
+@st.composite
+def _colouring_docs(draw):
+    """A colouring document whose rows follow `_edge_rows`, with labels in
+    or beyond the palette, and perhaps malformed rows mixed in."""
+    faults = draw(st.booleans())
+    n, edges = draw(_edge_rows(faults))
+    rows = [[u, v, draw(_good_label)] for u, v in edges]
+    if faults:
+        for bad in draw(st.lists(_bad_row, max_size=1)):
+            rows.insert(draw(st.integers(0, len(rows))), bad)
+    # without faults the palette holds every label drawn
+    g_size = draw(st.integers(0 if faults else 4, 5))
+    h_size = draw(st.integers(0 if faults else 2, 3))
+    return {"n": n, "palette": {"g": g_size, "h": h_size}, "edges": rows}
+
+
+@settings(max_examples=400)
+@given(_colouring_docs())
+def test_colouring_json_matches_the_dict_reference(doc):
+    assert _outcome(EdgeColouring.from_json_dict, doc) == _outcome(reference_colouring, doc)
