@@ -27,10 +27,8 @@ from .compose import (
     hypercube_colouring,
 )
 from .graphs import (
-    GEdge,
     Graph,
     GraphClass,
-    HEdge,
     cartesian_product,
     classify,
     complete,
@@ -39,7 +37,6 @@ from .graphs import (
     hypercube,
     is_connected,
     path,
-    product_coords,
 )
 from .solver import AciResult, SearchBudget, exact_aci, greedy_acyclic, lower_bound
 from .vertex_colouring import brooks_bound, brooks_colouring
@@ -50,10 +47,8 @@ __all__ = [
     "C4ProductError",
     "ColourPalette",
     "EdgeColouring",
-    "GEdge",
     "Graph",
     "GraphClass",
-    "HEdge",
     "NotProper",
     "SearchBudget",
     "VertexColouring",
@@ -78,5 +73,4 @@ __all__ = [
     "is_connected",
     "lower_bound",
     "path",
-    "product_coords",
 ]

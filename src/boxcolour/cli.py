@@ -153,17 +153,17 @@ def _cmd_compose(args) -> int:
                 return _report_exhausted(result)
             x = result.witness
         factors.append(x)
-    product, x = compose_or_solve(*factors)
+    x = compose_or_solve(*factors)
     if args.out_graph:
-        io.write_edge_list(product, args.out_graph)
+        io.write_edge_list(x.graph, args.out_graph)
     _print_colouring(x)
     return OK
 
 
 def _cmd_hypercube(args) -> int:
-    cube, x = hypercube_colouring(args.d)
+    x = hypercube_colouring(args.d)
     if args.out_graph:
-        io.write_edge_list(cube, args.out_graph)
+        io.write_edge_list(x.graph, args.out_graph)
     _print_colouring(x)
     return OK
 

@@ -24,10 +24,11 @@ leaves the code that built it or enters from a caller.  The search and
 greedy check each colouring they return; `compose` checks the factor
 colourings it is handed and the colouring it returns; `compose_many`
 checks its factors and only its final output, since every fold relabels
-the previous one injectively (see `compose`); the four-cycle's fixed
-colouring is checked each time compose hands it out; and
-`solver.exact_aci` checks a composed colouring once, after mapping it onto
-its input graph.
+the previous one injectively (see `compose`); the four-cycle's literal
+colouring, which the construction returns for two single edges, is
+checked by the entry point that hands it out, like any composed
+colouring, and not again inside a fold; and `solver.exact_aci` checks a
+composed colouring once, after mapping it onto its input graph.
 """
 
 from __future__ import annotations
@@ -288,7 +289,6 @@ def canonical_cycle(vertices: Iterable[int]) -> tuple[int, ...]:
     """Rotate a closed vertex sequence to its smallest vertex and orient it
     toward the smaller of that vertex's two cycle neighbours."""
     seq = list(vertices)
-    k = len(seq)
     start = seq.index(min(seq))
     rotated = seq[start:] + seq[:start]
     if rotated[1] > rotated[-1]:

@@ -15,39 +15,38 @@ so at most beta <= eta colours: the eta rotations cover every vertex
 colour and the modulus never needs padding.  A single edge takes 2 colours
 against beta = 1, which is fine unless eta = 1 as well.  That product of
 two single edges is the four-cycle, which no 2-colouring handles
-acyclically; `compose` raises a dedicated error for it, and
-`compose_or_solve` and `compose_many` return its known 3-colouring.
+acyclically; `_compose` returns its literal 3-colouring instead, which
+`compose_or_solve` and `compose_many` hand out, and `compose` raises a
+dedicated error for it once both factors have passed their checks.
+Every function here returns the colouring alone; its graph is the product.
 
 `_compose` only builds the colouring; `check_acyclic` runs at the entry
-points.  `compose` checks both factors and its output.  `compose_many`
+points, on the four-cycle's colouring as on any other.  `compose` and
+`compose_or_solve` check both factors and their output.  `compose_many`
 checks every factor passed in, folds `_compose`, and checks only the final
 output.  That is enough because each fold colours every copy of the
 previous product by an injective relabelling of its colouring: a rotation
 of palette ranks when it is the shifted factor, priming when it is the
 matching one.  Each copy is a subgraph of the new product, so an improper
-vertex or a two-coloured cycle in one fold reappears, relabelled, in every
-later fold and fails the final check.  `solver._by_factors` calls
-`_compose` on factor witnesses its own solves verified, and checks the
-colouring it maps back onto its input.
+vertex or a two-coloured cycle in one fold, the four-cycle's included,
+reappears, relabelled, in every later fold and fails the final check.
+`solver._by_factors` calls `_compose` on factor witnesses its own solves
+verified, and checks the colouring it maps back onto its input.
 """
 
 from __future__ import annotations
 
-from .colouring import (
-    ColourPalette,
-    EdgeColouring,
-    check_acyclic,
-    primed,
-    unprimed,
-)
-from .graphs import Graph, _check_dimension, _product_layout, is_connected
+from functools import reduce
+
+from .colouring import ColourPalette, EdgeColouring, check_acyclic, primed, unprimed
+from .graphs import Graph, _check_dimension, cartesian_product, is_connected
 from .vertex_colouring import brooks_colouring
 
 
 class C4ProductError(ValueError):
     """Both factors are single edges: their product is the four-cycle,
     whose acyclic chromatic index is 3, not 1+1.  compose_or_solve
-    returns its 3-colouring instead."""
+    and compose_many return its 3-colouring instead."""
 
 
 def _validate_factor(name: str, x: EdgeColouring) -> None:
@@ -67,7 +66,7 @@ def _verified(x: EdgeColouring) -> EdgeColouring:
     return x
 
 
-def compose(xg: EdgeColouring, xh: EdgeColouring) -> tuple[Graph, EdgeColouring]:
+def compose(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
     """Colour g x h, the product of the graphs of xg and xh, with at most
     (palette of xg) + (palette of xh) colours.
 
@@ -76,18 +75,28 @@ def compose(xg: EdgeColouring, xh: EdgeColouring) -> tuple[Graph, EdgeColouring]
     """
     _validate_factor("g", xg)
     _validate_factor("h", xh)
-    product, x = _compose(xg, xh)
-    return product, _verified(x)
-
-
-def _compose(xg: EdgeColouring, xh: EdgeColouring) -> tuple[Graph, EdgeColouring]:
-    """The construction alone, on factors the caller has checked."""
-    eta, beta = xg.palette.size, xh.palette.size
-    if eta == 1 and beta == 1:
+    if xg.palette.size == 1 and xh.palette.size == 1:
         raise C4ProductError(
             "both factors are coloured with one colour (single edges); "
             "their product is a 4-cycle and needs 3 colours"
         )
+    return _verified(_compose(xg, xh))
+
+
+def compose_or_solve(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
+    """compose, except that the product of two single edges, the
+    four-cycle, gets its 3-colouring."""
+    _validate_factor("g", xg)
+    _validate_factor("h", xh)
+    return _verified(_compose(xg, xh))
+
+
+def _compose(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
+    """The construction alone, on factors the caller has checked; for two
+    single edges, the four-cycle's 3-colouring."""
+    eta, beta = xg.palette.size, xh.palette.size
+    if eta == 1 and beta == 1:
+        return _four_cycle()
 
     # orientation: the larger palette plays the shifted role
     swapped = eta < beta
@@ -98,7 +107,7 @@ def _compose(xg: EdgeColouring, xh: EdgeColouring) -> tuple[Graph, EdgeColouring
         shift_x, match_x = xg, xh
     y = brooks_colouring(match_x.graph)  # at most eta colours (module docstring)
 
-    # Colour every product edge in provenance order (see _product_layout):
+    # Colour every product edge in provenance order (see cartesian_product):
     # the copy of the shifted factor at matching vertex v has its colour
     # ranks rotated by y(v); every copy of the matching factor keeps its
     # own colours, primed.
@@ -107,35 +116,27 @@ def _compose(xg: EdgeColouring, xh: EdgeColouring) -> tuple[Graph, EdgeColouring
     matched = [primed(match_x.palette.rank(c)) for c in match_x.colours] * shift_x.graph.n
     by_origin = matched + shifted if swapped else shifted + matched
 
-    product, origin = _product_layout(xg.graph, xh.graph)
+    product, origin = cartesian_product(xg.graph, xh.graph)
     colours = [by_origin[o] for o in origin]
-    return product, EdgeColouring(product, colours, ColourPalette(eta, beta))
+    return EdgeColouring(product, colours, ColourPalette(eta, beta))
 
 
-def compose_or_solve(xg: EdgeColouring, xh: EdgeColouring) -> tuple[Graph, EdgeColouring]:
-    """compose, except that the product of two single edges, the
-    four-cycle, gets its 3-colouring."""
-    try:
-        return compose(xg, xh)
-    except C4ProductError:
-        return _solve_four_cycle()
-
-
-def _solve_four_cycle() -> tuple[Graph, EdgeColouring]:
+def _four_cycle() -> EdgeColouring:
     """K2 x K2 with an acyclic 3-colouring, which is optimal.
 
-    It is the only product `_compose` refuses: a proper colouring from a
-    palette of one colour leaves every vertex at most one edge, so a
-    connected factor with at least two vertices, as every checked factor
-    is, is a single edge.  The product is laid out row-major, so its
-    edges are (0,1), (0,2), (1,3), (2,3); the colours 0, 1, 1, 2 are
-    proper, and no cycle is two-coloured since the only cycle has three.
+    It is the only product the construction cannot colour: a proper
+    colouring from a palette of one colour leaves every vertex at most one
+    edge, so a connected factor with at least two vertices, as every
+    checked factor is, is a single edge.  The product is laid out
+    row-major, so its edges are (0,1), (0,2), (1,3), (2,3); the colours
+    0, 1, 1, 2 are proper, and no cycle is two-coloured since the only
+    cycle has three.
     """
     c4 = Graph._from_sorted(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    return c4, _verified(EdgeColouring.single_family(c4, [0, 1, 1, 2], 3))
+    return EdgeColouring.single_family(c4, [0, 1, 1, 2], 3)
 
 
-def compose_many(colourings: list[EdgeColouring]) -> tuple[Graph, EdgeColouring]:
+def compose_many(colourings: list[EdgeColouring]) -> EdgeColouring:
     """Left fold of compose_or_solve over two or more factor colourings.
 
     Every colouring passed in is verified once, and so is the final
@@ -145,21 +146,15 @@ def compose_many(colourings: list[EdgeColouring]) -> tuple[Graph, EdgeColouring]
         raise ValueError("need at least two factors")
     for i, x in enumerate(colourings):
         _validate_factor(str(i), x)
-    x = colourings[0]
-    for next_x in colourings[1:]:
-        try:
-            _, x = _compose(x, next_x)
-        except C4ProductError:
-            _, x = _solve_four_cycle()
-    return x.graph, _verified(x)
+    return _verified(reduce(_compose, colourings))
 
 
-def hypercube_colouring(d: int) -> tuple[Graph, EdgeColouring]:
+def hypercube_colouring(d: int) -> EdgeColouring:
     """Acyclic colouring of the d-cube: 1 colour for a single edge,
     exactly d+1 colours for d >= 2, built by folding single edges onto
     the four-cycle's 3-colouring."""
     _check_dimension(d)
     k2 = Graph(2, [(0, 1)])
     one = EdgeColouring.single_family(k2, [0], 1)
-    # the fold's product is laid out row-major, so it equals hypercube(d)
-    return (k2, _verified(one)) if d == 1 else compose_many([one] * d)
+    # the fold's product is laid out row-major, so its graph is hypercube(d)
+    return _verified(one) if d == 1 else compose_many([one] * d)

@@ -10,8 +10,8 @@ neighbours.  So a graph that is only compared, checked or written, as
 `verify` and `compose` do with their large inputs and outputs, never pays
 for them.
 
-The product of g and h is laid out row-major: vertex (i, j) is i * h.n + j,
-and `product_coords` recovers the pair.
+`cartesian_product` lays the product of g and h out row-major, vertex
+(i, j) being i * h.n + j, and tells each edge's origin; it builds no index.
 
 A graph has at most MAX_VERTICES = 2^20 vertices.  The indexes hold a list
 per vertex, so a vertex count read from a file is checked against that
@@ -208,6 +208,9 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Graph is immutable")
+
     def __reduce__(self):
         return Graph._from_sorted, (self.n, self.edges)
 
@@ -292,7 +295,7 @@ def complete(n: int) -> Graph:
 def grid(m: int, n: int) -> Graph:
     """The m x n grid: the product of two paths; (row, col) is row * n + col."""
     _check_order(m * n)
-    return _product_layout(path(m), path(n))[0]
+    return cartesian_product(path(m), path(n))[0]
 
 
 def hypercube(d: int) -> Graph:
@@ -314,32 +317,26 @@ def hypercube(d: int) -> Graph:
 # Cartesian product
 
 
-class GEdge(Record):
-    """A product edge running inside a copy of the first factor: the
-    g-edge `g_edge` at the h-vertex `h_vertex`."""
-
-    __slots__ = ("g_edge", "h_vertex")
-
-
-class HEdge(Record):
-    """A product edge running inside a copy of the second factor: the
-    h-edge `h_edge` at the g-vertex `g_vertex`."""
-
-    __slots__ = ("h_edge", "g_vertex")
+def _higher_neighbours(f: Graph) -> list[list[tuple[int, int]]]:
+    """Each vertex's larger neighbours in increasing order, with the index
+    of the edge to each: the run of sorted edges that start at the vertex."""
+    up: list[list[tuple[int, int]]] = [[] for _ in range(f.n)]
+    for e, (u, w) in enumerate(f.edges):
+        up[u].append((w, e))
+    return up
 
 
-def product_coords(index: int, h_order: int) -> tuple[int, int]:
-    """Inverse of the row-major layout: vertex i * h_order + j is (i, j)."""
-    return divmod(index, h_order)
+def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, list[int]]:
+    """The cartesian product g x h, built in sorted edge order, and each
+    edge's origin.
 
-
-def _product_layout(g: Graph, h: Graph) -> tuple[Graph, list[int]]:
-    """The product g x h, built in sorted edge order, and each edge's origin.
-
-    Vertex (i, j) is i * h.n + j.  Its edges to larger vertices go first to
-    (i, j') for the h-neighbours j' > j, then to (i', j) for the
-    g-neighbours i' > i, all in increasing order; so walking the vertices
-    in order yields the sorted edge list with no sort and no dedup.
+    The product has vertex set V(g) x V(h), laid out row-major: vertex
+    (i, j) is i * h.n + j.  It has an edge between two vertices exactly
+    when they agree in one coordinate and are adjacent in the other.  The
+    edges of vertex (i, j) to larger vertices go first to (i, j') for the
+    h-neighbours j' > j, then to (i', j) for the g-neighbours i' > i, all
+    in increasing order; so walking the vertices in order yields the
+    sorted edge list with no sort and no dedup.
 
     `origin[k]` numbers the k-th product edge in provenance order: g-edge e
     inside the copy of g at h-vertex j is j * g.m + e, and h-edge f inside
@@ -348,42 +345,22 @@ def _product_layout(g: Graph, h: Graph) -> tuple[Graph, list[int]]:
     _check_order(g.n * h.n)
     nh, mg, mh = h.n, g.m, h.m
     _check_size(g.n * mh + nh * mg)
-
-    def upper(f: Graph, v: int) -> list[tuple[int, int]]:
-        return [(w, e) for w, e in zip(f.neighbours(v), f.incident_edges(v)) if w > v]
-
-    h_up = [upper(h, j) for j in range(nh)]
+    g_up, h_up = _higher_neighbours(g), _higher_neighbours(h)
     h_base = nh * mg
     edges: list[Edge] = []
     origin: list[int] = []
-    for i in range(g.n):
+    for i, g_up_i in enumerate(g_up):
         row = i * nh
         h_row = h_base + i * mh
-        g_up = upper(g, i)
         for j in range(nh):
             p = row + j
             for w, f in h_up[j]:
                 edges.append((p, row + w))
                 origin.append(h_row + f)
-            for w, e in g_up:
+            for w, e in g_up_i:
                 edges.append((p, w * nh + j))
                 origin.append(j * mg + e)
     return Graph._from_sorted(g.n * nh, edges), origin
-
-
-def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, tuple[GEdge | HEdge, ...]]:
-    """Cartesian product of two graphs plus a per-edge classifier.
-
-    The product has vertex set V(g) x V(h) indexed row-major, and an edge
-    between (u1, u2) and (v1, v2) exactly when the pair agrees in one
-    coordinate and is adjacent in the other.  The classifier is aligned
-    with the product's edge list and tags each edge with the factor edge
-    it came from and the coordinate held fixed.
-    """
-    product, origin = _product_layout(g, h)
-    kinds = [GEdge(e, j) for j in range(h.n) for e in g.edges]
-    kinds += [HEdge(f, i) for i in range(g.n) for f in h.edges]
-    return product, tuple(kinds[o] for o in origin)
 
 
 # ---------------------------------------------------------------------------

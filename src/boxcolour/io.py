@@ -2,9 +2,10 @@
 
 Edge list format: first non-comment line is "n m", then m lines "u v"
 with 0-based endpoints, each edge listed once in either orientation.
-Lines starting with '#' and blank lines are ignored anywhere.  Each line
-is stripped once; the edges may come in any order, since `Graph` sorts
-them (linearly, on the writer's order).
+Lines starting with '#' and blank lines are ignored anywhere, whatever
+they hold.  Numbers are ASCII digits with an optional leading '-', as the
+writer emits them.  Each line is stripped once; the edges may come in any
+order, since `Graph` sorts them (linearly, on the writer's order).
 
 Colouring JSON is decoded by `json` and read by
 `EdgeColouring.from_json_dict` in one pass over its rows and one sort, so
@@ -30,6 +31,22 @@ PathLike = Union[str, Path]
 # Edge lists
 
 
+def _integer(token: str) -> int:
+    """The integer a token spells as the writer does, in ASCII digits with
+    an optional leading '-'.  "+1", "1_0" and "١", which `int` takes, raise."""
+    value = int(token)
+    if not (token.isascii() and token.lstrip("-").isdigit()):
+        raise ValueError(f"invalid integer {token!r}")
+    return value
+
+
+def _plain_integers(lines: list[str]) -> bool:
+    """Whether the lines hold only ASCII digits, spaces and '-': then `int`
+    takes each token only in the writer's form."""
+    text = "".join(lines)
+    return text.isascii() and not text.encode().translate(None, b" -0123456789")
+
+
 def parse_edge_list(text: str) -> Graph:
     lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     if not lines:
@@ -37,15 +54,17 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"expected header 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _integer(head[0]), _integer(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header announces {m} edges, found {len(lines) - 1}")
+    # one bulk check; only when it fails is each token checked as it comes
+    to_int = int if _plain_integers(lines) else _integer
     edges = []
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"expected edge line 'u v', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((to_int(parts[0]), to_int(parts[1])))
     g = Graph(n, edges)
     if g.m != m:
         raise ValueError(f"header announces {m} edges, but only {g.m} are distinct")

@@ -334,10 +334,10 @@ def _by_factors(
         if result.witness is None:
             return None, nodes
         witnesses.append(result.witness)
-    product, x = _compose(*witnesses)
+    x = _compose(*witnesses)
     dense = {c: i for i, c in enumerate(x.distinct_colours())}
     colours = [
-        dense[x.colours[product.edge_index(f.vertex[u], f.vertex[v])]] for u, v in g.edges
+        dense[x.colours[x.graph.edge_index(f.vertex[u], f.vertex[v])]] for u, v in g.edges
     ]
     witness = EdgeColouring.single_family(g, colours, len(dense))
     bad = check_acyclic(witness)

@@ -23,8 +23,10 @@ it reports on an improper colouring.
 
 The colour, palette and product helpers at the end spell out encodings
 the library computes inline (`colouring`'s primed low bit, `graphs`'
-row-major product layout), so tests can read colourings and products
-without a library accessor.
+row-major product layout and its origin numbering), so tests can read
+colourings and products without a library accessor.  `product` is the
+reference for `cartesian_product`: the product by its definition, pair
+by pair.
 
 `graph` and `colouring_from_json_dict` are the references for ingest: the
 per-edge `Graph` construction (a set of normalised edges, each edge
@@ -58,7 +60,7 @@ from boxcolour.colouring import (
     primed,
     unprimed,
 )
-from boxcolour.graphs import MAX_VERTICES, Edge, GEdge, Graph, HEdge
+from boxcolour.graphs import MAX_VERTICES, Edge, Graph
 
 
 def _pair_has_cycle(g: Graph, colours: list[int], a: int, b: int) -> bool:
@@ -405,13 +407,38 @@ def product_vertex(g_index: int, h_index: int, h_order: int) -> int:
     return g_index * h_order + h_index
 
 
-def product_edge_endpoints(kind, h_order: int) -> Edge:
-    """The product edge, as a sorted vertex pair, that a GEdge or HEdge tags."""
-    if isinstance(kind, GEdge):
-        (u1, u2), v = kind.g_edge, kind.h_vertex
-        ends = product_vertex(u1, v, h_order), product_vertex(u2, v, h_order)
-    else:
-        assert isinstance(kind, HEdge)
-        (v1, v2), u = kind.h_edge, kind.g_vertex
-        ends = product_vertex(u, v1, h_order), product_vertex(u, v2, h_order)
-    return min(ends), max(ends)
+def product_coords(index: int, h_order: int) -> tuple[int, int]:
+    """Inverse of `product_vertex`: vertex i * h_order + j is (i, j)."""
+    return divmod(index, h_order)
+
+
+def product(g: Graph, h: Graph) -> Graph:
+    """The cartesian product by its definition: every pair of row-major
+    vertices that agree in one coordinate and are adjacent in the other."""
+    n = g.n * h.n
+    g_edges, h_edges = set(g.edges), set(h.edges)
+    edges = []
+    for u, v in combinations(range(n), 2):
+        (i, j), (k, l) = product_coords(u, h.n), product_coords(v, h.n)
+        if (i == k and (j, l) in h_edges) or (j == l and (i, k) in g_edges):
+            edges.append((u, v))
+    return graph(n, edges)
+
+
+def origin_edge(o: int, g: Graph, h: Graph) -> tuple[str, Edge, int]:
+    """Decode the origin number `cartesian_product` gives a product edge:
+    ("g", e, j) for the g-edge e inside the copy of g at h-vertex j, and
+    ("h", f, i) for the h-edge f inside the copy of h at g-vertex i."""
+    if o < h.n * g.m:
+        j, e = divmod(o, g.m)
+        return "g", g.edges[e], j
+    i, f = divmod(o - h.n * g.m, h.m)
+    return "h", h.edges[f], i
+
+
+def origin_endpoints(o: int, g: Graph, h: Graph) -> Edge:
+    """The product edge, as a sorted vertex pair, that an origin number names."""
+    factor, (a, b), fixed = origin_edge(o, g, h)
+    if factor == "g":
+        return product_vertex(a, fixed, h.n), product_vertex(b, fixed, h.n)
+    return product_vertex(fixed, a, h.n), product_vertex(fixed, b, h.n)

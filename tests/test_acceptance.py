@@ -6,7 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
-from bruteforce import brute_aci, is_primed
+from bruteforce import brute_aci, is_primed, origin_edge
 from boxcolour.colouring import (
     EdgeColouring,
     check_acyclic,
@@ -21,7 +21,7 @@ from boxcolour.compose import (
     hypercube_colouring,
 )
 from boxcolour.corpus import connected_graphs_up_to
-from boxcolour.graphs import GEdge, cartesian_product, complete, cycle, hypercube, path
+from boxcolour.graphs import cartesian_product, complete, cycle, hypercube, path
 from boxcolour.solver import exact_aci, lower_bound
 from boxcolour.vertex_colouring import brooks_bound, brooks_colouring
 
@@ -45,10 +45,10 @@ def test_criterion_2_hypercube_family():
     t0 = time.monotonic()
     ok = True
     for d in range(2, 8):
-        cube, x = hypercube_colouring(d)
+        x = hypercube_colouring(d)
         ok = ok and colours_used(x) == d + 1
         ok = ok and check_acyclic(x) is None
-        ok = ok and lower_bound(cube) == d + 1
+        ok = ok and lower_bound(x.graph) == d + 1
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 30.0
     _report(2, f"hypercubes d=2..7 coloured with exactly d+1 colours, optimal by the regular bound ({elapsed:.1f} s < 30 s)", ok)
@@ -60,12 +60,12 @@ def test_criterion_3_grid_tightness():
     for m in range(3, 7):
         for n in range(3, 7):
             pm, pn = path(m), path(n)
-            product, x = compose(exact_aci(pm).witness, exact_aci(pn).witness)
+            x = compose(exact_aci(pm).witness, exact_aci(pn).witness)
             ok = ok and check_acyclic(x) is None
-            ok = ok and colours_used(x) == 4 == product.max_degree
+            ok = ok and colours_used(x) == 4 == x.graph.max_degree
     p3 = path(3)
     xp = exact_aci(p3).witness
-    product, x = compose_many([xp] * 3)
+    x = compose_many([xp] * 3)
     ok = ok and check_acyclic(x) is None and colours_used(x) == 6
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 10.0
@@ -77,24 +77,21 @@ def _invariants_hold(g, h, xg, xh, x) -> bool:
         return False
     if colours_used(x) > xg.palette.size + xh.palette.size:
         return False
-    _, kinds = cartesian_product(g, h)
+    _, origin = cartesian_product(g, h)
     swapped = xg.palette.size < xh.palette.size
     matching: dict = {}
     shifted: dict = {}
-    for kind, c in zip(kinds, x.colours):
-        in_g_family = isinstance(kind, GEdge)
-        if in_g_family != swapped:
+    for o, c in zip(origin, x.colours):
+        factor, edge, copy_vertex = origin_edge(o, g, h)
+        if (factor == "g") != swapped:
             # shifted family: unprimed, one colour per (edge, copy vertex)
             if is_primed(c):
                 return False
-            edge = kind.g_edge if in_g_family else kind.h_edge
-            copy_vertex = kind.h_vertex if in_g_family else kind.g_vertex
             shifted.setdefault(edge, {})[copy_vertex] = c
         else:
             # matching family: primed, identical across copies
             if not is_primed(c):
                 return False
-            edge = kind.g_edge if in_g_family else kind.h_edge
             matching.setdefault(edge, set()).add(c)
     if any(len(cols) != 1 for cols in matching.values()):
         return False
@@ -123,7 +120,7 @@ def test_criterion_4_theorem_property_suite():
         xg, xh = witness(g), witness(h)
         if max(xg.palette.size, xh.palette.size) <= 1:
             continue
-        _, x = compose(xg, xh)
+        x = compose(xg, xh)
         if not _invariants_hold(g, h, xg, xh, x):
             failures += 1
         pairs_checked += 1
@@ -179,10 +176,10 @@ def test_criterion_8_single_edge_square():
         compose(one, one)
     except C4ProductError:
         raised = True
-    product, x = compose_or_solve(one, one)
+    x = compose_or_solve(one, one)
     ok = (
         raised
-        and (product.n, product.m) == (4, 4)
+        and (x.graph.n, x.graph.m) == (4, 4)
         and colours_used(x) == 3
         and check_acyclic(x) is None
     )

@@ -400,6 +400,19 @@ def test_huge_vertex_counts_are_input_errors(tmp_path, capsys, argv, text):
     assert "limit of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["+0", "1_0", "\u0661", "\uff11"])
+def test_integers_the_writer_never_emits_are_input_errors(tmp_path, capsys, token):
+    # int() alone takes each of these, and would read "0 1_0" as the edge (0, 10)
+    f = tmp_path / "g.el"
+    f.write_text(f"11 1\n0 {token}\n", encoding="utf-8")
+    assert run("aci", str(f)) == 2
+    assert f"invalid integer {token!r}" in capsys.readouterr().err
+    # any text may sit in a comment
+    f.write_text(f"# {token} \u00e9\n2 1\n0 1\n", encoding="utf-8")
+    assert run("aci", str(f), "--lower-only") == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 def test_config_file_arguments(tmp_path, capsys):
     f = tmp_path / "k7.el"
     f.write_text(format_edge_list(complete(7)))

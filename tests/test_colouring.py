@@ -22,7 +22,7 @@ from boxcolour.colouring import (
     unprimed,
 )
 from boxcolour.compose import compose
-from boxcolour.graphs import GEdge, Graph, cartesian_product, complete, cycle, grid, hypercube, path
+from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
 from boxcolour.solver import exact_aci
 
 from bruteforce import (
@@ -32,6 +32,7 @@ from bruteforce import (
     first_clash,
     from_edge_map,
     is_primed,
+    origin_edge,
     palette_colours,
     proper,
 )
@@ -363,13 +364,13 @@ def _unshifted(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
     unshifted: h colours unprimed, g colours primed.  Proper, yet any h-edge
     and the g-edges joining its two ends to another copy span a two-coloured
     4-cycle."""
-    product, kinds = cartesian_product(xg.graph, xh.graph)
+    product, origin = cartesian_product(xg.graph, xh.graph)
     g_rank = {e: xg.palette.rank(c) for e, c in zip(xg.graph.edges, xg.colours)}
     h_rank = {e: xh.palette.rank(c) for e, c in zip(xh.graph.edges, xh.colours)}
-    colours = [
-        primed(g_rank[k.g_edge]) if isinstance(k, GEdge) else unprimed(h_rank[k.h_edge])
-        for k in kinds
-    ]
+    colours = []
+    for o in origin:
+        factor, edge, _ = origin_edge(o, xg.graph, xh.graph)
+        colours.append(primed(g_rank[edge]) if factor == "g" else unprimed(h_rank[edge]))
     return EdgeColouring(product, colours, ColourPalette(xh.palette.size, xg.palette.size))
 
 
@@ -380,7 +381,7 @@ def test_check_acyclic_matches_the_references_on_a_large_product():
     # cycles
     rng = random.Random(20)
     xg, xh = exact_aci(grid(20, 20)).witness, exact_aci(complete(5)).witness
-    composed = _relabelled(compose(xg, xh)[1], rng)
+    composed = _relabelled(compose(xg, xh), rng)
     assert check_acyclic(composed) is None
     g = composed.graph
     top = g.incident_edges(g.n - 1)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bruteforce import colour_index, colour_of, is_primed
+from bruteforce import colour_index, colour_of, is_primed, origin_edge
 from boxcolour.colouring import (
     EdgeColouring,
     VertexColouring,
@@ -21,9 +21,7 @@ from boxcolour.compose import (
 )
 from boxcolour.corpus import connected_graphs_up_to
 from boxcolour.graphs import (
-    GEdge,
     Graph,
-    HEdge,
     cartesian_product,
     complete,
     cycle,
@@ -64,8 +62,8 @@ def test_two_single_edges_are_rejected():
 
 def test_compose_or_solve_falls_back_to_the_four_cycle():
     _, x = one_edge()
-    product, result = compose_or_solve(x, x)
-    assert (product.n, product.m) == (4, 4)
+    result = compose_or_solve(x, x)
+    assert (result.graph.n, result.graph.m) == (4, 4)
     assert colours_used(result) == 3
     assert check_acyclic(result) is None
 
@@ -73,52 +71,53 @@ def test_compose_or_solve_falls_back_to_the_four_cycle():
 def test_cube_from_cycle_and_edge():
     c4 = cycle(4)
     k2, xk = one_edge()
-    product, x = compose(solved(c4), xk)
-    assert product == cartesian_product(c4, k2)[0]
+    x = compose(solved(c4), xk)
+    assert x.graph == cartesian_product(c4, k2)[0]
     assert check_acyclic(x) is None
     assert colours_used(x) <= 4
 
 
 def test_grid_from_paths_is_degree_tight():
     p3 = path(3)
-    product, x = compose(solved(p3), solved(p3))
-    assert product == grid(3, 3)
+    x = compose(solved(p3), solved(p3))
+    assert x.graph == grid(3, 3)
     assert check_acyclic(x) is None
-    assert colours_used(x) == 4 == product.max_degree
+    assert colours_used(x) == 4 == x.graph.max_degree
 
 
 def test_restrictions_match_the_factors():
     # the first factor's palette (3) dominates, so roles stay in caller order
     g, h = cycle(5), path(4)
     xg, xh = solved(g), solved(h)
-    product, x = compose(xg, xh)
-    _, kinds = cartesian_product(g, h)
+    x = compose(xg, xh)
+    _, origin = cartesian_product(g, h)
     y = brooks_colouring(h)  # the shifts compose uses
     eta = xg.palette.size
-    for kind, c in zip(kinds, x.colours):
-        if isinstance(kind, HEdge):
+    for o, c in zip(origin, x.colours):
+        factor, edge, fixed = origin_edge(o, g, h)
+        if factor == "h":
             # every copy of an h-edge keeps its own colour, primed
             assert is_primed(c)
-            assert colour_index(c) == xh.palette.rank(colour_of(xh, *kind.h_edge))
+            assert colour_index(c) == xh.palette.rank(colour_of(xh, *edge))
         else:
             # a copy of g at vertex v is g's colouring rotated by y(v)
             assert not is_primed(c)
-            base = xg.palette.rank(colour_of(xg, *kind.g_edge))
-            assert colour_index(c) == (base + y.colours[kind.h_vertex]) % eta
+            base = xg.palette.rank(colour_of(xg, *edge))
+            assert colour_index(c) == (base + y.colours[fixed]) % eta
 
 
 def test_swap_when_second_palette_is_larger():
     k2, xk = one_edge()
     c4 = cycle(4)
-    product, x = compose(xk, solved(c4))
+    x = compose(xk, solved(c4))
     # output stays in caller order
-    assert product == cartesian_product(k2, c4)[0]
+    product, origin = cartesian_product(k2, c4)
+    assert x.graph == product
     assert check_acyclic(x) is None
     assert colours_used(x) <= 4
     # after the swap the caller's g-edges are the matching family
-    _, kinds = cartesian_product(k2, c4)
-    for kind, c in zip(kinds, x.colours):
-        assert is_primed(c) == isinstance(kind, GEdge)
+    for o, c in zip(origin, x.colours):
+        assert is_primed(c) == (origin_edge(o, k2, c4)[0] == "g")
 
 
 def test_factor_validation():
@@ -135,22 +134,21 @@ def test_factor_validation():
 
 
 def _reference_colours(xg: EdgeColouring, xh: EdgeColouring) -> tuple[int, ...]:
-    # the construction spelled out edge by edge from the public classifier:
-    # the larger palette is shifted by a rotation per copy, the other primed
+    # the construction spelled out edge by edge from the product's origin
+    # numbering: the larger palette is shifted by a rotation per copy, the
+    # other primed
     eta, beta = xg.palette.size, xh.palette.size
     swapped = eta < beta
     match_graph = xg.graph if swapped else xh.graph
     y, d = brooks_colouring(match_graph), brooks_bound(match_graph)
     modulus = max(eta, beta, d)
-    _, kinds = cartesian_product(xg.graph, xh.graph)
+    _, origin = cartesian_product(xg.graph, xh.graph)
     out = []
-    for kind in kinds:
-        if isinstance(kind, GEdge):
-            x, edge, copy = xg, kind.g_edge, kind.h_vertex
-        else:
-            x, edge, copy = xh, kind.h_edge, kind.g_vertex
+    for o in origin:
+        factor, edge, copy = origin_edge(o, xg.graph, xh.graph)
+        x = xg if factor == "g" else xh
         rank = x.palette.rank(colour_of(x, *edge))
-        if isinstance(kind, GEdge) == swapped:
+        if (factor == "g") == swapped:
             out.append(primed(rank))
         else:
             out.append(unprimed((rank + y.colours[copy]) % modulus))
@@ -171,8 +169,8 @@ def test_compose_matches_the_classifier_construction():
         if max(xg.palette.size, xh.palette.size) > 1:
             cases.append((xg, xh))
     for xg, xh in cases:
-        product, x = compose(xg, xh)
-        assert product == cartesian_product(xg.graph, xh.graph)[0]
+        x = compose(xg, xh)
+        assert x.graph == cartesian_product(xg.graph, xh.graph)[0]
         assert x.colours == _reference_colours(xg, xh)
 
 
@@ -212,7 +210,7 @@ def test_compose_many_verifies_each_colouring_once(monkeypatch):
     checked = _count_checks(monkeypatch, "compose")
     p3 = path(3)
     xp = solved(p3)
-    _, x = compose_many([xp] * 3)
+    x = compose_many([xp] * 3)
     assert len(checked) == 4
     assert checked[-1] is x
     # a cyclic factor later in the fold is still rejected
@@ -224,8 +222,8 @@ def test_compose_many_verifies_each_colouring_once(monkeypatch):
 
 def test_compose_many_folds_left():
     _, xk = one_edge()
-    product, x = compose_many([xk] * 3)
-    assert (product.n, product.m) == (8, 12)
+    x = compose_many([xk] * 3)
+    assert x.graph == hypercube(3)
     assert check_acyclic(x) is None
     assert colours_used(x) <= 4
     with pytest.raises(ValueError):
@@ -235,17 +233,14 @@ def test_compose_many_folds_left():
 def test_compose_many_two_factors_reduces_to_compose():
     p3 = path(3)
     xp = solved(p3)
-    via_many = compose_many([xp, xp])
-    via_one = compose(xp, xp)
-    assert via_many[0] == via_one[0]
-    assert via_many[1] == via_one[1]
+    assert compose_many([xp, xp]) == compose(xp, xp)
 
 
 def test_three_fold_path_power_is_degree_tight():
     p3 = path(3)
     xp = solved(p3)
-    product, x = compose_many([xp] * 3)
-    assert product.max_degree == 6
+    x = compose_many([xp] * 3)
+    assert x.graph.max_degree == 6
     assert colours_used(x) == 6
     assert check_acyclic(x) is None
 
@@ -256,18 +251,18 @@ def test_mixed_tight_factors_hit_the_degree_sum():
     p4 = path(4)
     xs, xp = solved(star), solved(p4)
     assert colours_used(xs) == 3 and colours_used(xp) == 2
-    product, x = compose(xp, xs)
-    assert product.max_degree == 5
+    x = compose(xp, xs)
+    assert x.graph.max_degree == 5
     assert colours_used(x) == 5
     assert check_acyclic(x) is None
 
 
 def test_hypercube_colouring_family():
-    cube1, x1 = hypercube_colouring(1)
-    assert colours_used(x1) == 1 and cube1 == hypercube(1)
+    x1 = hypercube_colouring(1)
+    assert colours_used(x1) == 1 and x1.graph == hypercube(1)
     for d in range(2, 7):
-        cube, x = hypercube_colouring(d)
-        assert cube == hypercube(d)
+        x = hypercube_colouring(d)
+        assert x.graph == hypercube(d)
         assert colours_used(x) == d + 1
         assert check_acyclic(x) is None
     with pytest.raises(ValueError):
@@ -282,9 +277,33 @@ def test_random_pairs_hold_the_bound():
         xg, xh = solved(g), solved(h)
         if max(xg.palette.size, xh.palette.size) <= 1:
             continue
-        product, x = compose_or_solve(xg, xh)
+        x = compose_or_solve(xg, xh)
         assert check_acyclic(x) is None
         assert colours_used(x) <= xg.palette.size + xh.palette.size
+
+
+def test_the_four_cycle_is_checked_only_where_it_is_handed_out(monkeypatch):
+    # compose_or_solve checks its two factors and the four-cycle's literal
+    # colouring it returns; compose checks the factors, then refuses
+    checked = _count_checks(monkeypatch, "compose")
+    _, x = one_edge()
+    result = compose_or_solve(x, x)
+    assert checked == [x, x, result]
+    checked.clear()
+    with pytest.raises(C4ProductError):
+        compose(x, x)
+    assert checked == [x, x]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_hypercube_colouring_checks_each_factor_and_the_cube_once(monkeypatch, d):
+    # d single edges and the final cube: the four-cycle the first fold
+    # returns is relabelled into every later fold, so it is not checked
+    # on its own (module docstring); the 1-cube is the single edge itself
+    checked = _count_checks(monkeypatch, "compose")
+    x = hypercube_colouring(d)
+    assert len(checked) == (1 if d == 1 else d + 1)
+    assert checked[-1] is x
 
 
 def test_exact_aci_checks_each_colouring_once_per_boundary(monkeypatch):

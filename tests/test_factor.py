@@ -4,12 +4,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import isomorphic
+from bruteforce import isomorphic, origin_edge
 from boxcolour.colouring import check_acyclic
 from boxcolour.corpus import connected_graphs_up_to
 from boxcolour.factor import _verified_split, delta_star, factorise
 from boxcolour.graphs import (
-    GEdge,
     Graph,
     cartesian_product,
     complete,
@@ -74,8 +73,9 @@ def test_verifier_accepts_a_split_only_when_it_describes_the_graph(g, data):
 
 
 def _prism_minus_a_triangle_edge() -> tuple[Graph, list[bool]]:
-    prism, kinds = cartesian_product(cycle(3), path(2))
-    in_triangle = [isinstance(kind, GEdge) for kind in kinds]
+    triangle, k2 = cycle(3), path(2)
+    prism, origin = cartesian_product(triangle, k2)
+    in_triangle = [origin_edge(o, triangle, k2)[0] == "g" for o in origin]
     drop = in_triangle.index(True)
     keep = [i for i in range(prism.m) if i != drop]
     return Graph(6, [prism.edges[i] for i in keep]), [in_triangle[i] for i in keep]

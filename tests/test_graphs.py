@@ -3,17 +3,16 @@ import pickle
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from boxcolour.colouring import BichromaticCycle, ColourPalette, NotProper, check_acyclic
 from boxcolour.compose import hypercube_colouring
 from boxcolour.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
-    GEdge,
     Graph,
     GraphClass,
-    HEdge,
+    Record,
     cartesian_product,
     classify,
     complete,
@@ -22,14 +21,19 @@ from boxcolour.graphs import (
     hypercube,
     is_connected,
     path,
-    product_coords,
 )
 from boxcolour.graphs import _check_dimension, _check_order, _check_size
 from boxcolour.io import format_edge_list, parse_edge_list
 from boxcolour.solver import AciResult, SearchBudget, exact_aci
 from boxcolour.vertex_colouring import brooks_colouring
 
-from bruteforce import indexes as reference_indexes, product_edge_endpoints, product_vertex
+from bruteforce import (
+    indexes as reference_indexes,
+    origin_endpoints,
+    product as reference_product,
+    product_coords,
+    product_vertex,
+)
 
 
 def test_graph_normalizes_and_dedups_edges():
@@ -162,25 +166,32 @@ def test_product_vertex_indexing_roundtrip():
 
 def test_product_size_formula():
     for g, h in [(path(3), cycle(4)), (complete(4), path(2)), (cycle(5), cycle(3))]:
-        p, kinds = cartesian_product(g, h)
+        p, origin = cartesian_product(g, h)
         assert p.n == g.n * h.n
         assert p.m == g.m * h.n + h.m * g.n
-        assert len(kinds) == p.m
+        assert len(origin) == p.m
 
 
-def test_product_classifier_matches_edges():
-    g, h = path(3), cycle(4)
-    p, kinds = cartesian_product(g, h)
-    g_edges = 0
-    for edge, kind in zip(p.edges, kinds):
-        assert product_edge_endpoints(kind, h.n) == edge
-        if isinstance(kind, GEdge):
-            g_edges += 1
-            assert kind.g_edge in g.edges
-        else:
-            assert isinstance(kind, HEdge)
-            assert kind.h_edge in h.edges
-    assert g_edges == g.m * h.n
+@st.composite
+def _small_graphs(draw) -> Graph:
+    n = draw(st.integers(0, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@given(_small_graphs(), _small_graphs())
+@example(cycle(5), Graph(1, []))
+@example(Graph(1, []), path(4))
+@example(Graph(3, []), complete(4))
+@example(path(3), Graph(2, []))
+def test_cartesian_product_matches_the_definition(g, h):
+    # the product is the definition's, every edge's origin names it, each
+    # product edge has exactly one origin, and no factor index is built
+    p, origin = cartesian_product(g, h)
+    assert p == reference_product(g, h)
+    assert sorted(origin) == list(range(p.m))
+    assert [origin_endpoints(o, g, h) for o in origin] == list(p.edges)
+    assert _built(g) == _built(h) == []
 
 
 def test_product_of_two_edges_is_a_four_cycle():
@@ -250,9 +261,10 @@ def test_product_connected_iff_both_factors_are():
 
 def test_product_with_a_point_is_the_graph_itself():
     g = cycle(5)
-    p, kinds = cartesian_product(g, Graph(1, []))
+    p, origin = cartesian_product(g, Graph(1, []))
     assert p == g
-    assert all(isinstance(k, GEdge) for k in kinds)
+    # every edge is g's own, inside the one copy of g
+    assert origin == list(range(g.m))
 
 
 def test_is_connected():
@@ -263,10 +275,22 @@ def test_is_connected():
         is_connected(Graph(0, []))
 
 
+class Pair(Record):
+    """Two fields and no checks of their own."""
+
+    __slots__ = ("edge", "vertex")
+
+
+class TwinPair(Record):
+    """Pair's twin: the same fields, so equal values in a different class."""
+
+    __slots__ = ("edge", "vertex")
+
+
 # class, fields in order, defaults, repr, field values that raise ValueError
 _RECORDS = [
-    (GEdge, {"g_edge": (0, 1), "h_vertex": 2}, {}, "GEdge(g_edge=(0, 1), h_vertex=2)", []),
-    (HEdge, {"h_edge": (0, 1), "g_vertex": 2}, {}, "HEdge(h_edge=(0, 1), g_vertex=2)", []),
+    (Pair, {"edge": (0, 1), "vertex": 2}, {}, "Pair(edge=(0, 1), vertex=2)", []),
+    (TwinPair, {"edge": (0, 1), "vertex": 2}, {}, "TwinPair(edge=(0, 1), vertex=2)", []),
     (
         GraphClass,
         {"max_degree": 3, "is_regular": True, "is_complete": False, "is_odd_cycle": False},
@@ -359,10 +383,10 @@ def test_records_behave_as_frozen_dataclasses(cls, fields, defaults, text, inval
 
 
 def test_records_of_different_classes_are_never_equal():
-    assert GEdge((0, 1), 2) != HEdge((0, 1), 2)
-    assert HEdge((0, 1), 2) != GEdge((0, 1), 2)
-    assert len({GEdge((0, 1), 2), HEdge((0, 1), 2)}) == 2
-    assert pickle.loads(pickle.dumps(GEdge((0, 1), 2))) == GEdge((0, 1), 2)
+    assert Pair((0, 1), 2) != TwinPair((0, 1), 2)
+    assert TwinPair((0, 1), 2) != Pair((0, 1), 2)
+    assert len({Pair((0, 1), 2), TwinPair((0, 1), 2)}) == 2
+    assert pickle.loads(pickle.dumps(Pair((0, 1), 2))) == Pair((0, 1), 2)
 
 
 @pytest.mark.parametrize(
@@ -419,7 +443,7 @@ def _built(g: Graph) -> list[str]:
 
 def test_reading_comparing_checking_and_writing_build_no_index():
     g = grid(6, 7)
-    x = hypercube_colouring(4)[1]
+    x = hypercube_colouring(4)
     fresh = [g, x.graph, Graph(5, [(3, 4), (0, 1)]), parse_edge_list(format_edge_list(g))]
     for h in fresh:
         assert h == h and hash(h) == hash(Graph._from_sorted(h.n, h.edges))
@@ -460,7 +484,34 @@ def test_no_attribute_can_be_assigned(name, built):
         g.degrees
     with pytest.raises(AttributeError):
         setattr(g, name, ())
+    with pytest.raises(AttributeError):
+        delattr(g, name)
     assert g == path(4) and _built(g) == (list(_INDEX_NAMES) if built else [])
+
+
+def _count_indexes(monkeypatch) -> list:
+    """Record every graph whose indexes are built."""
+    indexed = []
+    real = Graph._index
+
+    def counting(g):
+        indexed.append(g)
+        return real(g)
+
+    monkeypatch.setattr(Graph, "_index", counting)
+    return indexed
+
+
+def test_products_build_no_factor_index(monkeypatch):
+    # the product reads its factors' sorted edges; hypercube_colouring
+    # indexes only K2, which it checks for connectedness and colours with
+    # brooks_colouring, never an intermediate cube
+    indexed = _count_indexes(monkeypatch)
+    assert grid(40, 40).m == 2 * 40 * 39
+    assert indexed == []
+    x = hypercube_colouring(11)
+    assert x.graph == hypercube(11)
+    assert indexed == [complete(2)]
 
 
 @given(st.integers(1, 5), st.integers(1, 5))

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import networkx as nx
@@ -36,6 +37,9 @@ def test_edge_list_roundtrip():
 def test_edge_list_comments_and_blanks():
     text = "# a triangle\n3 3\n\n0 1\n1 2\n# middle\n0 2\n"
     assert parse_edge_list(text) == complete(3)
+    # a comment holds any text; tabs separate, and leading zeros are digits
+    text = "# caf\u00e9 \u0661 \uff11 +0 1_0\n2 1\n00\t01\n"
+    assert parse_edge_list(text) == complete(2)
 
 
 def test_edge_list_errors():
@@ -47,6 +51,73 @@ def test_edge_list_errors():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(ValueError):
         parse_edge_list("3 1\n0 1 2\n")
+    with pytest.raises(ValueError, match="out of range"):
+        parse_edge_list("2 1\n-1 0\n")
+    with pytest.raises(ValueError, match="non-negative"):
+        parse_edge_list("-1 0\n")
+    # what int() rejects keeps int's message
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_edge_list("2 1\n1 0x1\n")
+    with pytest.raises(ValueError, match="expected edge line"):
+        parse_edge_list("3 2\n0 1 2\n0 +1\n")
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("2 1\n+0 1\n", "+0"),
+        ("11 1\n0 1_0\n", "1_0"),
+        ("2 1\n0 \u0661\n", "\u0661"),  # Arabic-Indic one
+        ("2 1\n0 \uff11\n", "\uff11"),  # fullwidth one
+        ("\uff12 1\n0 1\n", "\uff12"),
+        ("2 +1\n0 1\n", "+1"),
+        # the first bad token is named, before a later malformed line
+        ("2 1\n+0 \u0661\n", "+0"),
+        ("3 2\n0 +1\n0 1 2\n", "+1"),
+        # a tab fails the bulk check as well, and is still a separator
+        ("3 2\n0\t1\n1 +2\n", "+2"),
+    ],
+)
+def test_edge_list_numbers_are_ascii_digits(text, token):
+    with pytest.raises(ValueError, match=re.escape(f"invalid integer {token!r}")):
+        parse_edge_list(text)
+
+
+_SPELLINGS = {
+    "plain": lambda t: t,
+    "leading-zero": lambda t: "0" + t,
+    "plus": lambda t: "+" + t,
+    "underscore": lambda t: "0_" + t,
+    "arabic-indic": lambda t: t.translate({48 + d: 0x0660 + d for d in range(10)}),
+    "fullwidth": lambda t: t.translate({48 + d: 0xFF10 + d for d in range(10)}),
+}
+_WRITERS = ("plain", "leading-zero")
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 6), st.data())
+def test_edge_list_reads_exactly_the_writers_spelling(n, data):
+    # every token of a written graph respelled at random, with random
+    # separators: the read succeeds iff every token is ASCII digits, and
+    # otherwise names the first token that is not
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    rows, first_bad = [], None
+    for line in format_edge_list(g).splitlines():
+        tokens = []
+        for token in line.split():
+            kind = data.draw(st.sampled_from(sorted(_SPELLINGS)))
+            tokens.append(_SPELLINGS[kind](token))
+            if kind not in _WRITERS and first_bad is None:
+                first_bad = tokens[-1]
+        rows.append(data.draw(st.sampled_from([" ", "  ", "\t"])).join(tokens))
+    text = "\n".join(rows)
+    if first_bad is None:
+        assert parse_edge_list(text) == g
+    else:
+        with pytest.raises(ValueError) as err:
+            parse_edge_list(text)
+        assert repr(first_bad) in str(err.value)
 
 
 @pytest.mark.parametrize(
