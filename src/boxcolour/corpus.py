@@ -20,7 +20,22 @@ and the first candidate of each class is kept.  So the representatives,
 their labellings and their order are those of the plain enumeration on
 `Graph` objects that the tests keep as the reference.
 
-Class counts for n = 1..7: 1, 1, 2, 6, 21, 112, 853.
+Twin pruning skips candidates before their key is computed.  Base
+vertices x < y are twins when adj[x] & ~bit(y) == adj[y] & ~bit(x), so
+swapping them is an automorphism of the base.  A subset S holding y but
+not x then gives the same class as S' = S - y + x on the same base: the
+swap, fixing the new vertex, maps one candidate onto the other.  S' has
+the same size and is lexicographically smaller (the two agree below x,
+where S' has x and S something larger), so it comes earlier in the order
+and S is not the first candidate of its class.  A skipped candidate is
+never a class's first, so no key first appears at a skipped candidate,
+and the classes, their representatives and their order are unchanged.
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998,
+prunes by the base's whole automorphism group; twins are the special
+case found without computing the group.)  At n = 7 this keeps 4,818 of
+7,056 candidates, and at n = 8 79,937 of 108,331.
+
+Class counts for n = 1..8: 1, 1, 2, 6, 21, 112, 853, 11,117.
 """
 
 from __future__ import annotations
@@ -87,7 +102,20 @@ def _level(n: int) -> tuple[tuple[Graph, ...], list[_Form]]:
         base_nbrs = [[w for w in range(new) if a >> w & 1] for a in base_adj]
         base_back = [[w for w in nbrs if w < v] for v, nbrs in enumerate(base_nbrs)]
         m = len(base_edges)
+        # y -> the twins x < y, for y that has any; see the module docstring
+        twins = []
+        for y in range(1, new):
+            ybit = 1 << y
+            xs = 0
+            for x in range(y):
+                xbit = 1 << x
+                if base_adj[x] & ~ybit == base_adj[y] & ~xbit:
+                    xs |= xbit
+            if xs:
+                twins.append((ybit, xs))
         for mask, subset in subsets:
+            if any(mask & ybit and mask & xs != xs for ybit, xs in twins):
+                continue
             size = len(subset)
             deg = base_deg.copy()
             for v in subset:

@@ -19,19 +19,24 @@ vertices each has neither property.  The factors' solves draw on the same
 node and time budget as the product's search, and their nodes count in
 the result.
 
-`_search` is the exact core: iterative deepening on the colour count k,
-and for each k a backtracking search over edges in a fixed order
-(degree-sum descending).  The search keeps its stack explicitly, as the
-colour assigned at each position of the order, so its depth is bounded by
-memory rather than by Python's recursion limit.  Pruning per assignment:
+`_search` is the exact core: iterative deepening on the colour count k
+from the certified `lower_bound` (the degree bound or the forest-counting
+bound, whichever is larger), and for each k a backtracking search over
+edges in a fixed order (degree-sum descending).  `_first_colouring` is
+that search, one loop over plain locals: the search keeps its stack
+explicitly, as the colour assigned at each position of the order, so its
+depth is bounded by memory rather than by Python's recursion limit.
+Pruning per assignment:
 
-  - properness via per-vertex colour bitmasks,
+  - properness via per-vertex colour bitmasks: the candidate colours of
+    an edge are the bits of its range held by neither endpoint's mask,
   - canonical symmetry breaking (a colour may be opened only if every
     smaller colour has been used already),
   - acyclicity via alternating-path walks: a new bichromatic cycle through
     the edge being coloured must alternate its colour c with some colour
     c' already present at both endpoints, and the {c, c'} subgraph has
-    maximum degree two, so a single forced walk decides it.
+    maximum degree two, so a single forced walk decides it; with no
+    colour shared by the endpoints there is nothing to walk.
 
 First feasible k is exact; the run at k-1 having been exhausted is the
 infeasibility certificate.  All tie-breaking is lexicographic by
@@ -90,76 +95,49 @@ class _OutOfBudget(Exception):
         self.nodes = nodes
 
 
-def lower_bound(g: Graph) -> int:
-    """Max degree, plus one when the graph is regular of degree above one.
+def forest_bound(g: Graph) -> int:
+    """Fewest colours the edge count allows, by counting matchings.
 
-    The extra one is forced: in a proper Δ-edge-colouring of a Δ-regular
-    graph every colour class is a perfect matching, and any two perfect
-    matchings union to a disjoint set of bichromatic cycles.
+    Each colour class is a matching, so it has at most n/2 edges.  Two
+    classes together form a forest, so two perfect matchings, whose union
+    is a spanning union of cycles, cannot both be classes: for even n at
+    most one class has n/2 edges and every other at most n/2 - 1.  Hence
+    m <= n/2 + (k-1)(n/2 - 1) for even n and m <= k(n-1)/2 for odd n
+    (Alon, Sudakov and Zaks, J. Graph Theory 37, 2001).  Nothing here
+    needs the graph connected: isolated vertices only loosen the count.
+    """
+    n, m = g.n, g.m
+    if m == 0:
+        return 0
+    half = n // 2
+    if n % 2:
+        return -(-m // half)
+    if m <= half:
+        return 1
+    # half >= 2 here, since for n = 2 the only edge count is 1
+    return 1 + -(-(m - half) // (half - 1))
+
+
+def lower_bound(g: Graph) -> int:
+    """The certified lower bound the search starts from: the larger of the
+    degree bound and `forest_bound`.
+
+    The degree bound is the max degree, plus one when the graph is regular
+    of degree above one.  The extra one is forced: in a proper Δ-edge-
+    colouring of a Δ-regular graph every colour class is a perfect matching,
+    and any two perfect matchings union to a disjoint set of bichromatic
+    cycles.  `forest_bound` is larger on dense graphs: 7 against 6 on K6,
+    9 against 8 on K8.
     """
     delta = g.max_degree
     if delta > 1 and all(d == delta for d in g.degrees):
-        return delta + 1
-    return delta
-
-
-class _Partial:
-    """Mutable partial colouring with O(cycle) acyclicity tests.
-
-    mask[v] is the bitmask of colours incident to v; at[v][c] is the
-    neighbour joined to v by the c-coloured edge (unique by properness).
-    """
-
-    __slots__ = ("mask", "at")
-
-    def __init__(self, n: int):
-        self.mask = [0] * n
-        self.at: list[dict[int, int]] = [dict() for _ in range(n)]
-
-    def blocked(self, u: int, v: int, c: int) -> bool:
-        return bool((self.mask[u] | self.mask[v]) & (1 << c))
-
-    def creates_cycle(self, u: int, v: int, c: int) -> bool:
-        """Would colouring the uncommitted edge (u, v) with c close a
-        bichromatic cycle?  Walk the forced {c, c'} path from u for each
-        candidate partner colour c'; reaching v closes the cycle."""
-        at = self.at
-        cand = self.mask[u] & self.mask[v]
-        while cand:
-            low = cand & -cand
-            cp = low.bit_length() - 1
-            cand ^= low
-            pos = at[u][cp]
-            expect = c
-            while True:
-                if pos == v:
-                    return True
-                nxt = at[pos].get(expect)
-                if nxt is None:
-                    break
-                pos = nxt
-                expect = cp if expect == c else c
-        return False
-
-    def assign(self, u: int, v: int, c: int) -> None:
-        bit = 1 << c
-        self.mask[u] |= bit
-        self.mask[v] |= bit
-        self.at[u][c] = v
-        self.at[v][c] = u
-
-    def unassign(self, u: int, v: int, c: int) -> None:
-        bit = 1 << c
-        self.mask[u] ^= bit
-        self.mask[v] ^= bit
-        del self.at[u][c]
-        del self.at[v][c]
+        delta += 1
+    return max(delta, forest_bound(g))
 
 
 def _edge_order(g: Graph) -> list[int]:
-    return sorted(
-        range(g.m), key=lambda i: (-(g.degree(g.edges[i][0]) + g.degree(g.edges[i][1])), i)
-    )
+    deg, edges = g.degrees, g.edges
+    return sorted(range(g.m), key=lambda i: (-(deg[edges[i][0]] + deg[edges[i][1]]), i))
 
 
 def _first_colouring(
@@ -174,14 +152,21 @@ def _first_colouring(
     position removes its colour and resumes the scan above it.  Returns the
     colouring (indexed by edge) or None if there is none, with the node
     count carried on from `nodes`; raises _OutOfBudget past the budget.
+
+    mask[v] is the bitmask of colours at v, and at[v][c] the neighbour
+    joined to v by the c-coloured edge (unique by properness).  The free
+    colours of an edge uv are the bits in its range that neither mask
+    holds.  Colouring uv with a free c closes a bichromatic cycle only
+    through a colour c' at both u and v, and the {c, c'} edges form paths
+    and cycles, so the one walk from u along c', c, c', ... decides it:
+    the walk meets v after a c' step or stops.
     """
     colours = [-1] * g.m
     if g.m == 0:
         return colours, nodes
     edges = g.edges
-    state = _Partial(g.n)
-    blocked, creates_cycle = state.blocked, state.creates_cycle
-    assign, unassign = state.assign, state.unassign
+    mask = [0] * g.n
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
     max_nodes, max_time = budget.max_nodes, budget.max_time
     last = g.m - 1
     limits = [min(k, 1)] * g.m
@@ -191,31 +176,59 @@ def _first_colouring(
         ei = order[pos]
         u, v = edges[ei]
         limit = limits[pos]
-        for c in range(start, limit):
-            if blocked(u, v, c) or creates_cycle(u, v, c):
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise _OutOfBudget(nodes)
-            if nodes % 2048 == 0 and time.perf_counter() - t0 > max_time:
-                raise _OutOfBudget(nodes)
-            colours[ei] = c
-            if pos == last:
-                return colours, nodes
-            assign(u, v, c)
-            pos += 1
-            limits[pos] = limit + 1 if c + 1 == limit < k else limit
-            start = 0
-            break
+        mu, mv = mask[u], mask[v]
+        free = ((1 << limit) - (1 << start)) & ~(mu | mv)
+        shared = mu & mv
+        partners = []
+        while shared:
+            low = shared & -shared
+            shared ^= low
+            partners.append(low.bit_length() - 1)
+        at_u = at[u]
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
+            for cp in partners:
+                w = at_u[cp]
+                while w != v:
+                    w = at[w].get(c)
+                    if w is None:
+                        break
+                    w = at[w].get(cp)
+                    if w is None:
+                        break
+                else:
+                    break  # the walk reached v: c would close a cycle
+            else:  # no walk reached v: place c
+                nodes += 1
+                if nodes > max_nodes:
+                    raise _OutOfBudget(nodes)
+                if nodes % 2048 == 0 and time.perf_counter() - t0 > max_time:
+                    raise _OutOfBudget(nodes)
+                colours[ei] = c
+                if pos == last:
+                    return colours, nodes
+                mask[u] = mu | bit
+                mask[v] = mv | bit
+                at_u[c] = v
+                at[v][c] = u
+                pos += 1
+                limits[pos] = limit + 1 if c + 1 == limit < k else limit
+                start = 0
+                break
         else:
             if pos == 0:
                 return None, nodes
             pos -= 1
             ei = order[pos]
             u, v = edges[ei]
-            start = colours[ei]
-            unassign(u, v, start)
-            start += 1
+            c = colours[ei]
+            mask[u] ^= 1 << c
+            mask[v] ^= 1 << c
+            del at[u][c]
+            del at[v][c]
+            start = c + 1
 
 
 def _search(

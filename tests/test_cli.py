@@ -73,6 +73,11 @@ def test_aci_lower_only(tmp_path, capsys):
     f.write_text(format_edge_list(hypercube(3)))
     assert run("aci", str(f), "--lower-only") == 0
     assert capsys.readouterr().out.strip() == "4"
+    # K6 is 5-regular, so the degree bound is 6; forest counting gives 7
+    k6 = tmp_path / "k6.el"
+    k6.write_text(format_edge_list(complete(6)))
+    assert run("aci", str(k6), "--lower-only") == 0
+    assert capsys.readouterr().out == "7\n"
 
 
 def test_aci_budget_exhaustion(tmp_path, capsys):
@@ -179,8 +184,9 @@ def test_compose_solve_factors_on_a_large_grid(tmp_path, capsys):
 
 
 def test_compose_solve_factors_budget_exhaustion(tmp_path, capsys):
-    # K6 is 5-regular, so the search starts at 6 colours, and 5 nodes
-    # cannot settle that; compose stops at the first factor that runs out
+    # K6 has 15 edges on 6 vertices, so forest counting starts the search
+    # at 7 colours (the degree bound gives 6), and 5 nodes cannot settle
+    # that; compose stops at the first factor that runs out
     a = tmp_path / "k6.el"
     b = tmp_path / "k2.el"
     a.write_text(format_edge_list(complete(6)))
@@ -191,8 +197,8 @@ def test_compose_solve_factors_budget_exhaustion(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     data = json.loads(captured.out)
-    assert (data["exhausted"], data["lower"], data["nodes"]) == (True, 6, 6)
-    assert data["upper"] > 6
+    assert (data["exhausted"], data["lower"], data["nodes"]) == (True, 7, 6)
+    assert data["upper"] > 7
     assert captured.err == "search budget exhausted\n"
 
 

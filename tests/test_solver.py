@@ -1,7 +1,17 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import brute_aci, colour_of, feasible, first_fit, from_edge_map, isomorphic
+from bruteforce import (
+    brute_aci,
+    colour_of,
+    connected_graphs_up_to as reference_corpus,
+    feasible,
+    first_fit,
+    from_edge_map,
+    isomorphic,
+)
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
 from boxcolour.corpus import connected_graphs_up_to
 from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
@@ -9,8 +19,10 @@ from boxcolour.solver import (
     AciResult,
     SearchBudget,
     _edge_order,
+    _first_colouring,
     _search,
     exact_aci,
+    forest_bound,
     greedy_acyclic,
     lower_bound,
 )
@@ -23,6 +35,42 @@ def test_lower_bound_examples():
     assert lower_bound(path(5)) == 2
     assert lower_bound(Graph(4, [(0, 1), (0, 2), (0, 3)])) == 3
     assert lower_bound(Graph(1, [])) == 0
+
+
+def test_bounds_are_sound_on_every_connected_graph_up_to_six_vertices():
+    for g in reference_corpus(6):
+        assert forest_bound(g) <= lower_bound(g) <= brute_aci(g), g.edges
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (5, []),
+        (4, [(0, 1)]),
+        (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+        (6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)]),
+        (8, [(i, j) for i in range(4) for j in range(i + 1, 4)]
+            + [(i, j) for i in range(4, 8) for j in range(i + 1, 8)]),
+        (6, [(i, j) for i in range(5) for j in range(i + 1, 5)]),
+        (7, [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+    ],
+    ids=["edgeless", "K2+2K1", "2K3", "K4+K2", "2K4", "K5+K1", "K6+K1"],
+)
+def test_bounds_are_sound_on_disconnected_graphs(n, edges):
+    # the matching counts hold on any vertex set; isolated vertices only
+    # loosen them
+    g = Graph(n, edges)
+    assert forest_bound(g) <= lower_bound(g) <= brute_aci(g)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_forest_bound_beats_the_degree_bound_on_even_cliques(n):
+    # K_n is (n-1)-regular, so the degree bound is n; at most one colour
+    # class is a perfect matching, so n(n-1)/2 <= n/2 + (k-1)(n/2 - 1)
+    # forces k >= n + 1
+    g = complete(n)
+    assert g.max_degree + 1 == n
+    assert forest_bound(g) == lower_bound(g) == n + 1
 
 
 def test_exact_known_values():
@@ -101,7 +149,7 @@ def test_budget_exhaustion_keeps_the_composed_upper_bound():
     [
         (hypercube(6), 85_584),
         (grid(8, 8), 33_161),
-        (complete(6), 403),
+        (complete(6), 24),
         (cartesian_product(complete(5), path(2))[0], 13_547),
     ],
     ids=["Q6", "grid8x8", "K6", "K5xP2"],
@@ -111,13 +159,23 @@ def test_search_node_counts(g, nodes):
     assert _search(g).nodes == nodes
 
 
+def test_refuting_a_level_counts_every_node():
+    # the forest bound starts K6 at 7, where it is solved; 6 colours are
+    # refuted after 379 nodes, the count the search placed there before
+    g = complete(6)
+    assert _first_colouring(g, _edge_order(g), 6, SearchBudget(), time.perf_counter(), 0) == (
+        None,
+        379,
+    )
+
+
 def test_search_node_counts_on_small_corpus():
     # also pins the corpus, whose labellings set each search
     graphs = connected_graphs_up_to(7)
     assert len(graphs) == 996
     nodes = [_search(g).nodes for g in graphs]
-    assert sum(x for x, g in zip(nodes, graphs) if g.n <= 6) == 2_774
-    assert sum(nodes) == 27_448
+    assert sum(x for x, g in zip(nodes, graphs) if g.n <= 6) == 1_310
+    assert sum(nodes) == 23_934
 
 
 @pytest.mark.parametrize(
@@ -125,7 +183,7 @@ def test_search_node_counts_on_small_corpus():
     [
         (hypercube(6), 7, 8, "factor"),
         (grid(8, 8), 4, 14, "factor"),
-        (complete(6), 7, 403, "search"),
+        (complete(6), 7, 24, "search"),
         (cartesian_product(complete(5), path(2))[0], 6, 13, "factor"),
     ],
     ids=["Q6", "grid8x8", "K6", "K5xP2"],
@@ -143,8 +201,8 @@ def test_exact_node_counts_on_small_corpus():
     # (16 -> 4); K2 x K2 is the excluded case and is searched as before
     graphs = connected_graphs_up_to(7)
     results = [exact_aci(g) for g in graphs]
-    assert sum(r.nodes for r, g in zip(results, graphs) if g.n <= 6) == 2_755
-    assert sum(r.nodes for r in results) == 27_429
+    assert sum(r.nodes for r, g in zip(results, graphs) if g.n <= 6) == 1_291
+    assert sum(r.nodes for r in results) == 23_915
     factored = [g for r, g in zip(results, graphs) if r.tactic == "factor"]
     products = [cartesian_product(path(3), path(2))[0], cartesian_product(cycle(3), path(2))[0]]
     assert len(factored) == 2
