@@ -13,11 +13,13 @@ colouring improper, and a scan of the vertices in index order then picks
 the witness.  In a proper colouring any two colour classes form a subgraph
 of maximum degree 2, a union of paths and cycles, so acyclicity is a walk
 along those alternating paths, once per colour pair, over the mate map of
-the smaller class: O(k*m) time over all pairs and O(n + m) memory.  A
-colour used on one edge is never walked, since a two-coloured cycle holds
-at least two edges of each colour, and neither is a pair whose classes
-share no vertex.  The walk only detects a cycle; the first pair that has
-one is walked again with edge indices to pick its witness.
+the smaller class.  The walks mark vertices in one list of n integers, each
+pair with a stamp of its own, so no pair allocates a set: O(k*m) time over
+all pairs and O(n + m) memory.  A colour used on one edge is never walked,
+since a two-coloured cycle holds at least two edges of each colour, and
+neither is a pair whose classes share no vertex.  The walk only detects a
+cycle; the first pair that has one is walked again with edge indices to
+pick its witness.
 
 Library code checks each colouring once per trust boundary, where it
 leaves the code that built it or enters from a caller.  The search and
@@ -339,17 +341,20 @@ def check_proper_vertex(y: VertexColouring) -> Optional[Edge]:
     return None
 
 
-def _has_cycle(mate_a: dict[int, int], mate_b: dict[int, int]) -> bool:
+def _has_cycle(
+    mate_a: dict[int, int], mate_b: dict[int, int], seen: list[int], stamp: int,
+) -> bool:
     """Whether the union of two matchings, given by their mate maps, holds a
     cycle.  Its components are paths and cycles; each one holding an edge
-    of `a` is walked once, so pass the smaller matching as `a`."""
-    seen: set[int] = set()
+    of `a` is walked once, so pass the smaller matching as `a`.  A vertex
+    is marked by setting its entry of `seen` to `stamp`, which must differ
+    from every entry already there."""
     for u in mate_a:
-        if u in seen:
+        if seen[u] == stamp:
             continue
         # forward from u along its a-edge; a cycle closes back at u
         w = mate_a[u]
-        seen.add(w)
+        seen[w] = stamp
         while True:
             v = mate_b.get(w)
             if v is None:
@@ -359,16 +364,14 @@ def _has_cycle(mate_a: dict[int, int], mate_b: dict[int, int]) -> bool:
             w = mate_a.get(v)
             if w is None:
                 break
-            seen.add(v)
-            seen.add(w)
+            seen[v] = seen[w] = stamp
         # an open path: mark the a-edges on u's other side as well
         v = mate_b.get(u)
         while v is not None:
             w = mate_a.get(v)
             if w is None:
                 break
-            seen.add(v)
-            seen.add(w)
+            seen[v] = seen[w] = stamp
             v = mate_b.get(w)
     return False
 
@@ -457,12 +460,16 @@ def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
     # a two-coloured cycle holds at least two edges of each colour
     paired = sorted((c for c, mate in mates.items() if len(mate) > 2), key=colour_order_key)
     classes = [(c, mates[c], mates[c].keys()) for c in paired]
+    # one mark list for every walk: each pair marks with a stamp of its own
+    seen = [0] * x.graph.n
+    stamp = 0
     for i, (a, mate_a, ends_a) in enumerate(classes):
         for b, mate_b, ends_b in classes[i + 1 :]:
             if ends_a.isdisjoint(ends_b):
                 continue
             # the walks start from the smaller class; the cycle found is the same
             small, large = (a, b) if len(mate_a) <= len(mate_b) else (b, a)
-            if _has_cycle(mates[small], mates[large]):
+            stamp += 1
+            if _has_cycle(mates[small], mates[large], seen, stamp):
                 return BichromaticCycle(a, b, canonical_cycle(_cycle_witness(x, small, large)))
     return None

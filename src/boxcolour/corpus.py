@@ -8,11 +8,20 @@ by cheap invariants and deduplicated with a backtracking isomorphism test.
 The search works on adjacency bitmasks: bit w of adj[v] is set when vw is
 an edge.  A candidate's masks are its base's masks plus the subset mask of
 the new vertex, and its triangle count is the base's plus the base edges
-inside the subset.  The bucket key is (n, m, triangles, sorted (degree,
-sorted neighbour degrees)), and the isomorphism test maps a vertex only to
-one with the same (degree, neighbour degrees).  (Up to 7 vertices no two
-classes share a key, so there the test only ever confirms a duplicate.)  A
-`Graph` is built only for each representative kept, from its sorted edges.
+inside the subset.  Each vertex v gets one int colour,
+
+    deg(v) << s*n  |  sum over neighbours w of 1 << s*deg(w),
+
+with s = n.bit_length(): field d, of s bits, counts v's neighbours of
+degree d.  Every count and every degree is at most n - 1 < 2^s, so the
+fields never carry into each other and two vertices get equal ints exactly
+when they have equal degrees and equal sorted neighbour degrees: the int
+is an injective encoding of the pair (degree, sorted neighbour degrees),
+built without a sort.  The bucket key is (n, m, triangles, sorted
+colours), and the isomorphism test maps a vertex only to one of the same
+colour.  (Up to 7 vertices no two classes share a key, so there the test
+only ever confirms a duplicate.)  A `Graph` is built only for each
+representative kept, from its sorted edges.
 
 Candidates are met in a fixed order (bases in order, then subsets by size,
 then lexicographically), buckets keep the order their keys first appear in,
@@ -51,34 +60,47 @@ _CACHE: dict[int, tuple[tuple[Graph, ...], list[_Form]]] = {}
 
 
 def _isomorphic(
-    back: list[list[int]], colour_a: list[tuple], adj_b: tuple[int, ...],
-    classes_b: dict[tuple, list[int]],
+    back: list[list[int]], colour_a: list, adj_b: tuple[int, ...],
+    classes_b: dict[object, list[int]],
 ) -> bool:
     """Is there a bijection a -> b preserving adjacency and vertex colours?
 
     The vertices of a are placed in index order; `back[v]` lists v's
-    neighbours below v, and `classes_b` lists b's vertices per colour.  v
-    may go to w only if w's edges to the images placed so far are exactly
-    the images of v's edges to the vertices placed."""
-    n = len(back)
-    image = [0] * n  # bit of each placed vertex's image
+    neighbours below v, and `classes_b` lists b's vertices per colour, which
+    may be any hashable value.  v may go to w only if w's edges to the
+    images placed so far are exactly the images of v's edges to the
+    vertices placed."""
+    return _extend(0, 0, back, colour_a, adj_b, classes_b, [0] * len(back))
 
-    def extend(v: int, used: int) -> bool:
-        if v == n:
+
+def _extend(
+    v: int, used: int, back: list[list[int]], colour_a: list,
+    adj_b: tuple[int, ...], classes_b: dict[object, list[int]], image: list[int],
+) -> bool:
+    """Place a's vertices v, v+1, ... given the bits `image` of the images
+    of those below v, whose union is `used`.  A module-level function, not
+    a closure, so a call leaves no reference cycle for the collector."""
+    if v == len(back):
+        return True
+    want = 0
+    for p in back[v]:
+        want |= image[p]
+    for w in classes_b[colour_a[v]]:
+        bit = 1 << w
+        if used & bit or adj_b[w] & used != want:
+            continue
+        image[v] = bit
+        if _extend(v + 1, used | bit, back, colour_a, adj_b, classes_b, image):
             return True
-        want = 0
-        for p in back[v]:
-            want |= image[p]
-        for w in classes_b[colour_a[v]]:
-            bit = 1 << w
-            if used & bit or adj_b[w] & used != want:
-                continue
-            image[v] = bit
-            if extend(v + 1, used | bit):
-                return True
-        return False
+    return False
 
-    return extend(0, 0)
+
+def _colour_fields(n: int) -> tuple[int, list[int]]:
+    """(top, unit) for graphs on n vertices: a vertex of degree d whose
+    neighbours have degrees d_1, ..., d_k gets the colour d << top plus the
+    sum of unit[d_i]; see the module docstring."""
+    s = n.bit_length()
+    return s * n, [1 << s * d for d in range(n)]
 
 
 def _level(n: int) -> tuple[tuple[Graph, ...], list[_Form]]:
@@ -95,6 +117,7 @@ def _level(n: int) -> tuple[tuple[Graph, ...], list[_Form]]:
         for size in range(1, n)
         for subset in combinations(range(new), size)
     ]
+    top, unit = _colour_fields(n)
     # key -> [(adjacency masks, colour classes, edges, triangles)]
     buckets: dict[tuple, list[tuple]] = {}
     for base_adj, base_edges, base_tri in _level(new)[1]:
@@ -121,14 +144,21 @@ def _level(n: int) -> tuple[tuple[Graph, ...], list[_Form]]:
             for v in subset:
                 deg[v] += 1
             deg.append(size)
-            # (degree, sorted neighbour degrees) per vertex
+            # (degree, neighbour degrees) per vertex, as one int; see the
+            # module docstring
+            weight = [unit[d] for d in deg]
             colour = []
             for v, nbrs in enumerate(base_nbrs):
-                around = [deg[w] for w in nbrs]
+                c = deg[v] << top
+                for w in nbrs:
+                    c += weight[w]
                 if mask >> v & 1:
-                    around.append(size)
-                colour.append((deg[v], tuple(sorted(around))))
-            colour.append((size, tuple(sorted(deg[v] for v in subset))))
+                    c += weight[new]
+                colour.append(c)
+            c = size << top
+            for v in subset:
+                c += weight[v]
+            colour.append(c)
             tri = base_tri + sum((base_adj[v] & mask).bit_count() for v in subset) // 2
             key = (n, m + size, tri, tuple(sorted(colour)))
             bucket = buckets.get(key)
@@ -141,7 +171,7 @@ def _level(n: int) -> tuple[tuple[Graph, ...], list[_Form]]:
                 bucket = buckets[key] = []
             adj = [a | new_bit if mask >> v & 1 else a for v, a in enumerate(base_adj)]
             adj.append(mask)
-            classes: dict[tuple, list[int]] = {}
+            classes: dict[int, list[int]] = {}
             for v, c in enumerate(colour):
                 classes.setdefault(c, []).append(v)
             edges = tuple(sorted(base_edges + tuple((v, new) for v in subset)))

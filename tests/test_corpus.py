@@ -1,11 +1,14 @@
+import gc
 import itertools
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bruteforce import connected_graphs_up_to as reference_corpus, isomorphic
-from boxcolour.corpus import _isomorphic, connected_graphs, connected_graphs_up_to
+from boxcolour import corpus
+from boxcolour.corpus import _colour_fields, _isomorphic, connected_graphs, connected_graphs_up_to
 from boxcolour.graphs import Graph, cycle, hypercube, is_connected
 
 
@@ -88,6 +91,65 @@ def test_isomorphism_test_separates_classes_that_share_a_key():
         assert _bitmask_isomorphic(a, b) == isomorphic(a, b)
     assert _bitmask_isomorphic(family[0], family[1])
     assert not _bitmask_isomorphic(family[0], family[3])
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return n, [e for e in pairs if rng.random() < density]
+
+
+@given(_graphs())
+@settings(max_examples=200, deadline=None)
+def test_int_colours_bucket_vertices_as_the_degree_tuples_do(graph):
+    # the corpus colours a vertex by one int; two vertices must get equal
+    # ints exactly when their (degree, sorted neighbour degrees) are equal
+    n, edges = graph
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    deg = [len(a) for a in nbrs]
+    top, unit = _colour_fields(n)
+    ints = [deg[v] << top | sum(unit[deg[w]] for w in nbrs[v]) for v in range(n)]
+    tuples = [(deg[v], tuple(sorted(deg[w] for w in nbrs[v]))) for v in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        assert (ints[u] == ints[v]) == (tuples[u] == tuples[v]), (u, v, edges)
+
+
+def test_int_colours_are_injective_on_every_neighbourhood_up_to_ten_vertices():
+    # a vertex's int depends only on its neighbours' degrees, a multiset of
+    # at most n - 1 values in 1..n-1; every such multiset gets its own int,
+    # including those the random graphs above are unlikely to draw
+    for n in range(1, 11):
+        top, unit = _colour_fields(n)
+        neighbourhoods = [
+            around
+            for k in range(n)
+            for around in itertools.combinations_with_replacement(range(1, n), k)
+        ]
+        ints = {len(around) << top | sum(unit[d] for d in around) for around in neighbourhoods}
+        assert len(ints) == len(neighbourhoods)
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    # every object the enumeration makes is freed by reference counting
+    saved = dict(corpus._CACHE)
+    enabled = gc.isenabled()
+    try:
+        corpus._CACHE.clear()
+        gc.collect()
+        gc.disable()
+        connected_graphs_up_to(6)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+        corpus._CACHE.clear()
+        corpus._CACHE.update(saved)
 
 
 def test_up_to_concatenates_in_order():
