@@ -262,7 +262,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_greedy)
 
-    p = sub.add_parser("vertex-color", help="proper vertex colouring within the degree bound")
+    p = sub.add_parser(
+        "vertex-color", help="proper vertex colouring within max degree, plus one if regular"
+    )
     p.add_argument("graph", metavar="FILE")
     _add_format_flag(p)
     p.set_defaults(func=_cmd_vertex_color)

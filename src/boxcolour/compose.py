@@ -8,12 +8,18 @@ rotations never agree anywhere, which is what kills cycles that cross
 copies.  The smaller factor's edges become perfect matchings between
 copies and keep their own colours, drawn from a disjoint (primed) family.
 
-The shifts come from `brooks_colouring` of the matching factor.  By
-Brooks' theorem it uses at most the factor's acyclic lower bound (max
-degree, plus one if regular) on every connected graph but a single edge,
-so at most beta <= eta colours: the eta rotations cover every vertex
-colour and the modulus never needs padding.  A single edge takes 2 colours
-against beta = 1, which is fine unless eta = 1 as well.  That product of
+The shifts come from `brooks_colouring` of the matching factor: first-fit
+in reverse breadth-first order from a vertex of least degree.  Every
+vertex but the root is coloured while its BFS parent is not, so it sees at
+most Δ - 1 colours, and the root has degree below Δ unless the factor is
+regular: at most Δ colours, or Δ + 1 on a regular factor.  beta counts a
+proper edge colouring, so beta >= Δ; on a regular factor with Δ >= 2, a
+palette of Δ colours would make every colour class a perfect matching,
+and two of them close a two-coloured cycle, so beta >= Δ + 1.  On every
+connected factor but a single edge the shifts thus take at most
+beta <= eta colours: the eta rotations cover every vertex colour and the
+modulus never needs padding.  A single edge takes 2 colours against
+beta = 1, which is fine unless eta = 1 as well.  That product of
 two single edges is the four-cycle, which no 2-colouring handles
 acyclically; `_compose` returns its literal 3-colouring instead, which
 `compose_or_solve` and `compose_many` hand out, and `compose` raises a
@@ -137,16 +143,26 @@ def _four_cycle() -> EdgeColouring:
 
 
 def compose_many(colourings: list[EdgeColouring]) -> EdgeColouring:
-    """Left fold of compose_or_solve over two or more factor colourings.
+    """compose_or_solve folded over two or more factor colourings, within
+    the sum of their palettes, or d + 1 colours for d single edges.
 
-    Every colouring passed in is verified once, and so is the final
-    output; the intermediate folds are not (module docstring).
+    The fold starts at the first factor whose palette exceeds 1 and then
+    attaches the factors before it on the left, so two single edges meet
+    only when every factor is one, and the four-cycle's third colour is
+    paid only then.  Row-major numbering is the same under any bracketing,
+    so the graph is the product in caller order.  Every colouring passed
+    in is verified once, and so is the final output; the intermediate
+    folds are not (module docstring).
     """
     if len(colourings) < 2:
         raise ValueError("need at least two factors")
     for i, x in enumerate(colourings):
         _validate_factor(str(i), x)
-    return _verified(reduce(_compose, colourings))
+    start = next((i for i, x in enumerate(colourings) if x.palette.size > 1), 0)
+    acc = reduce(_compose, colourings[start:])
+    for x in reversed(colourings[:start]):
+        acc = _compose(x, acc)
+    return _verified(acc)
 
 
 def hypercube_colouring(d: int) -> EdgeColouring:

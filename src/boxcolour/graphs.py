@@ -386,11 +386,11 @@ def is_connected(g: Graph) -> bool:
 
 
 class GraphClass(Record):
-    __slots__ = ("max_degree", "is_regular", "is_complete", "is_odd_cycle")
+    __slots__ = ("max_degree", "is_regular")
 
 
 def classify(h: Graph) -> GraphClass:
-    """Degree/shape flags used when budgeting vertex colours.
+    """The degree facts used when budgeting vertex colours.
 
     Requires a connected graph on at least two vertices.
     """
@@ -399,7 +399,4 @@ def classify(h: Graph) -> GraphClass:
     if not is_connected(h):
         raise ValueError("classification needs a connected graph")
     delta = h.max_degree
-    regular = all(d == delta for d in h.degrees)
-    comp = h.m == h.n * (h.n - 1) // 2
-    odd_cycle = regular and delta == 2 and h.n % 2 == 1
-    return GraphClass(delta, regular, comp, odd_cycle)
+    return GraphClass(delta, all(d == delta for d in h.degrees))

@@ -1,7 +1,10 @@
 import importlib
+import itertools
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import colour_index, colour_of, is_primed, origin_edge
 from boxcolour.colouring import (
@@ -228,6 +231,48 @@ def test_compose_many_folds_left():
     assert colours_used(x) <= 4
     with pytest.raises(ValueError):
         compose_many([xk])
+
+
+_SMALL_FACTORS = [g for g in connected_graphs_up_to(4) if g.n >= 2]
+_SMALL_WITNESSES = {g: solved(g) for g in _SMALL_FACTORS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_SMALL_FACTORS), min_size=2, max_size=4))
+# a left fold meets the two single edges first and pays the four-cycle's
+# third colour: 6, 9 and 5 colours against 5, 8 and 4
+@example([complete(2), complete(2), complete(3)])
+@example([complete(2)] * 3 + [complete(4)])
+@example([complete(2), complete(2), _SMALL_FACTORS[1]])  # the path on 3 vertices
+def test_compose_many_in_every_order_keeps_the_graph_and_the_sum_of_palettes(factors):
+    for order in set(itertools.permutations(factors)):
+        xs = [_SMALL_WITNESSES[g] for g in order]
+        x = compose_many(xs)
+        assert x.graph == reduce(lambda a, b: cartesian_product(a, b)[0], order)
+        palettes = [w.palette.size for w in xs]
+        budget = len(xs) + 1 if max(palettes) == 1 else sum(palettes)
+        assert colours_used(x) <= budget
+
+
+def test_pairs_up_to_four_vertices_sit_between_the_bounds():
+    # lower_bound <= aci <= compose <= a'(G) + a'(H) on every unordered pair
+    # of connected factors with 2 to 4 vertices; K2 x K2, the four-cycle the
+    # paper excludes, takes 3 colours against 1 + 1
+    tight = 0
+    for g, h in itertools.combinations_with_replacement(_SMALL_FACTORS, 2):
+        xg, xh = _SMALL_WITNESSES[g], _SMALL_WITNESSES[h]
+        product = cartesian_product(g, h)[0]
+        result = exact_aci(product)
+        assert not result.exhausted
+        used = colours_used(compose_or_solve(xg, xh))
+        paper = xg.palette.size + xh.palette.size
+        assert lower_bound(product) <= result.aci <= used
+        if g == h == complete(2):
+            assert (result.aci, used, paper) == (3, 3, 2)
+            continue
+        assert used <= paper
+        tight += result.aci == paper
+    assert tight == 19
 
 
 def test_compose_many_two_factors_reduces_to_compose():

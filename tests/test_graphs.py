@@ -293,9 +293,9 @@ _RECORDS = [
     (TwinPair, {"edge": (0, 1), "vertex": 2}, {}, "TwinPair(edge=(0, 1), vertex=2)", []),
     (
         GraphClass,
-        {"max_degree": 3, "is_regular": True, "is_complete": False, "is_odd_cycle": False},
+        {"max_degree": 3, "is_regular": True},
         {},
-        "GraphClass(max_degree=3, is_regular=True, is_complete=False, is_odd_cycle=False)",
+        "GraphClass(max_degree=3, is_regular=True)",
         [],
     ),
     (
@@ -404,16 +404,13 @@ def test_graphs_and_colourings_copy_and_pickle(make):
 
 def test_classify():
     k = classify(complete(4))
-    assert k.is_complete and k.is_regular and not k.is_odd_cycle
+    assert k.is_regular and k.max_degree == 3
     c5 = classify(cycle(5))
-    assert c5.is_odd_cycle and c5.is_regular and not c5.is_complete
-    c6 = classify(cycle(6))
-    assert not c6.is_odd_cycle and c6.is_regular
+    assert c5.is_regular and c5.max_degree == 2
     p = classify(path(4))
     assert not p.is_regular and p.max_degree == 2
-    # K3 is both complete and an odd cycle
-    k3 = classify(complete(3))
-    assert k3.is_complete and k3.is_odd_cycle
+    star = classify(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    assert not star.is_regular and star.max_degree == 3
     with pytest.raises(ValueError):
         classify(Graph(1, []))
     with pytest.raises(ValueError):
