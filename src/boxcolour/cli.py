@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: gen, product, aci, greedy, vertex-color, compose, hypercube,
-verify, scan.  Exit codes: 0 success, 1 verification failure (witness
-printed), 2 usage or input error, 3 search budget exhausted, 4 internal
-error (an unexpected exception, reported on stderr).  A reader that closes
-the pipe early (`boxcolour scan --max-n 7 | head`) is an output error:
-exit 2, without a traceback.
+Subcommands: gen, product, aci, greedy, compose, hypercube, verify, scan.
+Exit codes: 0 success, 1 verification failure (witness printed), 2 usage
+or input error, 3 search budget exhausted, 4 internal error (an
+unexpected exception, reported on stderr).  A reader that closes the pipe
+early (`boxcolour scan --max-n 7 | head`) is an output error: exit 2,
+without a traceback.
 
 Any argument of the form @file pulls extra arguments from that file, one
 per line, where "key=value" means "--key=value" and '#' starts a comment.
@@ -23,7 +23,6 @@ from .colouring import EdgeColouring, check_acyclic, colours_used
 from .compose import compose_or_solve, hypercube_colouring
 from .graphs import cartesian_product, complete, cycle, grid, hypercube, path
 from .solver import AciResult, SearchBudget, exact_aci, greedy_acyclic, lower_bound
-from .vertex_colouring import brooks_colouring
 
 OK, VERIFY_FAILED, USAGE, BUDGET, INTERNAL = 0, 1, 2, 3, 4
 
@@ -125,13 +124,6 @@ def _cmd_aci(args) -> int:
 def _cmd_greedy(args) -> int:
     g = io.load_graph(args.graph, args.format)
     _print_colouring(greedy_acyclic(g, args.seed))
-    return OK
-
-
-def _cmd_vertex_color(args) -> int:
-    g = io.load_graph(args.graph, args.format)
-    y = brooks_colouring(g)
-    print(json.dumps({str(v): c for v, c in enumerate(y.colours)}))
     return OK
 
 
@@ -261,13 +253,6 @@ def _build_parser() -> _Parser:
     _add_format_flag(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_greedy)
-
-    p = sub.add_parser(
-        "vertex-color", help="proper vertex colouring within max degree, plus one if regular"
-    )
-    p.add_argument("graph", metavar="FILE")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_vertex_color)
 
     p = sub.add_parser("compose", help="colour a product from factor colourings")
     p.add_argument("--g", required=True, metavar="FILE")

@@ -18,8 +18,11 @@ pair with a stamp of its own, so no pair allocates a set: O(k*m) time over
 all pairs and O(n + m) memory.  A colour used on one edge is never walked,
 since a two-coloured cycle holds at least two edges of each colour, and
 neither is a pair whose classes share no vertex.  The walk only detects a
-cycle; the first pair that has one is walked again with edge indices to
-pick its witness.
+cycle.  The witness, in the first pair that has one, is the cycle closed by
+the first edge of the pair, in index order, whose ends a union-find pass
+over the pair's earlier edges has already joined; it is read off the two
+mate maps.  This is the rule of the brute-force reference in the tests and
+of the benchmark's independent checker, so all three name the same cycle.
 
 Library code checks each colouring once per trust boundary, where it
 leaves the code that built it or enters from a caller.  The search and
@@ -44,6 +47,7 @@ from .graphs import (
     _check_order,
     _first_bad_edge,
     _has_repeats,
+    _union,
     _valid_sorted,
 )
 
@@ -376,72 +380,27 @@ def _has_cycle(
     return False
 
 
-def _cycle_witness(x: EdgeColouring, a: int, b: int) -> list[int]:
-    """The cycle of the {a, b} subgraph whose largest edge index is smallest,
-    as a vertex sequence; the subgraph must hold a cycle.
-
-    Every a-edge is a start, in increasing index order, and each component
-    holding one is walked once, from its first a-edge; pass the smaller
-    class as `a`.  A union-find pass over the edges in index order closes
-    exactly this cycle first: a cycle closes at its largest edge.
-    """
-    edges = x.graph.edges
-    steps: dict[int, dict[int, tuple[int, int]]] = {a: {}, b: {}}
-    starts = []
-    for ei, c in enumerate(x.colours):
-        step = steps.get(c)
-        if step is not None:
-            u, v = edges[ei]
-            step[u] = (v, ei)
-            step[v] = (u, ei)
-            if c == a:
-                starts.append(ei)
-    step_a, step_b = steps[a], steps[b]
-    seen: set[int] = set()
-    best: list[int] = []
-    best_top = -1
-    for ei in starts:
-        if best and ei > best_top:
-            break  # every cycle still unseen contains a larger edge
-        if ei in seen:
-            continue
-        u, w = edges[ei]
-        walk, top, closed = [u, w], ei, False
-        while True:
-            step = step_b.get(w)
-            if step is None:
-                break
-            w, ej = step
-            if ej > top:
-                top = ej
-            if w == u:
-                closed = True
-                break
-            walk.append(w)
-            step = step_a.get(w)
-            if step is None:
-                break
-            w, ej = step
-            seen.add(ej)
-            if ej > top:
-                top = ej
-            walk.append(w)
-        if closed:
-            if not best or top < best_top:
-                best, best_top = walk, top
-            continue
-        # an open path: mark the a-edges on its other side as well
-        w = u
-        while True:
-            step = step_b.get(w)
-            if step is None:
-                break
-            step = step_a.get(step[0])
-            if step is None:
-                break
-            w, ej = step
-            seen.add(ej)
-    return best
+def _cycle_witness(
+    x: EdgeColouring, a: int, b: int, mate_a: dict[int, int], mate_b: dict[int, int],
+) -> list[int]:
+    """The cycle closed by the first edge coloured a or b, in index order,
+    whose ends a union-find pass over the earlier such edges has already
+    joined, as a vertex sequence; the {a, b} subgraph must hold a cycle.
+    That subgraph has maximum degree 2, so the edge's component is the
+    cycle itself, read off the mate maps of a and b from one of its ends."""
+    parent = list(range(x.graph.n))
+    for (u, v), c in zip(x.graph.edges, x.colours):
+        if (c == a or c == b) and not _union(parent, u, v):
+            break
+    # a cycle alternates a and b and has even length, so it closes after a b-step
+    cycle, w = [], u
+    while True:
+        cycle.append(w)
+        w = mate_a[w]
+        cycle.append(w)
+        w = mate_b[w]
+        if w == u:
+            return cycle
 
 
 def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
@@ -451,8 +410,9 @@ def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
     vertices and their incident edges taken in index order.  Otherwise
     colour pairs are scanned in palette order, skipping colours used on a
     single edge and pairs whose classes share no vertex, and within the
-    first pair holding a cycle the witness is the cycle whose largest edge
-    index is smallest.  Memory is O(n + m), whatever the number of colours.
+    first pair holding a cycle the witness is the cycle closed by the first
+    edge, in index order, whose ends the pair's earlier edges already join.
+    Memory is O(n + m), whatever the number of colours.
     """
     mates = _mate_maps(x)
     if mates is None:
@@ -471,5 +431,6 @@ def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
             small, large = (a, b) if len(mate_a) <= len(mate_b) else (b, a)
             stamp += 1
             if _has_cycle(mates[small], mates[large], seen, stamp):
-                return BichromaticCycle(a, b, canonical_cycle(_cycle_witness(x, small, large)))
+                witness = _cycle_witness(x, a, b, mate_a, mate_b)
+                return BichromaticCycle(a, b, canonical_cycle(witness))
     return None

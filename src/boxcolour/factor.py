@@ -14,14 +14,16 @@ edge as the other, reads each vertex's two coordinates off the connected
 components of the two sides, and then verifies the result outright.  It
 is untrusted by its callers all the same: the solver checks the colouring
 it builds from a factorisation with `check_acyclic` on the input graph,
-so a missed factorisation costs speed and a wrong one is caught.
+so a missed factorisation costs speed and a wrong one is caught.  The
+delta* classes and the components both come from the union-find in
+`graphs`.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import Edge, Graph, _norm_edge
+from .graphs import Graph, _components, _norm_edge, _root, _union
 
 
 class Factorisation(NamedTuple):
@@ -31,19 +33,6 @@ class Factorisation(NamedTuple):
     g: Graph
     h: Graph
     vertex: tuple[int, ...]
-
-
-def _root(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list[int], x: int, y: int) -> None:
-    rx, ry = _root(parent, x), _root(parent, y)
-    if rx != ry:
-        parent[max(rx, ry)] = min(rx, ry)
 
 
 def delta_star(g: Graph) -> list[int]:
@@ -69,15 +58,6 @@ def delta_star(g: Graph) -> list[int]:
                 if not square:
                     _union(parent, e, f)
     return [_root(parent, e) for e in range(g.m)]
-
-
-def _components(n: int, edges: Sequence[Edge]) -> list[int]:
-    """Component number of every vertex, numbered by smallest vertex."""
-    parent = list(range(n))
-    for u, v in edges:
-        _union(parent, u, v)
-    label: dict[int, int] = {}
-    return [label.setdefault(_root(parent, v), len(label)) for v in range(n)]
 
 
 def factorise(g: Graph) -> Optional[Factorisation]:

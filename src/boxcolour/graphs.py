@@ -367,22 +367,39 @@ def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, list[int]]:
 # Structure queries
 
 
+def _root(parent: list[int], x: int) -> int:
+    """x's root in the union-find forest `parent`, halving the path on the
+    way (Tarjan and van Leeuwen, JACM 1984)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> bool:
+    """Join x's and y's sets under the smaller root; False if they were
+    already one."""
+    rx, ry = _root(parent, x), _root(parent, y)
+    if rx == ry:
+        return False
+    parent[max(rx, ry)] = min(rx, ry)
+    return True
+
+
+def _components(n: int, edges: Sequence[Edge]) -> list[int]:
+    """Component number of every vertex, numbered by smallest vertex."""
+    parent = list(range(n))
+    for u, v in edges:
+        _union(parent, u, v)
+    label: dict[int, int] = {}
+    return [label.setdefault(_root(parent, v), len(label)) for v in range(n)]
+
+
 def is_connected(g: Graph) -> bool:
     """True iff the graph has exactly one connected component."""
     if g.n < 1:
         raise ValueError("connectivity is undefined for the empty graph")
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in g.neighbours(u):
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
+    return max(_components(g.n, g.edges)) == 0
 
 
 class GraphClass(Record):

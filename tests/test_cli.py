@@ -136,17 +136,6 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     assert "internal error: RuntimeError('boom')" in captured.err
 
 
-def test_vertex_color_is_proper(tmp_path, capsys):
-    f = tmp_path / "c5.el"
-    f.write_text(format_edge_list(cycle(5)))
-    assert run("vertex-color", str(f)) == 0
-    mapping = json.loads(capsys.readouterr().out)
-    colours = [mapping[str(v)] for v in range(5)]
-    for u, v in cycle(5).edges:
-        assert colours[u] != colours[v]
-    assert len(set(colours)) <= 3
-
-
 def test_compose_requires_colourings_or_solve(tmp_path, capsys):
     a = tmp_path / "a.el"
     a.write_text(format_edge_list(cycle(4)))
@@ -365,6 +354,15 @@ def test_scan_without_vertices_is_an_input_error(capsys, max_n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: need at least one vertex\n"
+
+
+def test_scan_past_the_corpus_limit_is_an_input_error_before_enumerating(capsys):
+    start = time.perf_counter()
+    assert run("scan", "--max-n", "10") == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: corpus enumeration stops at 9 vertices, got 10\n"
 
 
 def test_scan_budget_exhaustion(tmp_path, capsys):

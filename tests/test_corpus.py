@@ -16,6 +16,15 @@ def test_known_class_counts():
     assert [len(connected_graphs(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
 
 
+@pytest.mark.parametrize("enumerate_", [connected_graphs, connected_graphs_up_to])
+def test_orders_past_the_limit_raise_before_enumerating(enumerate_):
+    levels = set(corpus._CACHE)
+    for n in (corpus.MAX_ORDER + 1, 30):
+        with pytest.raises(ValueError, match=f"stops at {corpus.MAX_ORDER} vertices"):
+            enumerate_(n)
+    assert set(corpus._CACHE) == levels
+
+
 def test_everything_is_connected_with_the_right_order():
     for n in range(1, 7):
         for g in connected_graphs(n):

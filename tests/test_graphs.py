@@ -2,10 +2,17 @@ import copy
 import pickle
 import tracemalloc
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, strategies as st
 
-from boxcolour.colouring import BichromaticCycle, ColourPalette, NotProper, check_acyclic
+from boxcolour.colouring import (
+    BichromaticCycle,
+    ColourPalette,
+    EdgeColouring,
+    NotProper,
+    check_acyclic,
+)
 from boxcolour.compose import hypercube_colouring
 from boxcolour.graphs import (
     MAX_EDGES,
@@ -267,10 +274,17 @@ def test_product_with_a_point_is_the_graph_itself():
     assert origin == list(range(g.m))
 
 
-def test_is_connected():
-    assert is_connected(path(7))
-    assert not is_connected(Graph(2, []))
-    assert is_connected(Graph(1, []))
+@given(st.integers(1, 10), st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9))))
+@example(7, {(i, i + 1) for i in range(6)})
+@example(2, set())
+@example(1, set())
+@example(10, set())
+def test_is_connected(n, pairs):
+    edges = [(u, v) for u, v in pairs if u < v < n]
+    G = nx.Graph()
+    G.add_nodes_from(range(n))  # isolated vertices count as components
+    G.add_edges_from(edges)
+    assert is_connected(Graph(n, edges)) == nx.is_connected(G)
     with pytest.raises(ValueError):
         is_connected(Graph(0, []))
 
@@ -449,6 +463,12 @@ def test_reading_comparing_checking_and_writing_build_no_index():
         assert format_edge_list(h).count("\n") == h.m + 1
         assert repr(h) == f"Graph(n={h.n}, m={h.m})"
     assert check_acyclic(x) is None
+    # a cycle's witness is read off the mate maps, and connectivity off a
+    # union-find over the sorted edges
+    rejected = EdgeColouring.single_family(cycle(6), [0, 1, 1, 0, 1, 0], 2)
+    assert isinstance(check_acyclic(rejected), BichromaticCycle)
+    fresh.append(rejected.graph)
+    assert [is_connected(h) for h in fresh] == [True, True, False, True, True]
     assert all(_built(h) == [] for h in fresh)
 
 
@@ -501,8 +521,8 @@ def _count_indexes(monkeypatch) -> list:
 
 def test_products_build_no_factor_index(monkeypatch):
     # the product reads its factors' sorted edges; hypercube_colouring
-    # indexes only K2, which it checks for connectedness and colours with
-    # brooks_colouring, never an intermediate cube
+    # indexes only K2, which it colours with brooks_colouring, never an
+    # intermediate cube
     indexed = _count_indexes(monkeypatch)
     assert grid(40, 40).m == 2 * 40 * 39
     assert indexed == []
