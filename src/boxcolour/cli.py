@@ -163,8 +163,7 @@ def _cmd_hypercube(args) -> int:
 def _cmd_verify(args) -> int:
     x = io.read_colouring(args.colouring)
     if args.graph is not None:
-        g = io.load_graph(args.graph, args.format)
-        if g != x.graph:
+        if not io.graph_file_matches(args.graph, args.format, x.graph):
             print("graph file does not match the colouring's graph", file=sys.stderr)
             return USAGE
     violation = check_acyclic(x)

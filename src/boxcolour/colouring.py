@@ -17,7 +17,13 @@ the smaller class.  The walks mark vertices in one list of n integers, each
 pair with a stamp of its own, so no pair allocates a set: O(k*m) time over
 all pairs and O(n + m) memory.  A colour used on one edge is never walked,
 since a two-coloured cycle holds at least two edges of each colour, and
-neither is a pair whose classes share no vertex.  The walk only detects a
+neither is a pair whose classes share no vertex.  The pairs that share
+one are found by testing each of the k(k-1)/2 pairs of the k classes with
+two or more edges while those pairs number at most m; beyond that, each
+vertex lists its classes once, in O(m) memory, and each class finds its
+partners at its vertices, a step per pair and shared vertex, which the
+pair's walk pays anyway.  Either way the pairs come in palette order, so
+the walks, and the witness, are the same.  The walk only detects a
 cycle.  The witness, in the first pair that has one, is the cycle closed by
 the first edge of the pair, in index order, whose ends a union-find pass
 over the pair's earlier edges has already joined; it is read off the two
@@ -38,7 +44,7 @@ composed colouring once, after mapping it onto its input graph.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .graphs import (
     Edge,
@@ -403,6 +409,28 @@ def _cycle_witness(
             return cycle
 
 
+def _meeting_pairs(ends: list, n: int, m: int) -> Iterator[tuple[int, int]]:
+    """The pairs i < j of classes whose vertex sets `ends[i]` and `ends[j]`
+    meet, in lexicographic order, for a graph of order n and size m.  While
+    the k classes give at most m pairs, each pair is tested; beyond that,
+    each vertex lists its classes once, in O(m) memory, and class i's
+    partners are the classes j > i listed at its vertices."""
+    k = len(ends)
+    if k * (k - 1) // 2 <= m:
+        for i, ends_a in enumerate(ends):
+            for j in range(i + 1, k):
+                if not ends_a.isdisjoint(ends[j]):
+                    yield i, j
+        return
+    at: list[list[int]] = [[] for _ in range(n)]
+    for i, ends_a in enumerate(ends):
+        for v in ends_a:
+            at[v].append(i)
+    for i, ends_a in enumerate(ends):
+        for j in sorted({j for v in ends_a for j in at[v] if j > i}):
+            yield i, j
+
+
 def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
     """Full verification: properness first, then a walk per colour pair.
 
@@ -419,18 +447,18 @@ def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
         return _first_clash(x)
     # a two-coloured cycle holds at least two edges of each colour
     paired = sorted((c for c, mate in mates.items() if len(mate) > 2), key=colour_order_key)
-    classes = [(c, mates[c], mates[c].keys()) for c in paired]
+    classes = [mates[c] for c in paired]
+    ends = [mate.keys() for mate in classes]
     # one mark list for every walk: each pair marks with a stamp of its own
     seen = [0] * x.graph.n
     stamp = 0
-    for i, (a, mate_a, ends_a) in enumerate(classes):
-        for b, mate_b, ends_b in classes[i + 1 :]:
-            if ends_a.isdisjoint(ends_b):
-                continue
-            # the walks start from the smaller class; the cycle found is the same
-            small, large = (a, b) if len(mate_a) <= len(mate_b) else (b, a)
-            stamp += 1
-            if _has_cycle(mates[small], mates[large], seen, stamp):
-                witness = _cycle_witness(x, a, b, mate_a, mate_b)
-                return BichromaticCycle(a, b, canonical_cycle(witness))
+    for i, j in _meeting_pairs(ends, x.graph.n, x.graph.m):
+        mate_a, mate_b = classes[i], classes[j]
+        # the walks start from the smaller class; the cycle found is the same
+        small, large = (mate_a, mate_b) if len(mate_a) <= len(mate_b) else (mate_b, mate_a)
+        stamp += 1
+        if _has_cycle(small, large, seen, stamp):
+            a, b = paired[i], paired[j]
+            witness = _cycle_witness(x, a, b, mate_a, mate_b)
+            return BichromaticCycle(a, b, canonical_cycle(witness))
     return None

@@ -6,6 +6,9 @@ Lines starting with '#' and blank lines are ignored anywhere, whatever
 they hold.  Numbers are ASCII digits with an optional leading '-', as the
 writer emits them.  Each line is stripped once; the edges may come in any
 order, since `Graph` sorts them (linearly, on the writer's order).
+The writer is canonical: it emits one text per graph, the header and then
+the sorted, normalised edges, so `graph_file_matches` takes a file holding
+exactly that text as the graph without parsing it.
 
 Colouring JSON is decoded by `json` and read by
 `EdgeColouring.from_json_dict` in one pass over its rows and one sort, so
@@ -184,3 +187,17 @@ def load_graph(path: PathLike, fmt: str = "edgelist") -> Graph:
             raise ValueError(f"expected one graph in {path}, found {len(graphs)}")
         return graphs[0]
     raise ValueError(f"unknown graph format {fmt!r}")
+
+
+def graph_file_matches(path: PathLike, fmt: str, g: Graph) -> bool:
+    """Whether the graph file at `path` holds `g`; a malformed file raises
+    as `load_graph` does.  An edge list is read once: if its text is
+    `format_edge_list(g)`, it is `g`, since the writer emits one text per
+    graph and parsing that text rebuilds `g`; any other text is parsed and
+    compared."""
+    if fmt != "edgelist":
+        return load_graph(path, fmt) == g
+    text = Path(path).read_text()
+    if text.startswith(f"{g.n} {g.m}\n") and text == format_edge_list(g):
+        return True
+    return parse_edge_list(text) == g

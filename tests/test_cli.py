@@ -4,9 +4,10 @@ import subprocess
 import sys
 import time
 
+import networkx as nx
 import pytest
 
-from boxcolour import cli
+from boxcolour import cli, io
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
 from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
 from boxcolour.io import format_colouring, format_edge_list, parse_edge_list
@@ -312,6 +313,88 @@ def test_verify_cross_checks_graph_file(tmp_path, capsys):
     other = tmp_path / "p4.el"
     other.write_text(format_edge_list(path(4)))
     assert run("verify", str(cj), "--graph", str(other)) == 2
+
+
+def _verify_outputs(capsys, *argv):
+    code = run("verify", *argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _c6_colourings(tmp_path):
+    """Colouring files of the 6-cycle, one acyclic and one holding the
+    cycle itself in two alternating colours."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(format_colouring(exact_aci(cycle(6)).witness))
+    bad.write_text(format_colouring(EdgeColouring.single_family(cycle(6), [0, 1, 1, 0, 1, 0], 2)))
+    return good, bad
+
+
+def test_verify_matches_a_writer_form_graph_file_without_parsing(tmp_path, capsys, monkeypatch):
+    good, bad = _c6_colourings(tmp_path)
+    el = tmp_path / "c6.el"
+    el.write_text(format_edge_list(cycle(6)))
+    want = [_verify_outputs(capsys, str(f), "--graph", str(el)) for f in (good, bad)]
+    assert [code for code, _, _ in want] == [0, 1]
+
+    def refuse(text):
+        raise AssertionError("parsed")
+
+    monkeypatch.setattr(io, "parse_edge_list", refuse)
+    assert [_verify_outputs(capsys, str(f), "--graph", str(el)) for f in (good, bad)] == want
+
+
+_C6_ROWS = ["0 1", "1 2", "2 3", "3 4", "4 5", "0 5"]
+
+
+@pytest.mark.parametrize(
+    "text, fmt",
+    [
+        ("6 6\n" + "\n".join(_C6_ROWS[i] for i in (3, 0, 5, 1, 4, 2)) + "\n", "edgelist"),
+        ("6 6\n" + "\n".join(" ".join(row.split()[::-1]) for row in _C6_ROWS) + "\n", "edgelist"),
+        ("# a 6-cycle\n6 6\n" + "\n# between\n".join(_C6_ROWS) + "\n", "edgelist"),
+        ("6 6\r\n" + "\r\n".join(_C6_ROWS) + "\r\n", "edgelist"),
+        (nx.to_graph6_bytes(nx.cycle_graph(6), header=False).decode(), "graph6"),
+    ],
+    ids=["shuffled", "reoriented", "commented", "crlf", "graph6"],
+)
+def test_verify_reads_other_layouts_of_the_graph_alike(tmp_path, capsys, text, fmt):
+    good, bad = _c6_colourings(tmp_path)
+    el = tmp_path / "c6.el"
+    el.write_text(format_edge_list(cycle(6)))
+    want = [_verify_outputs(capsys, str(f), "--graph", str(el)) for f in (good, bad)]
+    other = tmp_path / "c6.other"
+    other.write_bytes(text.encode())
+    got = [_verify_outputs(capsys, str(f), "--graph", str(other), "--format", fmt)
+           for f in (good, bad)]
+    assert got == want
+
+
+def test_verify_rejects_another_graph_with_the_same_header(tmp_path, capsys):
+    good, _ = _c6_colourings(tmp_path)
+    triangles = tmp_path / "2k3.el"
+    triangles.write_text("6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")
+    assert _verify_outputs(capsys, str(good), "--graph", str(triangles)) == (
+        2, "", "graph file does not match the colouring's graph\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("6 6\n0 1\n1 2\n", "header announces 6 edges, found 2"),
+        ("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 +5\n", "invalid integer '+5'"),
+        ("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 1\n", "header announces 6 edges, found 7"),
+        ("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 1\n", "header announces 6 edges, but only 5 are distinct"),
+        ("", "empty edge list"),
+    ],
+    ids=["short", "plus-sign", "long", "repeat", "empty"],
+)
+def test_verify_reports_a_malformed_graph_file_as_the_parser_does(tmp_path, capsys, text, message):
+    good, _ = _c6_colourings(tmp_path)
+    el = tmp_path / "bad.el"
+    el.write_text(text)
+    assert _verify_outputs(capsys, str(good), "--graph", str(el)) == (2, "", f"error: {message}\n")
 
 
 def test_scan_corpus(capsys):

@@ -417,3 +417,61 @@ def test_many_colours_verify_in_linear_time_and_memory():
         tracemalloc.stop()
     assert elapsed < 1.0
     assert extra < 2 * own
+
+
+def test_many_two_edge_colours_on_a_path_verify_in_linear_time_and_memory():
+    # P8001 with 4,000 colours on two edges each: edges 4t..4t+3 take
+    # colours 2t, 2t+1, 2t, 2t+1.  The 4,000 paired classes give about 8 M
+    # pairs against 8,000 edges, so the pairs are found from the vertices,
+    # not by testing each one.  Memory is measured under tracemalloc, and
+    # the time, which tracemalloc only slows, is the best of three runs
+    # without it.
+    n = 8_001
+    tracemalloc.start()
+    try:
+        p = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        x = EdgeColouring.single_family(p, [2 * (i // 4) + i % 2 for i in range(n - 1)], 4_000)
+        own = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert check_acyclic(x) is None
+        extra = tracemalloc.get_traced_memory()[1] - own
+    finally:
+        tracemalloc.stop()
+    assert extra < 2 * own
+    elapsed = []
+    for _ in range(3):
+        t = time.perf_counter()
+        assert check_acyclic(x) is None
+        elapsed.append(time.perf_counter() - t)
+    assert min(elapsed) < 0.1
+
+
+@given(st.integers(5, 12), st.data())
+def test_check_acyclic_matches_the_reference_with_many_colours(n, data):
+    # proper colourings over a palette of up to m/2 colours, so that most
+    # classes are paired and their pairs outnumber the edges in some draws
+    # and not in others;
+    # a planted even cycle in two alternating colours makes some cyclic.
+    # Every other edge draws a colour free at both ends, or is dropped.
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=10))
+    k = data.draw(st.integers(2, len(chosen) // 2))
+    at = [set() for _ in range(n)]
+    coloured = {}
+    if data.draw(st.booleans()):
+        length = data.draw(st.sampled_from(range(4, n + 1, 2)))
+        ring = data.draw(st.permutations(range(n)))[:length]
+        a, b = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        for i in range(length):
+            u, v = sorted((ring[i], ring[(i + 1) % length]))
+            coloured[(u, v)] = unprimed(a if i % 2 else b)
+            at[u].add(coloured[(u, v)])
+            at[v].add(coloured[(u, v)])
+    for u, v in chosen:
+        free = [unprimed(c) for c in range(k) if unprimed(c) not in at[u] | at[v]]
+        if (u, v) not in coloured and free:
+            c = coloured[(u, v)] = data.draw(st.sampled_from(free))
+            at[u].add(c)
+            at[v].add(c)
+    x = from_edge_map(Graph(n, coloured), coloured, ColourPalette(k))
+    assert check_acyclic(x) == bichromatic_cycle(x)

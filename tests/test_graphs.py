@@ -30,7 +30,7 @@ from boxcolour.graphs import (
     path,
 )
 from boxcolour.graphs import _check_dimension, _check_order, _check_size
-from boxcolour.io import format_edge_list, parse_edge_list
+from boxcolour.io import format_edge_list, graph_file_matches, parse_edge_list
 from boxcolour.solver import AciResult, SearchBudget, exact_aci
 from boxcolour.vertex_colouring import brooks_colouring
 
@@ -452,10 +452,18 @@ def _built(g: Graph) -> list[str]:
     return [name for name in _INDEX_NAMES if hasattr(g, name)]
 
 
-def test_reading_comparing_checking_and_writing_build_no_index():
+def test_reading_comparing_checking_and_writing_build_no_index(tmp_path):
     g = grid(6, 7)
     x = hypercube_colouring(4)
     fresh = [g, x.graph, Graph(5, [(3, 4), (0, 1)]), parse_edge_list(format_edge_list(g))]
+    # a graph file matched by its text, as verify --graph does, and one parsed
+    written = tmp_path / "q4.el"
+    written.write_text(format_edge_list(x.graph))
+    head, *rows = format_edge_list(x.graph).splitlines()
+    shuffled = tmp_path / "q4-shuffled.el"
+    shuffled.write_text("\n".join([head] + rows[::-1]) + "\n")
+    assert graph_file_matches(written, "edgelist", x.graph)
+    assert graph_file_matches(shuffled, "edgelist", x.graph)
     for h in fresh:
         assert h == h and hash(h) == hash(Graph._from_sorted(h.n, h.edges))
         for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
