@@ -1,16 +1,15 @@
 """Edge and vertex colourings plus the independent verifier.
 
-Colour identifiers are small integers carrying a primed-flag in the low
-bit: colour j of the unprimed family is ``2*j``, colour j' of the primed
-family is ``2*j + 1``.  A palette records how many colours each family
-holds; its canonical order puts all unprimed colours before all primed
-ones.  Single-family colourings simply use a palette with no primed part.
+A colour is its rank in a palette, 0 to size - 1: g_size ranks, then
+h_size more (`compose` puts the matching factor's colours there).  Only
+the wire tells the two families apart: rank r is written "r" below g_size
+and "j'" for r = g_size + j, by `colour_label` and `parse_colour_label`.
 
 The verifier here is the trusted oracle for every other module.  One pass
 over the edges builds, per colour, a mate map: vertex -> the other end of
 its edge of that colour; a vertex met twice by one colour makes the
-colouring improper, and a scan of the vertices in index order then picks
-the witness.  In a proper colouring any two colour classes form a subgraph
+colouring improper, and a second pass over the edges then picks the
+witness.  In a proper colouring any two colour classes form a subgraph
 of maximum degree 2, a union of paths and cycles, so acyclicity is a walk
 along those alternating paths, once per colour pair, over the mate map of
 the smaller class.  The walks mark vertices in one list of n integers, each
@@ -19,10 +18,10 @@ all pairs and O(n + m) memory.  A colour used on one edge is never walked,
 since a two-coloured cycle holds at least two edges of each colour, and
 neither is a pair whose classes share no vertex.  The pairs that share
 one are found by testing each of the k(k-1)/2 pairs of the k classes with
-two or more edges while those pairs number at most m; beyond that, each
+two or more edges while those pairs number at most 4m; beyond that, each
 vertex lists its classes once, in O(m) memory, and each class finds its
 partners at its vertices, a step per pair and shared vertex, which the
-pair's walk pays anyway.  Either way the pairs come in palette order, so
+pair's walk pays anyway.  Either way the pairs come in rank order, so
 the walks, and the witness, are the same.  The walk only detects a
 cycle.  The witness, in the first pair that has one, is the cycle closed by
 the first edge of the pair, in index order, whose ends a union-find pass
@@ -59,42 +58,11 @@ from .graphs import (
 
 
 # ---------------------------------------------------------------------------
-# Colour identifiers
-
-
-def unprimed(index: int) -> int:
-    return index << 1
-
-
-def primed(index: int) -> int:
-    return (index << 1) | 1
-
-
-def colour_order_key(colour: int) -> tuple[int, int]:
-    """Sort key realizing the palette order: unprimed first, then primed."""
-    return (colour & 1, colour >> 1)
-
-
-def colour_label(colour: int) -> str:
-    """Wire label: '3' for unprimed colour 3, \"3'\" for primed colour 3."""
-    base = str(colour >> 1)
-    return base + "'" if colour & 1 else base
-
-
-def parse_colour_label(label: str) -> int:
-    """Inverse of `colour_label`, which is the only writer of labels: ASCII
-    digits with no leading zero, then at most one "'".  Anything else,
-    such as " 3", "+3", "03" or "1_0", raises ValueError."""
-    flag = label.endswith("'")
-    text = label[:-1] if flag else label
-    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
-        raise ValueError(f"invalid colour label {label!r}")
-    index = int(text)
-    return primed(index) if flag else unprimed(index)
+# Palettes and wire labels
 
 
 class ColourPalette(Record):
-    """Ordered disjoint union of an unprimed and a primed colour family."""
+    """Colour ranks 0 .. size - 1: the g family, then the h family."""
 
     __slots__ = ("g_size", "h_size")
 
@@ -107,15 +75,30 @@ class ColourPalette(Record):
     def size(self) -> int:
         return self.g_size + self.h_size
 
-    def __contains__(self, colour: int) -> bool:
-        return colour >= 0 and colour >> 1 < (self.h_size if colour & 1 else self.g_size)
 
-    def rank(self, colour: int) -> int:
-        """Dense 0-based position of a colour in the canonical order."""
-        if colour not in self:
-            raise ValueError(f"colour {colour_label(colour)} outside palette {self}")
-        index = colour >> 1
-        return self.g_size + index if colour & 1 else index
+def colour_label(colour: int, g_size: int) -> str:
+    """Wire label of a rank: "3" for rank 3 below `g_size`, "3'" for rank
+    g_size + 3."""
+    return str(colour) if colour < g_size else f"{colour - g_size}'"
+
+
+def parse_colour_label(label: str, palette: Optional[ColourPalette] = None) -> int:
+    """Inverse of `colour_label`: the rank in `palette` that `label` names.
+    `colour_label` is the only writer of labels: ASCII digits with no
+    leading zero, then at most one "'".  Anything else, such as " 3", "+3",
+    "03" or "1_0", raises ValueError, and so does a label beyond its
+    family's size.  With no palette only the syntax is checked, and -1
+    returned."""
+    flag = label.endswith("'")
+    text = label[:-1] if flag else label
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+        raise ValueError(f"invalid colour label {label!r}")
+    if palette is None:
+        return -1
+    index = int(text)
+    if index >= (palette.h_size if flag else palette.g_size):
+        raise ValueError(f"colour {label} outside palette {palette}")
+    return palette.g_size + index if flag else index
 
 
 # ---------------------------------------------------------------------------
@@ -134,28 +117,22 @@ class EdgeColouring(Record):
         colours = tuple(colours)
         if len(colours) != graph.m:
             raise ValueError(f"expected {graph.m} edge colours, got {len(colours)}")
-        for c in set(colours):
-            if c not in palette:
-                # name the first edge's colour outside the palette
-                c = next(c for c in colours if c not in palette)
-                raise ValueError(f"colour {colour_label(c)} outside palette {palette}")
+        if colours and not 0 <= min(colours) <= max(colours) < palette.size:
+            c = next(c for c in colours if not 0 <= c < palette.size)  # the first edge's
+            raise ValueError(f"colour {colour_label(c, palette.g_size)} outside palette {palette}")
         Record.__init__(self, graph, colours, palette)
 
     @classmethod
-    def single_family(cls, graph: Graph, indices: Iterable[int], k: int) -> "EdgeColouring":
-        """Wrap dense colour indices 0..k-1 as an unprimed-only colouring."""
-        return cls(graph, (unprimed(i) for i in indices), ColourPalette(k, 0))
-
-    def distinct_colours(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.colours), key=colour_order_key))
+    def single_family(cls, graph: Graph, colours: Iterable[int], k: int) -> "EdgeColouring":
+        """A colouring with ranks 0..k-1 from a one-family palette."""
+        return cls(graph, colours, ColourPalette(k))
 
     def to_json_dict(self) -> dict:
+        g, edges = self.palette.g_size, self.graph.edges
         return {
             "n": self.graph.n,
-            "palette": {"g": self.palette.g_size, "h": self.palette.h_size},
-            "edges": [
-                [u, v, colour_label(c)] for (u, v), c in zip(self.graph.edges, self.colours)
-            ],
+            "palette": {"g": g, "h": self.palette.h_size},
+            "edges": [[u, v, colour_label(c, g)] for (u, v), c in zip(edges, self.colours)],
         }
 
     @classmethod
@@ -163,12 +140,15 @@ class EdgeColouring(Record):
         """Inverse of `to_json_dict`; a malformed document raises ValueError,
         and so does an edge listed twice, in either orientation.
 
-        One pass over the rows parses each distinct label once and collects
-        the edges, normalised, and their colours; one sort by edge then
-        gives the graph's edge order, which is the writer's.  Repeats,
-        range and self-loops are checked in bulk on the sorted edges.  When
-        a check fails, the rows are checked again in order, so the error is
-        the one a reader taking the rows one by one meets first."""
+        One pass over the rows checks the syntax of each distinct label once
+        and collects the edges, normalised, and their labels; one sort by
+        edge then gives the graph's edge order, which is the writer's.
+        Repeats, range and self-loops are checked in bulk on the sorted
+        edges, and then each distinct label is read as a rank of the
+        palette.  When a check fails, the rows are checked again in order,
+        or for a label outside the palette the edges in the graph's order,
+        so the error is the one a reader taking them one by one meets
+        first."""
         if not isinstance(data, dict):
             raise ValueError("colouring JSON must be an object")
         missing = [key for key in ("n", "palette", "edges") if key not in data]
@@ -179,9 +159,9 @@ class EdgeColouring(Record):
             raise ValueError("colouring JSON 'palette' must be an object with 'g' and 'h'")
         if not isinstance(rows, list):
             raise ValueError("colouring JSON 'edges' must be a list")
-        codes: dict[str, int] = {}
+        ranks: dict[str, int] = {}  # each distinct label, and its rank once the palette is read
         edges: list[Edge] = []
-        colours: list[int] = []
+        labels: list[str] = []
         try:
             for row in rows:
                 if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], str)):
@@ -191,10 +171,9 @@ class EdgeColouring(Record):
                     _json_int(u, "edge endpoint")
                     _json_int(v, "edge endpoint")
                 edges.append((u, v) if u < v else (v, u))
-                colour = codes.get(label)
-                if colour is None:
-                    colour = codes[label] = parse_colour_label(label)
-                colours.append(colour)
+                if label not in ranks:
+                    ranks[label] = parse_colour_label(label)
+                labels.append(label)
         except ValueError:
             # a row-by-row reader stops at an edge listed twice in an earlier
             # row, or in this one, before this row's own error
@@ -211,10 +190,18 @@ class EdgeColouring(Record):
         _check_order(n)
         if not _valid_sorted(n, ordered_edges):
             _first_bad_edge(n, edges)
-        return cls(Graph._from_sorted(n, ordered_edges), [colours[i] for i in order], palette)
+        try:
+            ranks = {label: parse_colour_label(label, palette) for label in ranks}
+        except ValueError:
+            # name the first label outside the palette in the graph's edge order
+            for i in order:
+                parse_colour_label(labels[i], palette)
+            raise
+        colours = [ranks[labels[i]] for i in order]
+        return cls(Graph._from_sorted(n, ordered_edges), colours, palette)
 
     def __repr__(self) -> str:
-        return f"EdgeColouring({self.graph!r}, {len(self.distinct_colours())} colours)"
+        return f"EdgeColouring({self.graph!r}, {colours_used(self)} colours)"
 
 
 def _json_int(value, what: str) -> int:
@@ -276,8 +263,8 @@ class NotProper(Record):
 
 
 class BichromaticCycle(Record):
-    """A closed walk alternating exactly two colours, `colour_a` and
-    `colour_b`.
+    """A closed walk alternating exactly two colours, whose wire labels are
+    `colour_a` and `colour_b`.
 
     The vertex sequence `cycle` is canonical: it starts at the smallest
     vertex and runs toward its smaller cycle neighbour; the closing edge
@@ -289,7 +276,7 @@ class BichromaticCycle(Record):
     def to_json_dict(self) -> dict:
         return {
             "kind": "bichromatic_cycle",
-            "colours": [colour_label(self.colour_a), colour_label(self.colour_b)],
+            "colours": [self.colour_a, self.colour_b],
             "cycle": list(self.cycle),
         }
 
@@ -329,18 +316,19 @@ def _mate_maps(x: EdgeColouring) -> Optional[dict[int, dict[int, int]]]:
 
 
 def _first_clash(x: EdgeColouring) -> Optional[NotProper]:
-    """The first colour met twice at a vertex, with vertices and their
-    incident edges scanned in index order; None for a proper colouring."""
-    g = x.graph
-    edges, colours = g.edges, x.colours
-    for v in range(g.n):
-        here: dict[int, int] = {}
-        for ei in g.incident_edges(v):
-            c = colours[ei]
-            if c in here:
-                return NotProper(v, edges[here[c]], edges[ei])
-            here[c] = ei
-    return None
+    """The smallest vertex met twice by one colour, at the first of its
+    edges, in index order, whose colour an earlier one has; None for a
+    proper colouring.  One pass over the edges keeps the first edge of
+    each (vertex, colour), so no incidence index is built."""
+    edges = x.graph.edges
+    first: dict[tuple[int, int], int] = {}
+    best: Optional[NotProper] = None
+    for ei, ((u, v), c) in enumerate(zip(edges, x.colours)):
+        for w in (u, v):
+            earlier = first.setdefault((w, c), ei)
+            if earlier != ei and (best is None or w < best.vertex):
+                best = NotProper(w, edges[earlier], edges[ei])
+    return best
 
 
 def check_proper_vertex(y: VertexColouring) -> Optional[Edge]:
@@ -409,14 +397,20 @@ def _cycle_witness(
             return cycle
 
 
+# pairs per edge up to which testing each pair is faster than listing the
+# pairs from the vertices, as timed on paths and random colourings
+_PAIRS_PER_EDGE = 4
+
+
 def _meeting_pairs(ends: list, n: int, m: int) -> Iterator[tuple[int, int]]:
     """The pairs i < j of classes whose vertex sets `ends[i]` and `ends[j]`
     meet, in lexicographic order, for a graph of order n and size m.  While
-    the k classes give at most m pairs, each pair is tested; beyond that,
-    each vertex lists its classes once, in O(m) memory, and class i's
-    partners are the classes j > i listed at its vertices."""
+    the k classes give at most `_PAIRS_PER_EDGE` pairs per edge, each pair
+    is tested; beyond that, each vertex lists its classes once, in O(m)
+    memory, and class i's partners are the classes j > i listed at its
+    vertices."""
     k = len(ends)
-    if k * (k - 1) // 2 <= m:
+    if k * (k - 1) // 2 <= _PAIRS_PER_EDGE * m:
         for i, ends_a in enumerate(ends):
             for j in range(i + 1, k):
                 if not ends_a.isdisjoint(ends[j]):
@@ -436,7 +430,7 @@ def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
 
     An improper colouring yields the first colour met twice at a vertex,
     vertices and their incident edges taken in index order.  Otherwise
-    colour pairs are scanned in palette order, skipping colours used on a
+    colour pairs are scanned in rank order, skipping colours used on a
     single edge and pairs whose classes share no vertex, and within the
     first pair holding a cycle the witness is the cycle closed by the first
     edge, in index order, whose ends the pair's earlier edges already join.
@@ -446,7 +440,7 @@ def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
     if mates is None:
         return _first_clash(x)
     # a two-coloured cycle holds at least two edges of each colour
-    paired = sorted((c for c, mate in mates.items() if len(mate) > 2), key=colour_order_key)
+    paired = sorted(c for c, mate in mates.items() if len(mate) > 2)
     classes = [mates[c] for c in paired]
     ends = [mate.keys() for mate in classes]
     # one mark list for every walk: each pair marks with a stamp of its own
@@ -458,7 +452,7 @@ def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
         small, large = (mate_a, mate_b) if len(mate_a) <= len(mate_b) else (mate_b, mate_a)
         stamp += 1
         if _has_cycle(small, large, seen, stamp):
-            a, b = paired[i], paired[j]
-            witness = _cycle_witness(x, a, b, mate_a, mate_b)
+            witness = _cycle_witness(x, paired[i], paired[j], mate_a, mate_b)
+            a, b = (colour_label(c, x.palette.g_size) for c in (paired[i], paired[j]))
             return BichromaticCycle(a, b, canonical_cycle(witness))
     return None

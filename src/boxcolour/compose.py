@@ -1,12 +1,13 @@
 """Build an acyclic edge colouring of a cartesian product from acyclic
 colourings of the two factors; each colouring carries its factor graph.
 
-The factor with the larger palette (size eta) keeps its colours, shifted:
-inside the copy sitting at vertex v of the other factor, every one of its
-edge colours is rotated by the vertex colour of v, modulo eta.  Distinct
-rotations never agree anywhere, which is what kills cycles that cross
-copies.  The smaller factor's edges become perfect matchings between
-copies and keep their own colours, drawn from a disjoint (primed) family.
+Colours are palette ranks (see `colouring`).  The factor with the larger
+palette (size eta) keeps its colours, shifted: inside the copy sitting at
+vertex v of the other factor, colour c becomes (c + y(v)) mod eta, where y
+is a vertex colouring of the other factor.  Distinct rotations never agree
+anywhere, which is what kills cycles that cross copies.  The smaller
+factor's edges become perfect matchings between copies and keep their own
+colours in a disjoint block after the rotations: colour c becomes eta + c.
 
 The shifts come from `brooks_colouring` of the matching factor: first-fit
 in reverse breadth-first order from a vertex of least degree.  Every
@@ -32,7 +33,7 @@ points, on the four-cycle's colouring as on any other.  `compose` and
 checks every factor passed in, folds `_compose`, and checks only the final
 output.  That is enough because each fold colours every copy of the
 previous product by an injective relabelling of its colouring: a rotation
-of palette ranks when it is the shifted factor, priming when it is the
+of ranks when it is the shifted factor, the shift by eta when it is the
 matching one.  Each copy is a subgraph of the new product, so an improper
 vertex or a two-coloured cycle in one fold, the four-cycle's included,
 reappears, relabelled, in every later fold and fails the final check.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .colouring import ColourPalette, EdgeColouring, check_acyclic, primed, unprimed
+from .colouring import ColourPalette, EdgeColouring, check_acyclic
 from .graphs import Graph, _check_dimension, cartesian_product, is_connected
 from .vertex_colouring import brooks_colouring
 
@@ -114,12 +115,11 @@ def _compose(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
     y = brooks_colouring(match_x.graph)  # at most eta colours (module docstring)
 
     # Colour every product edge in provenance order (see cartesian_product):
-    # the copy of the shifted factor at matching vertex v has its colour
-    # ranks rotated by y(v); every copy of the matching factor keeps its
-    # own colours, primed.
-    shift_ranks = [shift_x.palette.rank(c) for c in shift_x.colours]
-    shifted = [unprimed((r + s) % eta) for s in y.colours for r in shift_ranks]
-    matched = [primed(match_x.palette.rank(c)) for c in match_x.colours] * shift_x.graph.n
+    # the copy of the shifted factor at matching vertex v has its colours
+    # rotated by y(v); every copy of the matching factor keeps its own
+    # colours, after the eta rotations.
+    shifted = [(c + s) % eta for s in y.colours for c in shift_x.colours]
+    matched = [eta + c for c in match_x.colours] * shift_x.graph.n
     by_origin = matched + shifted if swapped else shifted + matched
 
     product, origin = cartesian_product(xg.graph, xh.graph)

@@ -152,14 +152,15 @@ def format_colouring(x: EdgeColouring) -> str:
     """`json.dumps(x.to_json_dict(), indent=2)` plus a newline, written
     directly: the indenting encoder is pure Python and slow on large
     colourings."""
-    labels = {c: json.dumps(colour_label(c)) for c in set(x.colours)}
+    g_size = x.palette.g_size
+    labels = {c: json.dumps(colour_label(c, g_size)) for c in set(x.colours)}
     rows = ",\n".join(
         f"    [\n      {u},\n      {v},\n      {labels[c]}\n    ]"
         for (u, v), c in zip(x.graph.edges, x.colours)
     )
     edges = f"[\n{rows}\n  ]" if rows else "[]"
     return (
-        f'{{\n  "n": {x.graph.n},\n  "palette": {{\n    "g": {x.palette.g_size},\n'
+        f'{{\n  "n": {x.graph.n},\n  "palette": {{\n    "g": {g_size},\n'
         f'    "h": {x.palette.h_size}\n  }},\n  "edges": {edges}\n}}\n'
     )
 

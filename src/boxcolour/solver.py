@@ -329,9 +329,11 @@ def _composite(n: int) -> bool:
 def _by_factors(
     g: Graph, budget: SearchBudget, t0: float, nodes: int
 ) -> tuple[Optional[EdgeColouring], int]:
-    """The composed colouring of g, compacted to colours 0..k-1, when g is a
-    recognised product that meets the theorem's hypothesis; and the node
-    count after the factors' solves."""
+    """The composed colouring of g, as one family, when g is a recognised
+    product that meets the theorem's hypothesis; and the node count after
+    the factors' solves.  Its palette is eta + beta, and every rank in it
+    is used: the factors' witnesses are exact, so each uses its whole
+    palette, and the rotations of a whole palette are whole."""
     if not (_composite(g.n) and min(g.degrees) >= 2):
         return None, nodes
     f = factorise(g)
@@ -348,11 +350,8 @@ def _by_factors(
             return None, nodes
         witnesses.append(result.witness)
     x = _compose(*witnesses)
-    dense = {c: i for i, c in enumerate(x.distinct_colours())}
-    colours = [
-        dense[x.colours[x.graph.edge_index(f.vertex[u], f.vertex[v])]] for u, v in g.edges
-    ]
-    witness = EdgeColouring.single_family(g, colours, len(dense))
+    colours = [x.colours[x.graph.edge_index(f.vertex[u], f.vertex[v])] for u, v in g.edges]
+    witness = EdgeColouring.single_family(g, colours, x.palette.size)
     bad = check_acyclic(witness)
     if bad is not None:
         raise RuntimeError(f"product tactic produced an invalid colouring: {bad}")

@@ -21,10 +21,10 @@ kept so the faster walk can be held to the same witnesses.  `proper` is
 the reference for its properness half, and `first_clash` for the witness
 it reports on an improper colouring.
 
-The colour, palette and product helpers at the end spell out encodings
-the library computes inline (`colouring`'s primed low bit, `graphs`'
-row-major product layout and its origin numbering), so tests can read
-colourings and products without a library accessor.  `product` is the
+The colour and product helpers at the end spell out encodings the
+library computes inline (`colouring`'s wire labels, `graphs`' row-major
+product layout and its origin numbering), so tests can read colourings
+and products without a library accessor.  `product` is the
 reference for `cartesian_product`: the product by its definition, pair
 by pair.
 
@@ -34,10 +34,12 @@ checked as it comes) and the dict-based reading of colouring JSON (each
 row checked, then looked up per edge of the sorted graph, its colour
 checked against the palette per edge) that the one-sort, bulk-checked
 readers replaced, kept so those can be held to the same graphs,
-colourings and error messages.  `from_edge_map` builds a colouring from
-an edge -> colour map, as the dict-based reader did.  `indexes` is the
-reference for a graph's degrees, neighbours and incident edges, computed
-from the edge list alone.
+colourings and error messages.  It reads labels with `label_rank`, a
+reference for `parse_colour_label` written from the wire format.
+`from_edge_map` builds a colouring from an edge -> colour map, as the
+dict-based reader did.  `indexes` is the reference for a graph's
+degrees, neighbours and incident edges, computed from the edge list
+alone.
 
 `connected_graphs_up_to` is the reference for the corpus: the enumeration
 on `Graph` objects (invariant per candidate, pairwise backtracking
@@ -55,10 +57,6 @@ from boxcolour.colouring import (
     EdgeColouring,
     NotProper,
     canonical_cycle,
-    colour_label,
-    parse_colour_label,
-    primed,
-    unprimed,
 )
 from boxcolour.graphs import MAX_VERTICES, Edge, Graph
 
@@ -203,14 +201,15 @@ def _tree_path(adj: dict[int, list[int]], u: int, v: int) -> list[int]:
 
 
 def bichromatic_cycle(x: EdgeColouring) -> Optional[BichromaticCycle]:
-    """First two-colour cycle of a proper colouring, pairs in palette order,
+    """First two-colour cycle of a proper colouring, pairs in rank order,
     found by one union-find pass over all edges per pair."""
-    used = x.distinct_colours()
+    used = sorted(set(x.colours))
     for i in range(len(used)):
         for j in range(i + 1, len(used)):
             cyc = _two_colour_cycle(x.graph, x, used[i], used[j])
             if cyc is not None:
-                return BichromaticCycle(used[i], used[j], cyc)
+                a, b = label_of(x.palette, used[i]), label_of(x.palette, used[j])
+                return BichromaticCycle(a, b, cyc)
     return None
 
 
@@ -299,20 +298,27 @@ def connected_graphs_up_to(max_n: int) -> list[Graph]:
     return [g for level in levels[:max_n] for g in level]
 
 
-def is_primed(colour: int) -> bool:
-    return bool(colour & 1)
+def label_of(palette: ColourPalette, rank: int) -> str:
+    """The wire label of a rank: its index in the g family, or its index in
+    the h family marked with a prime."""
+    g = palette.g_size
+    return str(rank) if rank < g else f"{rank - g}'"
 
 
-def colour_index(colour: int) -> int:
-    """Position of the colour within its own family."""
-    return colour >> 1
-
-
-def palette_colours(palette: ColourPalette) -> tuple[int, ...]:
-    """All colour ids of the palette in canonical order."""
-    return tuple(unprimed(j) for j in range(palette.g_size)) + tuple(
-        primed(j) for j in range(palette.h_size)
-    )
+def label_rank(label: str, palette: Optional[ColourPalette]) -> int:
+    """The rank a wire label names, checked against `palette`'s family
+    sizes; with no palette only the syntax is checked, and -1 returned.
+    The label must be exactly what `label_of` writes for some rank."""
+    family = "h" if label[-1:] == "'" else "g"
+    digits = label[:-1] if family == "h" else label
+    if not (digits and set(digits) <= set("0123456789") and str(int(digits)) == digits):
+        raise ValueError(f"invalid colour label {label!r}")
+    if palette is None:
+        return -1
+    index = int(digits)
+    if index >= (palette.g_size if family == "g" else palette.h_size):
+        raise ValueError(f"colour {label} outside palette {palette}")
+    return index if family == "g" else palette.g_size + index
 
 
 def from_edge_map(
@@ -353,10 +359,10 @@ def _json_int(value, what: str) -> int:
 
 
 def colouring_from_json_dict(data) -> EdgeColouring:
-    """Colouring JSON read into an edge -> colour dict, one row at a time
-    (shape, endpoints, repeat, label), then the graph built from the dict's
-    edges by `graph`, and each of its edges looked up, in sorted order,
-    with its colour checked against the palette."""
+    """Colouring JSON read into an edge -> label dict, one row at a time
+    (shape, endpoints, repeat, label syntax), then the graph built from the
+    dict's edges by `graph`, and each of its edges looked up, in sorted
+    order, with its label read as a rank of the palette."""
     if not isinstance(data, dict):
         raise ValueError("colouring JSON must be an object")
     missing = [key for key in ("n", "palette", "edges") if key not in data]
@@ -375,15 +381,14 @@ def colouring_from_json_dict(data) -> EdgeColouring:
         e = (min(u, v), max(u, v))
         if e in mapping:
             raise ValueError(f"edge {e} is listed twice")
-        mapping[e] = parse_colour_label(row[2])
+        label_rank(row[2], None)
+        mapping[e] = row[2]
     palette = ColourPalette(
         _json_int(sizes["g"], "palette size"), _json_int(sizes["h"], "palette size")
     )
     g = graph(_json_int(data["n"], "vertex count"), mapping)
-    for e in g.edges:
-        if mapping[e] not in palette:
-            raise ValueError(f"colour {colour_label(mapping[e])} outside palette {palette}")
-    return from_edge_map(g, mapping, palette)
+    ranks = {e: label_rank(mapping[e], palette) for e in g.edges}
+    return from_edge_map(g, ranks, palette)
 
 
 def indexes(g: Graph) -> tuple[tuple[int, ...], tuple, tuple]:

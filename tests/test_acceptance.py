@@ -6,7 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
-from bruteforce import brute_aci, is_primed, origin_edge
+from bruteforce import brute_aci, origin_edge
 from boxcolour.colouring import (
     EdgeColouring,
     check_acyclic,
@@ -79,18 +79,19 @@ def _invariants_hold(g, h, xg, xh, x) -> bool:
         return False
     _, origin = cartesian_product(g, h)
     swapped = xg.palette.size < xh.palette.size
+    eta = x.palette.g_size
     matching: dict = {}
     shifted: dict = {}
     for o, c in zip(origin, x.colours):
         factor, edge, copy_vertex = origin_edge(o, g, h)
         if (factor == "g") != swapped:
-            # shifted family: unprimed, one colour per (edge, copy vertex)
-            if is_primed(c):
+            # shifted family: ranks below eta, one per (edge, copy vertex)
+            if c >= eta:
                 return False
             shifted.setdefault(edge, {})[copy_vertex] = c
         else:
-            # matching family: primed, identical across copies
-            if not is_primed(c):
+            # matching family: ranks from eta on, identical across copies
+            if c < eta:
                 return False
             matching.setdefault(edge, set()).add(c)
     if any(len(cols) != 1 for cols in matching.values()):

@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,46 +16,62 @@ from boxcolour.colouring import (
     check_acyclic,
     check_proper_vertex,
     colour_label,
-    colour_order_key,
     colours_used,
     parse_colour_label,
-    primed,
-    unprimed,
 )
+from boxcolour import colouring
 from boxcolour.compose import compose
 from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
 from boxcolour.solver import exact_aci
 
 from bruteforce import (
     bichromatic_cycle,
-    colour_index,
     colour_of,
     first_clash,
     from_edge_map,
-    is_primed,
+    label_of,
+    label_rank,
     origin_edge,
-    palette_colours,
     proper,
 )
 
 
 def test_colour_encoding_roundtrip():
-    for i in range(5):
-        assert not is_primed(unprimed(i)) and colour_index(unprimed(i)) == i
-        assert is_primed(primed(i)) and colour_index(primed(i)) == i
-    assert colour_label(unprimed(3)) == "3"
-    assert colour_label(primed(3)) == "3'"
-    assert parse_colour_label("3") == unprimed(3)
-    assert parse_colour_label("3'") == primed(3)
+    # ranks below g_size are the unmarked family, the rest the primed one
+    p = ColourPalette(4, 4)
+    assert [colour_label(r, p.g_size) for r in range(p.size)] == [
+        "0", "1", "2", "3", "0'", "1'", "2'", "3'"
+    ]
+    assert parse_colour_label("3", p) == 3
+    assert parse_colour_label("3'", p) == 7
+    assert parse_colour_label("3'") == parse_colour_label("3") == -1  # syntax only
     with pytest.raises(ValueError):
-        parse_colour_label("-1")
+        parse_colour_label("-1", p)
     with pytest.raises(ValueError):
         parse_colour_label("x")
 
 
 @pytest.mark.parametrize("colour", [0, 1, 2, 3, 20, 21, 2 * 10**6 + 1])
 def test_colour_labels_parse_back(colour):
-    assert parse_colour_label(colour_label(colour)) == colour
+    # the rank as the last of the first family, the first of the second,
+    # and inside a single family
+    for sizes in ((colour + 1, 0), (colour, 1), (0, colour + 1)):
+        p = ColourPalette(*sizes)
+        assert parse_colour_label(colour_label(colour, p.g_size), p) == colour
+
+
+@given(st.integers(0, 50), st.integers(0, 50), st.data())
+def test_labels_round_trip_every_rank_of_a_palette(g_size, h_size, data):
+    p = ColourPalette(g_size, h_size)
+    labels = [colour_label(r, g_size) for r in range(p.size)]
+    assert len(set(labels)) == p.size
+    assert [parse_colour_label(label, p) for label in labels] == list(range(p.size))
+    assert labels == [label_of(p, r) for r in range(p.size)]
+    assert [label_rank(label, p) for label in labels] == list(range(p.size))
+    # a label one past either family is outside the palette
+    beyond = data.draw(st.sampled_from([str(g_size), f"{h_size}'"]))
+    with pytest.raises(ValueError, match="outside palette"):
+        parse_colour_label(beyond, p)
 
 
 @pytest.mark.parametrize(
@@ -70,14 +87,11 @@ def test_colour_labels_never_written_are_rejected(label):
 def test_palette_order_puts_unprimed_first():
     p = ColourPalette(3, 2)
     assert p.size == 5
-    order = palette_colours(p)
-    assert order == (unprimed(0), unprimed(1), unprimed(2), primed(0), primed(1))
-    assert [p.rank(c) for c in order] == [0, 1, 2, 3, 4]
-    assert sorted(order, key=colour_order_key) == list(order)
-    assert unprimed(2) in p and primed(1) in p
-    assert unprimed(3) not in p and primed(2) not in p
-    with pytest.raises(ValueError):
-        p.rank(primed(2))
+    assert [colour_label(r, p.g_size) for r in range(p.size)] == ["0", "1", "2", "0'", "1'"]
+    assert parse_colour_label("2", p) == 2 and parse_colour_label("1'", p) == 4
+    for label in ("3", "2'"):
+        with pytest.raises(ValueError, match=f"colour {label} outside palette"):
+            parse_colour_label(label, p)
     with pytest.raises(ValueError):
         ColourPalette(-1, 0)
 
@@ -86,10 +100,12 @@ def test_edge_colouring_validation():
     c4 = cycle(4)
     with pytest.raises(ValueError):
         EdgeColouring(c4, [0, 0, 0], ColourPalette(1))
-    with pytest.raises(ValueError):
-        EdgeColouring(c4, [unprimed(2)] * 4, ColourPalette(2))
-    # -2 and -1 would be written as the labels "-1" and "-1'", which the
-    # reader refuses
+    # a rank past the palette is named by the label it would have on the wire
+    with pytest.raises(ValueError, match="colour 0' outside palette"):
+        EdgeColouring(c4, [2] * 4, ColourPalette(2))
+    with pytest.raises(ValueError, match="colour 1' outside palette"):
+        EdgeColouring(c4, [0, 1, 2, 0], ColourPalette(1, 1))
+    # no rank is negative, whatever the palette
     for negative in (-2, -1):
         with pytest.raises(ValueError):
             EdgeColouring(path(2), [negative], ColourPalette(1, 1))
@@ -100,18 +116,18 @@ def test_edge_colouring_validation():
 
 def test_from_edge_map_requires_total_map():
     g = path(3)
-    full = {(0, 1): unprimed(0), (1, 2): unprimed(1)}
+    full = {(0, 1): 0, (1, 2): 1}
     x = from_edge_map(g, full, ColourPalette(2))
-    assert colour_of(x, 1, 0) == unprimed(0)
+    assert colour_of(x, 1, 0) == 0
     with pytest.raises(ValueError):
-        from_edge_map(g, {(0, 1): unprimed(0)}, ColourPalette(2))
+        from_edge_map(g, {(0, 1): 0}, ColourPalette(2))
 
 
 def test_colouring_json_roundtrip():
     c4 = cycle(4)
     x = EdgeColouring(
         c4,
-        [unprimed(0), primed(0), primed(1), unprimed(1)],
+        [0, 2, 3, 1],
         ColourPalette(2, 2),
     )
     data = x.to_json_dict()
@@ -124,7 +140,7 @@ def test_colours_used_counts_distinct():
     g = path(4)
     x = EdgeColouring.single_family(g, [0, 1, 0], 5)
     assert colours_used(x) == 2
-    assert x.distinct_colours() == (unprimed(0), unprimed(1))
+    assert repr(x) == "EdgeColouring(Graph(n=4, m=3), 2 colours)"
 
 
 def test_check_proper_edge_finds_shared_vertex():
@@ -147,12 +163,12 @@ def test_find_bichromatic_cycle_on_even_cycles():
         col = {}
         for i in range(n):
             u, v = walk[i], walk[(i + 1) % n]
-            col[(min(u, v), max(u, v))] = unprimed(i % 2)
+            col[(min(u, v), max(u, v))] = i % 2
         x = from_edge_map(c, col, ColourPalette(2))
         found = check_acyclic(x)
         assert isinstance(found, BichromaticCycle)
         assert found.cycle == tuple(range(n))
-        assert {found.colour_a, found.colour_b} == {unprimed(0), unprimed(1)}
+        assert {found.colour_a, found.colour_b} == {"0", "1"}
 
 
 def test_find_bichromatic_cycle_accepts_acyclic():
@@ -168,12 +184,12 @@ def test_check_acyclic_orders_violations():
     k4 = complete(4)
     # three perfect matchings: proper but every pair of them is a 4-cycle
     matching = {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}
-    x = from_edge_map(k4, {e: unprimed(c) for e, c in matching.items()}, ColourPalette(3))
+    x = from_edge_map(k4, matching, ColourPalette(3))
     assert proper(x)
     bad = check_acyclic(x)
     assert isinstance(bad, BichromaticCycle)
-    # smallest colour pair is reported first
-    assert (bad.colour_a, bad.colour_b) == (unprimed(0), unprimed(1))
+    # smallest colour pair is reported first, by its wire labels
+    assert (bad.colour_a, bad.colour_b) == ("0", "1")
     assert bad.cycle[0] == 0 and len(bad.cycle) == 4
 
 
@@ -190,7 +206,7 @@ def test_violation_json_shapes():
         "vertex": 1,
         "edges": [[0, 1], [1, 2]],
     }
-    bc = BichromaticCycle(unprimed(0), primed(0), (0, 1, 2, 3))
+    bc = BichromaticCycle("0", "0'", (0, 1, 2, 3))
     data = bc.to_json_dict()
     assert data["kind"] == "bichromatic_cycle"
     assert data["colours"] == ["0", "0'"]
@@ -254,7 +270,7 @@ def _revalidate_witness(g, x, bad):
         u, v = cyc[i], cyc[(i + 1) % len(cyc)]
         assert g.has_edge(u, v)
         walk.append(colour_of(x, u, v))
-    assert set(walk) == {bad.colour_a, bad.colour_b}
+    assert {label_of(x.palette, c) for c in walk} == {bad.colour_a, bad.colour_b}
     for first, second in zip(walk, walk[1:] + walk[:1]):
         assert first != second
 
@@ -301,7 +317,7 @@ def test_find_bichromatic_cycle_matches_union_find_reference(n, k, data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
     palette = ColourPalette(*data.draw(st.sampled_from([(k - h, h) for h in range(k + 1)])))
-    ids = palette_colours(palette)
+    ids = range(palette.size)
     at = [set() for _ in range(n)]
     coloured = {}
     for u, v in chosen:
@@ -321,10 +337,8 @@ def test_find_bichromatic_cycle_matches_reference_on_many_cycles():
     # which of them a union-find pass over the edge order closes first
     rng = random.Random(3)
     g, q = grid(6, 7), hypercube(5)
-    by_parity = {
-        (u, v): unprimed(u % 7 % 2) if v - u == 1 else primed(u // 7 % 2) for u, v in g.edges
-    }
-    by_dimension = {(u, v): unprimed((v - u).bit_length() - 1) for u, v in q.edges}
+    by_parity = {(u, v): u % 7 % 2 if v - u == 1 else 2 + u // 7 % 2 for u, v in g.edges}
+    by_dimension = {(u, v): (v - u).bit_length() - 1 for u, v in q.edges}
     cases = [(g, by_parity, ColourPalette(2, 2)), (q, by_dimension, ColourPalette(5))]
     for graph, colour, palette in cases:
         for _ in range(10):
@@ -343,7 +357,7 @@ def test_check_acyclic_matches_the_references_on_any_colouring(n, data):
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
     g = Graph(n, chosen)
     palette = ColourPalette(*data.draw(st.sampled_from([(1, 1), (2, 1), (3, 0), (2, 2), (3, 2)])))
-    ids = palette_colours(palette)
+    ids = range(palette.size)
     x = EdgeColouring(g, [data.draw(st.sampled_from(ids)) for _ in range(g.m)], palette)
     clash = first_clash(x)
     assert (clash is None) == proper(x)
@@ -361,17 +375,16 @@ def _relabelled(x: EdgeColouring, rng: random.Random) -> EdgeColouring:
 
 def _unshifted(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
     """g x h coloured as compose would, but with every copy of h left
-    unshifted: h colours unprimed, g colours primed.  Proper, yet any h-edge
-    and the g-edges joining its two ends to another copy span a two-coloured
-    4-cycle."""
+    unshifted: h colours first, g colours after them.  Proper, yet any
+    h-edge and the g-edges joining its two ends to another copy span a
+    two-coloured 4-cycle."""
     product, origin = cartesian_product(xg.graph, xh.graph)
-    g_rank = {e: xg.palette.rank(c) for e, c in zip(xg.graph.edges, xg.colours)}
-    h_rank = {e: xh.palette.rank(c) for e, c in zip(xh.graph.edges, xh.colours)}
+    eta = xh.palette.size
     colours = []
     for o in origin:
         factor, edge, _ = origin_edge(o, xg.graph, xh.graph)
-        colours.append(primed(g_rank[edge]) if factor == "g" else unprimed(h_rank[edge]))
-    return EdgeColouring(product, colours, ColourPalette(xh.palette.size, xg.palette.size))
+        colours.append(eta + colour_of(xg, *edge) if factor == "g" else colour_of(xh, *edge))
+    return EdgeColouring(product, colours, ColourPalette(eta, xg.palette.size))
 
 
 def test_check_acyclic_matches_the_references_on_a_large_product():
@@ -449,8 +462,9 @@ def test_many_two_edge_colours_on_a_path_verify_in_linear_time_and_memory():
 @given(st.integers(5, 12), st.data())
 def test_check_acyclic_matches_the_reference_with_many_colours(n, data):
     # proper colourings over a palette of up to m/2 colours, so that most
-    # classes are paired and their pairs outnumber the edges in some draws
-    # and not in others;
+    # classes are paired, checked as they come and again with the pairs
+    # that meet listed from the vertices, as check_acyclic lists them past
+    # `_PAIRS_PER_EDGE` pairs per edge;
     # a planted even cycle in two alternating colours makes some cyclic.
     # Every other edge draws a colour free at both ends, or is dropped.
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -464,14 +478,17 @@ def test_check_acyclic_matches_the_reference_with_many_colours(n, data):
         a, b = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
         for i in range(length):
             u, v = sorted((ring[i], ring[(i + 1) % length]))
-            coloured[(u, v)] = unprimed(a if i % 2 else b)
+            coloured[(u, v)] = a if i % 2 else b
             at[u].add(coloured[(u, v)])
             at[v].add(coloured[(u, v)])
     for u, v in chosen:
-        free = [unprimed(c) for c in range(k) if unprimed(c) not in at[u] | at[v]]
+        free = [c for c in range(k) if c not in at[u] | at[v]]
         if (u, v) not in coloured and free:
             c = coloured[(u, v)] = data.draw(st.sampled_from(free))
             at[u].add(c)
             at[v].add(c)
     x = from_edge_map(Graph(n, coloured), coloured, ColourPalette(k))
-    assert check_acyclic(x) == bichromatic_cycle(x)
+    want = bichromatic_cycle(x)
+    assert check_acyclic(x) == want
+    with mock.patch.object(colouring, "_PAIRS_PER_EDGE", 0):
+        assert check_acyclic(x) == want

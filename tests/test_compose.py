@@ -6,14 +6,12 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bruteforce import colour_index, colour_of, is_primed, origin_edge
+from bruteforce import colour_of, origin_edge
 from boxcolour.colouring import (
     EdgeColouring,
     VertexColouring,
     check_acyclic,
     colours_used,
-    primed,
-    unprimed,
 )
 from boxcolour.compose import (
     C4ProductError,
@@ -46,7 +44,7 @@ def solved(g: Graph) -> EdgeColouring:
 
 
 def test_shifts_are_mutually_non_fixing():
-    # compose rotates palette ranks by vertex colours: two rotations with
+    # compose rotates colour ranks by vertex colours: two rotations with
     # different shifts disagree at every rank
     eta, d = 4, 3
     for i in range(d):
@@ -99,14 +97,13 @@ def test_restrictions_match_the_factors():
     for o, c in zip(origin, x.colours):
         factor, edge, fixed = origin_edge(o, g, h)
         if factor == "h":
-            # every copy of an h-edge keeps its own colour, primed
-            assert is_primed(c)
-            assert colour_index(c) == xh.palette.rank(colour_of(xh, *edge))
+            # every copy of an h-edge keeps its own colour, after the eta
+            # rotations
+            assert c == eta + colour_of(xh, *edge)
         else:
             # a copy of g at vertex v is g's colouring rotated by y(v)
-            assert not is_primed(c)
-            base = xg.palette.rank(colour_of(xg, *edge))
-            assert colour_index(c) == (base + y.colours[fixed]) % eta
+            assert c == (colour_of(xg, *edge) + y.colours[fixed]) % eta
+    assert x.palette.g_size == eta and x.palette.h_size == xh.palette.size
 
 
 def test_swap_when_second_palette_is_larger():
@@ -118,9 +115,10 @@ def test_swap_when_second_palette_is_larger():
     assert x.graph == product
     assert check_acyclic(x) is None
     assert colours_used(x) <= 4
-    # after the swap the caller's g-edges are the matching family
+    # after the swap the caller's g-edges are the matching family, whose
+    # ranks follow the shifted family's
     for o, c in zip(origin, x.colours):
-        assert is_primed(c) == (origin_edge(o, k2, c4)[0] == "g")
+        assert (c >= x.palette.g_size) == (origin_edge(o, k2, c4)[0] == "g")
 
 
 def test_factor_validation():
@@ -139,7 +137,7 @@ def test_factor_validation():
 def _reference_colours(xg: EdgeColouring, xh: EdgeColouring) -> tuple[int, ...]:
     # the construction spelled out edge by edge from the product's origin
     # numbering: the larger palette is shifted by a rotation per copy, the
-    # other primed
+    # other placed after the rotations
     eta, beta = xg.palette.size, xh.palette.size
     swapped = eta < beta
     match_graph = xg.graph if swapped else xh.graph
@@ -150,11 +148,11 @@ def _reference_colours(xg: EdgeColouring, xh: EdgeColouring) -> tuple[int, ...]:
     for o in origin:
         factor, edge, copy = origin_edge(o, xg.graph, xh.graph)
         x = xg if factor == "g" else xh
-        rank = x.palette.rank(colour_of(x, *edge))
+        rank = colour_of(x, *edge)
         if (factor == "g") == swapped:
-            out.append(primed(rank))
+            out.append(modulus + rank)
         else:
-            out.append(unprimed((rank + y.colours[copy]) % modulus))
+            out.append((rank + y.colours[copy]) % modulus)
     return tuple(out)
 
 
@@ -254,16 +252,44 @@ def test_compose_many_in_every_order_keeps_the_graph_and_the_sum_of_palettes(fac
         assert colours_used(x) <= budget
 
 
+# the connected graphs on 2 to 4 vertices, keyed by their corpus labelling
+_SMALL_NAMES = {
+    ((0, 1),): "K2",
+    ((0, 1), (0, 2)): "P3",
+    ((0, 1), (0, 2), (1, 2)): "K3",
+    ((0, 1), (0, 2), (0, 3)): "K1,3",
+    ((0, 1), (0, 2), (1, 3)): "P4",
+    ((0, 1), (0, 2), (0, 3), (1, 3)): "paw",
+    ((0, 1), (0, 2), (1, 3), (2, 3)): "C4",
+    ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)): "diamond",
+    ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)): "K4",
+}
+
+# the pairs whose product needs all of a'(G) + a'(H) colours
+_TIGHT_PAIRS = {
+    ("K2", "P3"), ("K2", "K3"), ("K2", "K1,3"), ("K2", "P4"), ("K2", "paw"),
+    ("K2", "C4"), ("K2", "diamond"),
+    ("P3", "P3"), ("P3", "K3"), ("P3", "K1,3"), ("P3", "P4"), ("P3", "paw"),
+    ("K3", "P4"),
+    ("K1,3", "K1,3"), ("K1,3", "P4"), ("K1,3", "paw"),
+    ("P4", "P4"), ("P4", "paw"),
+    ("paw", "paw"),
+}
+
+
 def test_pairs_up_to_four_vertices_sit_between_the_bounds():
-    # lower_bound <= aci <= compose <= a'(G) + a'(H) on every unordered pair
-    # of connected factors with 2 to 4 vertices; K2 x K2, the four-cycle the
-    # paper excludes, takes 3 colours against 1 + 1
-    tight = 0
-    for g, h in itertools.combinations_with_replacement(_SMALL_FACTORS, 2):
+    # the n <= 4 atlas: lower_bound <= aci <= compose <= a'(G) + a'(H) on all
+    # 45 unordered pairs of connected factors with 2 to 4 vertices; K2 x K2,
+    # the four-cycle the paper excludes, takes 3 colours against 1 + 1
+    assert [_SMALL_NAMES[g.edges] for g in _SMALL_FACTORS] == list(_SMALL_NAMES.values())
+    pairs = list(itertools.combinations_with_replacement(_SMALL_FACTORS, 2))
+    assert len(pairs) == 45
+    tight = set()
+    for g, h in pairs:
         xg, xh = _SMALL_WITNESSES[g], _SMALL_WITNESSES[h]
         product = cartesian_product(g, h)[0]
         result = exact_aci(product)
-        assert not result.exhausted
+        assert not result.exhausted and result.nodes <= 2_655
         used = colours_used(compose_or_solve(xg, xh))
         paper = xg.palette.size + xh.palette.size
         assert lower_bound(product) <= result.aci <= used
@@ -271,8 +297,9 @@ def test_pairs_up_to_four_vertices_sit_between_the_bounds():
             assert (result.aci, used, paper) == (3, 3, 2)
             continue
         assert used <= paper
-        tight += result.aci == paper
-    assert tight == 19
+        if result.aci == paper:
+            tight.add((_SMALL_NAMES[g.edges], _SMALL_NAMES[h.edges]))
+    assert tight == _TIGHT_PAIRS
 
 
 def test_compose_many_two_factors_reduces_to_compose():

@@ -335,9 +335,9 @@ _RECORDS = [
     ),
     (
         BichromaticCycle,
-        {"colour_a": 0, "colour_b": 2, "cycle": (0, 1, 2, 3)},
+        {"colour_a": "0", "colour_b": "0'", "cycle": (0, 1, 2, 3)},
         {},
-        "BichromaticCycle(colour_a=0, colour_b=2, cycle=(0, 1, 2, 3))",
+        "BichromaticCycle(colour_a='0', colour_b=\"0'\", cycle=(0, 1, 2, 3))",
         [],
     ),
     (
@@ -475,8 +475,12 @@ def test_reading_comparing_checking_and_writing_build_no_index(tmp_path):
     # union-find over the sorted edges
     rejected = EdgeColouring.single_family(cycle(6), [0, 1, 1, 0, 1, 0], 2)
     assert isinstance(check_acyclic(rejected), BichromaticCycle)
-    fresh.append(rejected.graph)
-    assert [is_connected(h) for h in fresh] == [True, True, False, True, True]
+    # an improper colouring's clash comes from one pass over the edges:
+    # vertices 3 and 5 each meet one colour twice, and 3 is reported
+    clashing = EdgeColouring.single_family(cycle(6), [0, 1, 1, 0, 0, 1], 2)
+    assert check_acyclic(clashing) == NotProper(3, (2, 3), (3, 4))
+    fresh += [rejected.graph, clashing.graph]
+    assert [is_connected(h) for h in fresh] == [True, True, False, True, True, True]
     assert all(_built(h) == [] for h in fresh)
 
 

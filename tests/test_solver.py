@@ -97,6 +97,19 @@ def test_witness_is_verified_and_tight():
     assert r.witness.palette.size == r.aci
 
 
+def test_every_witness_uses_its_whole_palette():
+    # no acyclic colouring has fewer than a' colours, so a witness whose
+    # palette has a' colours uses all of them; this is why the product
+    # tactic hands out the composed ranks as they are: rotations of whole
+    # palettes are whole, and the eta + beta ranks are all used
+    tactics = set()
+    for g in connected_graphs_up_to(6):
+        r = exact_aci(g)
+        assert colours_used(r.witness) == r.witness.palette.size == r.aci, g.edges
+        tactics.add(r.tactic)
+    assert tactics == {"search", "factor"}
+
+
 def test_empty_and_trivial_graphs():
     r = exact_aci(Graph(1, []))
     assert r.aci == 0 and r.witness.colours == ()
