@@ -171,6 +171,8 @@ def read_colouring(path: PathLike) -> EdgeColouring:
         data = json.loads(Path(path).read_text())
     except RecursionError:
         raise ValueError(f"colouring JSON in {path} is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"colouring JSON in {path} is malformed: {exc}") from None
     return EdgeColouring.from_json_dict(data)
 
 

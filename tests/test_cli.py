@@ -1,5 +1,7 @@
 import json
 import os
+import pstats
+import re
 import subprocess
 import sys
 import time
@@ -302,6 +304,23 @@ def test_compose_rejects_a_deeply_nested_colouring(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
 
 
+def test_compose_names_the_malformed_colouring_file(tmp_path, capsys):
+    el = tmp_path / "p3.el"
+    el.write_text(format_edge_list(path(3)))
+    good = tmp_path / "a.json"
+    good.write_text(format_colouring(exact_aci(path(3)).witness))
+    truncated = tmp_path / "b.json"
+    truncated.write_text(good.read_text()[:-5])
+    assert (
+        run("compose", "--g", str(el), "--h", str(el), "--xg", str(good),
+            "--xh", str(truncated)) == 2
+    )
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: colouring JSON in {truncated} is malformed: ")
+    assert str(good) not in captured.err
+
+
 def test_verify_cross_checks_graph_file(tmp_path, capsys):
     x = exact_aci(cycle(4)).witness
     cj = tmp_path / "c4.json"
@@ -577,3 +596,92 @@ def test_a_closed_pipe_exits_2_without_a_traceback(tmp_path, argv, stderr_too, b
         # the run's own stderr output and an `error:` report may remain
         assert b"Traceback" not in proc.stderr
         assert b"internal error" not in proc.stderr
+
+
+# The CLI ends with os._exit, which flushes nothing itself; a child without
+# PYTHONUNBUFFERED keeps its stdout block-buffered, as in a shell pipeline.
+_BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+# The end of a child's code: run the CLI as `python -m boxcolour.cli` does.
+_AS_MAIN = (
+    "; import runpy; sys.argv[0] = 'boxcolour'"
+    "; runpy.run_module('boxcolour.cli', run_name='__main__', alter_sys=True)"
+)
+
+# Run in a child interpreter: the solver `aci` calls raises, as a bug would.
+_BROKEN_ACI = "import sys, boxcolour.solver; boxcolour.solver.exact_aci = None" + _AS_MAIN
+
+
+def _without_times(text):
+    return re.sub(r'"time_secs": [0-9.]+', '"time_secs": T', text)
+
+
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+@pytest.mark.parametrize(
+    "case, code",
+    [("hypercube-12", 0), ("rejecting-verify", 1), ("input-error", 2),
+     ("budget", 3), ("internal-error", 4)],
+)
+def test_a_cli_process_prints_and_exits_as_run_does(tmp_path, capsys, monkeypatch,
+                                                   case, code, sink):
+    k7 = tmp_path / "k7.el"
+    k7.write_text(format_edge_list(complete(7)))
+    rejected = tmp_path / "rejected.json"
+    rejected.write_text(json.dumps({
+        "n": 4, "palette": {"g": 2, "h": 0},
+        "edges": [[0, 1, "0"], [0, 3, "1"], [1, 2, "1"], [2, 3, "0"]],
+    }))
+    not_json = tmp_path / "not.json"
+    not_json.write_text('{"n": 2} {"n": 3}')
+    argv = {
+        # its 1.1 MB of output is far more than a pipe or stdio buffer holds
+        "hypercube-12": ["hypercube", "12"],
+        "rejecting-verify": ["verify", str(rejected)],
+        "input-error": ["verify", str(not_json)],
+        "budget": ["aci", str(k7), "--budget-nodes", "5"],
+        "internal-error": ["aci", str(k7)],
+    }[case]
+    if case == "internal-error":
+        monkeypatch.setattr(cli, "exact_aci", None)
+        child = [sys.executable, "-c", _BROKEN_ACI, *argv]
+    else:
+        child = [sys.executable, "-m", "boxcolour.cli", *argv]
+    assert run(*argv) == code
+    want = capsys.readouterr()
+    out = tmp_path / "stdout"
+    with open(out, "wb") as f:
+        proc = subprocess.run(child, stdout=f if sink == "file" else subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=_BUFFERED_ENV)
+    stdout = out.read_bytes() if sink == "file" else proc.stdout
+    assert proc.returncode == code
+    assert _without_times(stdout.decode()) == _without_times(want.out)
+    assert proc.stderr.decode() == want.err
+
+
+def test_a_cli_process_flushes_what_its_atexit_handlers_write():
+    code = (
+        "import atexit, sys"
+        "; atexit.register(lambda: (sys.stdout.write('out at exit'), sys.stderr.write('err at exit')))"
+        + _AS_MAIN
+    )
+    proc = subprocess.run([sys.executable, "-c", code, "gen", "path", "2"],
+                          capture_output=True, text=True, env=_BUFFERED_ENV)
+    assert proc.returncode == 0
+    assert proc.stdout == format_edge_list(path(2)) + "out at exit"
+    assert proc.stderr == "err at exit"
+
+
+def test_a_profiled_cli_run_still_writes_its_profile(tmp_path):
+    # profilers and tracers report from the interpreter's own exit, which a
+    # CLI run under one therefore keeps
+    k6 = tmp_path / "k6.el"
+    k6.write_text(format_edge_list(complete(6)))
+    prof = tmp_path / "aci.prof"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(prof), "-m", "boxcolour.cli",
+         "aci", str(k6)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and json.loads(proc.stdout)["aci"] == 7
+    stats = pstats.Stats(str(prof)).stats
+    assert any(name == "_first_colouring" for _, _, name in stats)
