@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import json
 import os
 import sys
 
@@ -85,17 +84,9 @@ def _cmd_product(args) -> int:
 
 
 def _report_exhausted(result: AciResult) -> int:
-    print(
-        json.dumps(
-            {
-                "exhausted": True,
-                "lower": result.lower,
-                "upper": result.upper,
-                "nodes": result.nodes,
-                "time_secs": round(result.seconds, 3),
-            }
-        )
-    )
+    # json.dumps's one-line layout, written directly
+    print(f'{{"exhausted": true, "lower": {result.lower}, "upper": {result.upper}, '
+          f'"nodes": {result.nodes}, "time_secs": {round(result.seconds, 3)!r}}}')
     print("search budget exhausted", file=sys.stderr)
     return BUDGET
 
@@ -108,17 +99,8 @@ def _cmd_aci(args) -> int:
     result = exact_aci(g, _budget(args))
     if result.exhausted:
         return _report_exhausted(result)
-    print(
-        json.dumps(
-            {
-                "aci": result.aci,
-                "colouring": result.witness.to_json_dict(),
-                "nodes": result.nodes,
-                "time_secs": round(result.seconds, 3),
-            },
-            indent=2,
-        )
-    )
+    sys.stdout.write(io.format_aci(result.aci, result.witness, result.nodes,
+                                   round(result.seconds, 3)))
     return OK
 
 
@@ -169,6 +151,9 @@ def _cmd_verify(args) -> int:
             return USAGE
     violation = check_acyclic(x)
     if violation is not None:
+        # only a witness needs the encoder, so the other commands start without it
+        import json
+
         print(json.dumps(violation.to_json_dict()))
         return VERIFY_FAILED
     print(f"ok: {colours_used(x)} colours, acyclic")
@@ -226,35 +211,35 @@ def _cmd_scan(args) -> int:
 # Parser
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="boxcolour", fromfile_prefix_chars="@")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit a generated graph as an edge list")
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=["path", "cycle", "complete", "grid", "hypercube"])
     p.add_argument("params", type=int, nargs="+")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("product", help="cartesian product of two graphs")
+
+def _product_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--g", required=True, metavar="FILE")
     p.add_argument("--h", required=True, metavar="FILE")
     _add_format_flag(p)
     p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("aci", help="exact acyclic chromatic index")
+
+def _aci_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", metavar="FILE")
     _add_format_flag(p)
     _add_budget_flags(p)
     p.add_argument("--lower-only", action="store_true")
     p.set_defaults(func=_cmd_aci)
 
-    p = sub.add_parser("greedy", help="first-fit acyclic colouring")
+
+def _greedy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", metavar="FILE")
     _add_format_flag(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_greedy)
 
-    p = sub.add_parser("compose", help="colour a product from factor colourings")
+
+def _compose_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--g", required=True, metavar="FILE")
     p.add_argument("--h", required=True, metavar="FILE")
     p.add_argument("--xg", metavar="JSON")
@@ -265,18 +250,21 @@ def _build_parser() -> _Parser:
     _add_budget_flags(p)
     p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("hypercube", help="colour the d-cube with d+1 colours")
+
+def _hypercube_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("d", type=int)
     p.add_argument("--out-graph", metavar="FILE")
     p.set_defaults(func=_cmd_hypercube)
 
-    p = sub.add_parser("verify", help="check a colouring JSON file")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("colouring", metavar="JSON")
     p.add_argument("--graph", metavar="FILE")
     _add_format_flag(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("scan", help="exact solve over a corpus, CSV per graph")
+
+def _scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-n", type=int, metavar="N",
                    help="all connected graphs with up to N vertices")
     p.add_argument("--in", dest="infile", metavar="FILE")
@@ -284,13 +272,46 @@ def _build_parser() -> _Parser:
     _add_budget_flags(p)
     p.set_defaults(func=_cmd_scan)
 
+
+# (name, help, builder of its arguments), in the order help lists them
+_COMMANDS = (
+    ("gen", "emit a generated graph as an edge list", _gen_args),
+    ("product", "cartesian product of two graphs", _product_args),
+    ("aci", "exact acyclic chromatic index", _aci_args),
+    ("greedy", "first-fit acyclic colouring", _greedy_args),
+    ("compose", "colour a product from factor colourings", _compose_args),
+    ("hypercube", "colour the d-cube with d+1 colours", _hypercube_args),
+    ("verify", "check a colouring JSON file", _verify_args),
+    ("scan", "exact solve over a corpus, CSV per graph", _scan_args),
+)
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The full parser, or with `command` one holding that subcommand alone."""
+    parser = _Parser(prog="boxcolour", fromfile_prefix_chars="@")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, add_arguments in _COMMANDS:
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the parser of the subcommand `argv` starts with alone,
+    whose own errors and help do not depend on its siblings.  Anything else
+    (top-level help, an @file first, an unknown command, no arguments) and
+    anything that parser leaves over goes to the full parser, so every
+    top-level usage message is the full parser's."""
+    if argv and any(argv[0] == name for name, _, _ in _COMMANDS):
+        args, rest = _build_parser(argv[0]).parse_known_args(argv)
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return OK if exc.code in (0, None) else USAGE
     try:

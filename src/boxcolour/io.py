@@ -12,7 +12,12 @@ exactly that text as the graph without parsing it.
 
 Colouring JSON is decoded by `json` and read by
 `EdgeColouring.from_json_dict` in one pass over its rows and one sort, so
-its rows, too, may come in any order and orientation.
+its rows, too, may come in any order and orientation.  It is written
+without `json`, in `json.dumps(..., indent=2)`'s exact layout, and so is
+`aci`'s document: only a reader of JSON imports the encoder's package.
+
+A file that cannot be decoded as text is an input error that names the
+file, in every reader.
 
 graph6 is the compact ASCII encoding used by nauty and friends; only
 reading is supported, one graph per line.
@@ -20,7 +25,6 @@ reading is supported, one graph per line.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Union
 
@@ -28,6 +32,13 @@ from .colouring import EdgeColouring, colour_label
 from .graphs import Graph
 
 PathLike = Union[str, Path]
+
+
+def _read_text(path: PathLike) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot decode {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +92,7 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(path: PathLike) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    return parse_edge_list(_read_text(path))
 
 
 def write_edge_list(g: Graph, path: PathLike) -> None:
@@ -138,7 +149,7 @@ def parse_graph6(line: str) -> Graph:
 
 def read_graph6(path: PathLike) -> list[Graph]:
     graphs = []
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path).splitlines():
         if line.strip():
             graphs.append(parse_graph6(line))
     return graphs
@@ -151,9 +162,10 @@ def read_graph6(path: PathLike) -> list[Graph]:
 def format_colouring(x: EdgeColouring) -> str:
     """`json.dumps(x.to_json_dict(), indent=2)` plus a newline, written
     directly: the indenting encoder is pure Python and slow on large
-    colourings."""
+    colourings.  A label is ASCII digits and at most one "'", which JSON
+    quotes as they are."""
     g_size = x.palette.g_size
-    labels = {c: json.dumps(colour_label(c, g_size)) for c in set(x.colours)}
+    labels = {c: f'"{colour_label(c, g_size)}"' for c in set(x.colours)}
     rows = ",\n".join(
         f"    [\n      {u},\n      {v},\n      {labels[c]}\n    ]"
         for (u, v), c in zip(x.graph.edges, x.colours)
@@ -165,10 +177,20 @@ def format_colouring(x: EdgeColouring) -> str:
     )
 
 
+def format_aci(aci: int, witness: EdgeColouring, nodes: int, time_secs: float) -> str:
+    """`aci`'s document, as `json.dumps` with indent=2 writes it, plus a
+    newline: the colouring is `format_colouring`'s text indented one level."""
+    colouring = format_colouring(witness)[:-1].replace("\n", "\n  ")
+    return (f'{{\n  "aci": {aci},\n  "colouring": {colouring},\n'
+            f'  "nodes": {nodes},\n  "time_secs": {time_secs!r}\n}}\n')
+
+
 def read_colouring(path: PathLike) -> EdgeColouring:
     """A malformed file raises ValueError, deep nesting included."""
+    import json
+
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(_read_text(path))
     except RecursionError:
         raise ValueError(f"colouring JSON in {path} is nested too deeply") from None
     except json.JSONDecodeError as exc:
@@ -200,7 +222,7 @@ def graph_file_matches(path: PathLike, fmt: str, g: Graph) -> bool:
     compared."""
     if fmt != "edgelist":
         return load_graph(path, fmt) == g
-    text = Path(path).read_text()
+    text = _read_text(path)
     if text.startswith(f"{g.n} {g.m}\n") and text == format_edge_list(g):
         return True
     return parse_edge_list(text) == g

@@ -13,7 +13,7 @@ from boxcolour import cli, io
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
 from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
 from boxcolour.io import format_colouring, format_edge_list, parse_edge_list
-from boxcolour.solver import exact_aci
+from boxcolour.solver import AciResult, exact_aci
 
 
 # a 200 KB colouring file of nothing but opening brackets
@@ -321,6 +321,34 @@ def test_compose_names_the_malformed_colouring_file(tmp_path, capsys):
     assert str(good) not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aci", "{bad}"],
+        ["aci", "{bad}", "--format", "graph6"],
+        ["verify", "{bad}"],
+        ["verify", "{json}", "--graph", "{bad}"],
+        ["verify", "{json}", "--graph", "{bad}", "--format", "graph6"],
+        ["compose", "--g", "{el}", "--h", "{el}", "--solve-factors", "--xh", "{bad}"],
+        ["product", "--g", "{el}", "--h", "{bad}"],
+        ["scan", "--in", "{bad}"],
+        ["scan", "--in", "{bad}", "--format", "graph6"],
+    ],
+    ids=["aci", "aci-graph6", "verify", "verify-graph", "verify-graph6", "compose-xh",
+         "product-h", "scan-in", "scan-graph6"],
+)
+def test_an_input_that_is_not_utf8_is_named(tmp_path, capsys, argv):
+    files = {"bad": tmp_path / "bad.bin", "el": tmp_path / "p3.el", "json": tmp_path / "p3.json"}
+    files["bad"].write_bytes(b"\xff\xfe")
+    files["el"].write_text(format_edge_list(path(3)))
+    files["json"].write_text(format_colouring(exact_aci(path(3)).witness))
+    assert run(*[a.format(**files) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot decode {files['bad']}: ")
+    assert "0xff" in captured.err
+
+
 def test_verify_cross_checks_graph_file(tmp_path, capsys):
     x = exact_aci(cycle(4)).witness
     cj = tmp_path / "c4.json"
@@ -527,6 +555,137 @@ def test_config_file_arguments(tmp_path, capsys):
     assert run("aci", str(f), f"@{cfg}") == 3
 
 
+def _steady(text):
+    """Output with its time fields masked: aci's time_secs and scan's time_ms."""
+    # csv ends each row with \r\n
+    return re.sub(r",[0-9.]+\r$", ",T", _without_times(text), flags=re.M)
+
+
+_COMMAND_NAMES = ["gen", "product", "aci", "greedy", "compose", "hypercube", "verify", "scan"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # valid
+        ["gen", "path", "3"],
+        ["product", "--g", "{k4}", "--h", "{k2}"],
+        ["aci", "{k4}"],
+        ["greedy", "{k4}"],
+        ["compose", "--g", "{k4}", "--h", "{k2}", "--solve-factors"],
+        ["hypercube", "3"],
+        ["verify", "{json}"],
+        ["scan", "--max-n", "3"],
+        # a required argument missing
+        ["gen"],
+        ["product", "--g", "{k4}"],
+        ["aci"],
+        ["greedy"],
+        ["compose", "--h", "{k2}"],
+        ["hypercube"],
+        ["verify"],
+        ["scan", "--max-n"],
+        # a bad type or choice
+        ["gen", "star", "3"],
+        ["product", "--g", "{k4}", "--h", "{k2}", "--format", "dot"],
+        ["aci", "{k4}", "--budget-nodes", "many"],
+        ["greedy", "{k4}", "--seed", "x"],
+        ["compose", "--g", "{k4}", "--h", "{k2}", "--budget-secs", "soon"],
+        ["hypercube", "three"],
+        ["verify", "{json}", "--format", "dot"],
+        ["scan", "--max-n", "x"],
+        # help
+        *([name, "-h"] for name in _COMMAND_NAMES),
+        ["--help"],
+        ["-h", "aci"],
+        [],
+        # what the subcommand's parser alone cannot settle
+        ["bogus"],
+        ["aci", "{k4}", "--bogus"],
+        ["aci", "--bogus", "{k4}"],
+        ["aci", "{k4}", "extra"],
+        ["aci", "{k7}", "--budget-n", "5"],
+        ["@{args}"],
+        ["aci", "{k7}", "@{budget}"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_run_parses_as_the_full_parser_does(tmp_path, capsys, monkeypatch, argv):
+    files = {name: tmp_path / f"{name}.el" for name in ("k2", "k4", "k7")}
+    for name, g in (("k2", path(2)), ("k4", complete(4)), ("k7", complete(7))):
+        files[name].write_text(format_edge_list(g))
+    files["json"] = tmp_path / "c4.json"
+    files["json"].write_text(format_colouring(exact_aci(cycle(4)).witness))
+    files["args"] = tmp_path / "args.cfg"
+    files["args"].write_text(f"aci\n{files['k7']}\nbudget-nodes=5\n")
+    files["budget"] = tmp_path / "budget.cfg"
+    files["budget"].write_text("budget-nodes=5\n")
+    argv = [a.format(**files) for a in argv]
+    code = cli.run(argv)
+    got = capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+    want_code = cli.run(argv)
+    want = capsys.readouterr()
+    assert code == want_code
+    assert _steady(got.out) == _steady(want.out)
+    assert got.err == want.err
+
+
+def test_a_subcommand_run_builds_that_subcommand_alone(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "k4.el"
+    f.write_text(format_edge_list(complete(4)))
+    built = []
+    build = cli._build_parser
+
+    def spy(command=None):
+        parser = build(command)
+        built.append(parser.format_usage().split("{")[1].split("}")[0])
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    assert run("aci", str(f)) == 0
+    assert built == ["aci"]
+    # a leftover argument is reported by the full parser
+    assert run("aci", str(f), "extra") == 2
+    assert built == ["aci", "aci", ",".join(_COMMAND_NAMES)]
+    assert "{gen,product,aci," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "g", [Graph(1, []), path(2), complete(6), hypercube(4)], ids=["K1", "K2", "K6", "Q4"]
+)
+def test_aci_prints_the_indenting_encoders_bytes(tmp_path, capsys, g):
+    f = tmp_path / "g.el"
+    f.write_text(format_edge_list(g))
+    assert run("aci", str(f)) == 0
+    out = capsys.readouterr().out
+    result = exact_aci(g)
+    doc = {
+        "aci": result.aci,
+        "colouring": result.witness.to_json_dict(),
+        "nodes": result.nodes,
+        "time_secs": json.loads(out)["time_secs"],
+    }
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_an_exhausted_budget_prints_the_encoders_line(tmp_path, capsys):
+    f = tmp_path / "k7.el"
+    f.write_text(format_edge_list(complete(7)))
+    assert run("aci", str(f), "--budget-nodes", "5") == 3
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert list(doc) == ["exhausted", "lower", "upper", "nodes", "time_secs"]
+    assert doc["exhausted"] is True
+    assert out == json.dumps(doc) + "\n"
+    for seconds in (0.0, 0.0004, 2.5, 1234.56789, 1e16):
+        result = AciResult(None, None, 12, seconds, True, 7, 9, "greedy")
+        assert cli._report_exhausted(result) == 3
+        doc = {"exhausted": True, "lower": 7, "upper": 9, "nodes": 12,
+               "time_secs": round(seconds, 3)}
+        assert capsys.readouterr().out == json.dumps(doc) + "\n"
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "boxcolour.cli", "gen", "path", "3"],
@@ -563,6 +722,24 @@ def test_aci_start_up_skips_dataclasses_and_the_scan_only_modules(tmp_path):
     # compared with a bare interpreter, so a site hook importing one is no failure
     heavy = {"dataclasses", "inspect", "csv", "boxcolour.corpus"}
     assert heavy & (loaded - bare) == set()
+
+
+def test_only_a_json_reader_or_a_witness_imports_json(tmp_path):
+    k4 = tmp_path / "k4.el"
+    k4.write_text(format_edge_list(complete(4)))
+    cj = tmp_path / "c4.json"
+    cj.write_text(format_colouring(exact_aci(cycle(4)).witness))
+    _, bare = _modules_loaded(_LIST_MODULES)
+    encoder = {"json", "json.decoder", "json.encoder"}
+    for argv, imports_json in ((["aci", str(k4)], False), (["hypercube", "3"], False),
+                               (["verify", str(cj)], True)):
+        proc, loaded = _modules_loaded(
+            _LIST_MODULES
+            + f"; import runpy; sys.argv = {['boxcolour', *argv]!r}"
+            + "; runpy.run_module('boxcolour.cli', run_name='__main__', alter_sys=True)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert encoder & (loaded - bare) == (encoder if imports_json else set()), argv
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])

@@ -13,6 +13,7 @@ from bruteforce import (
 from boxcolour.colouring import ColourPalette, EdgeColouring
 from boxcolour.graphs import MAX_VERTICES, Graph, complete, cycle, path
 from boxcolour.io import (
+    format_aci,
     format_colouring,
     format_edge_list,
     load_graph,
@@ -248,16 +249,30 @@ def test_colouring_file_roundtrip(tmp_path):
     assert read_colouring(target) == x
 
 
-@given(st.integers(1, 8), st.integers(0, 12), st.integers(0, 12), st.data())
-def test_colouring_writer_matches_the_indenting_encoder(n, g_size, h_size, data):
+def _draw_colouring(n, g_size, h_size, data):
     # m = 0 whenever the palette is empty; labels run up to 11 and 11'
     palette = ColourPalette(g_size, h_size)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs and palette.size else []
     g = Graph(n, edges)
     colours = [data.draw(st.sampled_from(range(palette.size))) for _ in range(g.m)]
-    x = EdgeColouring(g, colours, palette)
+    return EdgeColouring(g, colours, palette)
+
+
+@given(st.integers(1, 8), st.integers(0, 12), st.integers(0, 12), st.data())
+def test_colouring_writer_matches_the_indenting_encoder(n, g_size, h_size, data):
+    x = _draw_colouring(n, g_size, h_size, data)
     assert format_colouring(x) == json.dumps(x.to_json_dict(), indent=2) + "\n"
+
+
+@given(st.integers(1, 6), st.integers(0, 12), st.integers(0, 12), st.data(),
+       st.integers(0, 10**12), st.floats(0, 1e17))
+def test_aci_writer_matches_the_indenting_encoder(n, g_size, h_size, data, nodes, seconds):
+    x = _draw_colouring(n, g_size, h_size, data)
+    time_secs = round(seconds, 3)
+    doc = {"aci": x.palette.size, "colouring": x.to_json_dict(), "nodes": nodes,
+           "time_secs": time_secs}
+    assert format_aci(x.palette.size, x, nodes, time_secs) == json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
