@@ -84,9 +84,8 @@ def _cmd_product(args) -> int:
 
 
 def _report_exhausted(result: AciResult) -> int:
-    # json.dumps's one-line layout, written directly
-    print(f'{{"exhausted": true, "lower": {result.lower}, "upper": {result.upper}, '
-          f'"nodes": {result.nodes}, "time_secs": {round(result.seconds, 3)!r}}}')
+    sys.stdout.write(io.format_exhausted(result.lower, result.upper, result.nodes,
+                                         round(result.seconds, 3)))
     print("search budget exhausted", file=sys.stderr)
     return BUDGET
 
@@ -151,10 +150,7 @@ def _cmd_verify(args) -> int:
             return USAGE
     violation = check_acyclic(x)
     if violation is not None:
-        # only a witness needs the encoder, so the other commands start without it
-        import json
-
-        print(json.dumps(violation.to_json_dict()))
+        sys.stdout.write(io.format_violation(violation))
         return VERIFY_FAILED
     print(f"ok: {colours_used(x)} colours, acyclic")
     return OK

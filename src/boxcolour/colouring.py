@@ -34,11 +34,9 @@ leaves the code that built it or enters from a caller.  The search and
 greedy check each colouring they return; `compose` checks the factor
 colourings it is handed and the colouring it returns; `compose_many`
 checks its factors and only its final output, since every fold relabels
-the previous one injectively (see `compose`); the four-cycle's literal
-colouring, which the construction returns for two single edges, is
-checked by the entry point that hands it out, like any composed
-colouring, and not again inside a fold; and `solver.exact_aci` checks a
-composed colouring once, after mapping it onto its input graph.
+the previous one injectively (see `compose`), the four-cycle that two
+single edges make included; and `solver.exact_aci` checks a composed
+colouring once, after mapping it onto its input graph.
 """
 
 from __future__ import annotations

@@ -3,39 +3,45 @@ colourings of the two factors; each colouring carries its factor graph.
 
 Colours are palette ranks (see `colouring`).  The factor with the larger
 palette (size eta) keeps its colours, shifted: inside the copy sitting at
-vertex v of the other factor, colour c becomes (c + y(v)) mod eta, where y
-is a vertex colouring of the other factor.  Distinct rotations never agree
-anywhere, which is what kills cycles that cross copies.  The smaller
-factor's edges become perfect matchings between copies and keep their own
-colours in a disjoint block after the rotations: colour c becomes eta + c.
+vertex v of the other factor, colour c becomes (c + y(v)) mod p, where y
+is a vertex colouring of the other factor and the modulus p is the larger
+of eta and the number of colours y uses.  The smaller factor's edges
+become perfect matchings between copies and keep their own colours in a
+disjoint block after the rotations: colour c becomes p + c.
 
-The shifts come from `brooks_colouring` of the matching factor: first-fit
-in reverse breadth-first order from a vertex of least degree.  Every
-vertex but the root is coloured while its BFS parent is not, so it sees at
-most Δ - 1 colours, and the root has degree below Δ unless the factor is
-regular: at most Δ colours, or Δ + 1 on a regular factor.  beta counts a
-proper edge colouring, so beta >= Δ; on a regular factor with Δ >= 2, a
-palette of Δ colours would make every colour class a perfect matching,
-and two of them close a two-coloured cycle, so beta >= Δ + 1.  On every
-connected factor but a single edge the shifts thus take at most
-beta <= eta colours: the eta rotations cover every vertex colour and the
-modulus never needs padding.  A single edge takes 2 colours against
-beta = 1, which is fine unless eta = 1 as well.  That product of
-two single edges is the four-cycle, which no 2-colouring handles
-acyclically; `_compose` returns its literal 3-colouring instead, which
-`compose_or_solve` and `compose_many` hand out, and `compose` raises a
-dedicated error for it once both factors have passed their checks.
-Every function here returns the colouring alone; its graph is the product.
+Why that is acyclic.  Each copy gets an injective relabelling of its
+factor's colouring into a block of its own, so the product is proper,
+and a cycle on two rotated or two matching colours stays in one copy,
+coloured as its factor is, relabelled.  A cycle on a rotated colour a and
+a matching colour p + c alternates between the copies at the ends of one
+matching edge vw of colour c.  As y(v) != y(w), both below p, its a-edges
+have the shifted factor's colour a - y(v) mod p in one copy and the
+other colour a - y(w) mod p in the other, so its projection onto that
+factor is a closed walk alternating two colours, which never turns back:
+a two-coloured cycle, which the factor's colouring does not have.
+
+The shifts come from `brooks_colouring` of the matching factor: at most
+Δ colours, or Δ + 1 on a regular factor (see `vertex_colouring`).  beta
+counts a proper edge colouring, so beta >= Δ, and beta >= Δ + 1 on a
+regular factor with Δ >= 2, where Δ colours would make every class a
+perfect matching and two of them a two-coloured cycle.  So the shifts
+take at most beta <= eta colours, and p = eta, on every connected factor
+but a single edge, which takes 2 against beta = 1.  That pads the modulus
+only when eta = 1 too: two single edges make the four-cycle, in 2 + 1 = 3
+colours, its acyclic chromatic index, though the paper's theorem, which
+needs max{eta, beta} > 1, leaves it out.  `compose`, which promises
+eta + beta, raises a dedicated error for it once both factors have passed
+their checks; `compose_or_solve` and `compose_many` colour it like any
+other.  Every function here returns the colouring alone, for the product.
 
 `_compose` only builds the colouring; `check_acyclic` runs at the entry
-points, on the four-cycle's colouring as on any other.  `compose` and
-`compose_or_solve` check both factors and their output.  `compose_many`
-checks every factor passed in, folds `_compose`, and checks only the final
-output.  That is enough because each fold colours every copy of the
-previous product by an injective relabelling of its colouring: a rotation
-of ranks when it is the shifted factor, the shift by eta when it is the
-matching one.  Each copy is a subgraph of the new product, so an improper
-vertex or a two-coloured cycle in one fold, the four-cycle's included,
+points.  `compose` and `compose_or_solve` check both factors and their
+output.  `compose_many` checks every factor passed in, folds `_compose`,
+and checks only the final output.  That is enough because each fold
+colours every copy of the previous product by an injective relabelling of
+its colouring: a rotation of ranks when it is the shifted factor, the
+shift by p when it is the matching one.  Each copy is a subgraph of the
+new product, so an improper vertex or a two-coloured cycle in one fold
 reappears, relabelled, in every later fold and fails the final check.
 `solver._by_factors` calls `_compose` on factor witnesses its own solves
 verified, and checks the colouring it maps back onto its input.
@@ -92,18 +98,15 @@ def compose(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
 
 def compose_or_solve(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
     """compose, except that the product of two single edges, the
-    four-cycle, gets its 3-colouring."""
+    four-cycle, gets its 3-colouring (module docstring)."""
     _validate_factor("g", xg)
     _validate_factor("h", xh)
     return _verified(_compose(xg, xh))
 
 
 def _compose(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
-    """The construction alone, on factors the caller has checked; for two
-    single edges, the four-cycle's 3-colouring."""
+    """The construction alone, on factors the caller has checked."""
     eta, beta = xg.palette.size, xh.palette.size
-    if eta == 1 and beta == 1:
-        return _four_cycle()
 
     # orientation: the larger palette plays the shifted role
     swapped = eta < beta
@@ -112,34 +115,21 @@ def _compose(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
         eta, beta = beta, eta
     else:
         shift_x, match_x = xg, xh
-    y = brooks_colouring(match_x.graph)  # at most eta colours (module docstring)
+    y = brooks_colouring(match_x.graph)
+    # above eta only for two single edges (module docstring)
+    p = max(eta, y.count())
 
     # Colour every product edge in provenance order (see cartesian_product):
     # the copy of the shifted factor at matching vertex v has its colours
     # rotated by y(v); every copy of the matching factor keeps its own
-    # colours, after the eta rotations.
-    shifted = [(c + s) % eta for s in y.colours for c in shift_x.colours]
-    matched = [eta + c for c in match_x.colours] * shift_x.graph.n
+    # colours, after the p rotations.
+    shifted = [(c + s) % p for s in y.colours for c in shift_x.colours]
+    matched = [p + c for c in match_x.colours] * shift_x.graph.n
     by_origin = matched + shifted if swapped else shifted + matched
 
     product, origin = cartesian_product(xg.graph, xh.graph)
     colours = [by_origin[o] for o in origin]
-    return EdgeColouring(product, colours, ColourPalette(eta, beta))
-
-
-def _four_cycle() -> EdgeColouring:
-    """K2 x K2 with an acyclic 3-colouring, which is optimal.
-
-    It is the only product the construction cannot colour: a proper
-    colouring from a palette of one colour leaves every vertex at most one
-    edge, so a connected factor with at least two vertices, as every
-    checked factor is, is a single edge.  The product is laid out
-    row-major, so its edges are (0,1), (0,2), (1,3), (2,3); the colours
-    0, 1, 1, 2 are proper, and no cycle is two-coloured since the only
-    cycle has three.
-    """
-    c4 = Graph._from_sorted(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    return EdgeColouring.single_family(c4, [0, 1, 1, 2], 3)
+    return EdgeColouring(product, colours, ColourPalette(p, beta))
 
 
 def compose_many(colourings: list[EdgeColouring]) -> EdgeColouring:
@@ -167,8 +157,9 @@ def compose_many(colourings: list[EdgeColouring]) -> EdgeColouring:
 
 def hypercube_colouring(d: int) -> EdgeColouring:
     """Acyclic colouring of the d-cube: 1 colour for a single edge,
-    exactly d+1 colours for d >= 2, built by folding single edges onto
-    the four-cycle's 3-colouring."""
+    exactly d+1 colours for d >= 2, built by folding single edges: the
+    first fold is the four-cycle in 3 colours, and each later one adds a
+    matching colour."""
     _check_dimension(d)
     k2 = Graph(2, [(0, 1)])
     one = EdgeColouring.single_family(k2, [0], 1)

@@ -21,18 +21,16 @@ delta* classes and the components both come from the union-find in
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .graphs import Graph, _components, _norm_edge, _root, _union
+from .graphs import Graph, Record, _components, _norm_edge, _root, _union
 
 
-class Factorisation(NamedTuple):
+class Factorisation(Record):
     """The input graph is g x h: its vertex v is the row-major product
     vertex `vertex[v]` = i * h.n + j of g x h."""
 
-    g: Graph
-    h: Graph
-    vertex: tuple[int, ...]
+    __slots__ = ("g", "h", "vertex")
 
 
 def delta_star(g: Graph) -> list[int]:

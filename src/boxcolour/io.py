@@ -13,8 +13,9 @@ exactly that text as the graph without parsing it.
 Colouring JSON is decoded by `json` and read by
 `EdgeColouring.from_json_dict` in one pass over its rows and one sort, so
 its rows, too, may come in any order and orientation.  It is written
-without `json`, in `json.dumps(..., indent=2)`'s exact layout, and so is
-`aci`'s document: only a reader of JSON imports the encoder's package.
+without `json`, in `json.dumps(..., indent=2)`'s exact layout, and so are
+`aci`'s document and the one line of an exhausted search.  Only a reader
+of JSON, and `verify`'s witness, import the encoder's package.
 
 A file that cannot be decoded as text is an input error that names the
 file, in every reader.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from .colouring import EdgeColouring, colour_label
+from .colouring import EdgeColouring, Violation, colour_label
 from .graphs import Graph
 
 PathLike = Union[str, Path]
@@ -183,6 +184,21 @@ def format_aci(aci: int, witness: EdgeColouring, nodes: int, time_secs: float) -
     colouring = format_colouring(witness)[:-1].replace("\n", "\n  ")
     return (f'{{\n  "aci": {aci},\n  "colouring": {colouring},\n'
             f'  "nodes": {nodes},\n  "time_secs": {time_secs!r}\n}}\n')
+
+
+def format_exhausted(lower: int, upper: int, nodes: int, time_secs: float) -> str:
+    """The one-line document of a search that ran out of budget, as
+    `json.dumps` writes it, plus a newline."""
+    return (f'{{"exhausted": true, "lower": {lower}, "upper": {upper}, '
+            f'"nodes": {nodes}, "time_secs": {time_secs!r}}}\n')
+
+
+def format_violation(v: Violation) -> str:
+    """The verifier's witness on one line, plus a newline.  Only `verify`
+    prints one, and it has imported `json` to read the colouring."""
+    import json
+
+    return json.dumps(v.to_json_dict()) + "\n"
 
 
 def read_colouring(path: PathLike) -> EdgeColouring:

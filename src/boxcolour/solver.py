@@ -4,8 +4,9 @@
 source paper's theorem as a tactic: a'(G x H) <= a'(G) + a'(H) whenever
 max{a'(G), a'(H)} > 1.  When `factor.factorise` recognises the graph as a
 product G x H, the factors are solved exactly, by this same function, so
-the d-cube becomes K2 x Q(d-1) and so on down, and `compose._compose`
-colours the product from their witnesses, which their solves verified.
+the d-cube becomes K2 x Q(d-1) and so on down to the four-cycle K2 x K2,
+which the theorem leaves out, and `compose._compose` colours each product
+from its factors' witnesses, which their solves verified.
 Mapped back onto the input's vertices, that colouring passes
 `check_acyclic` on the input graph before it is used, the one check per
 recognised product.  If it meets the certified lower bound it is exact
@@ -330,17 +331,15 @@ def _by_factors(
     g: Graph, budget: SearchBudget, t0: float, nodes: int
 ) -> tuple[Optional[EdgeColouring], int]:
     """The composed colouring of g, as one family, when g is a recognised
-    product that meets the theorem's hypothesis; and the node count after
-    the factors' solves.  Its palette is eta + beta, and every rank in it
-    is used: the factors' witnesses are exact, so each uses its whole
-    palette, and the rotations of a whole palette are whole."""
+    product; and the node count after the factors' solves.  Its palette
+    is eta + beta, or 3 for the four-cycle K2 x K2, which the theorem
+    leaves out and the padded modulus covers (see `compose`), and every
+    rank in it is used: the factors' witnesses are exact, so each uses its
+    whole palette, and the rotations of a whole palette are whole."""
     if not (_composite(g.n) and min(g.degrees) >= 2):
         return None, nodes
     f = factorise(g)
-    # a connected factor has a' = 1 exactly when it is a single edge, so the
-    # hypothesis max{a'(G), a'(H)} > 1 reads max degree > 1; it fails only
-    # for K2 x K2, the four-cycle, which is left to the search
-    if f is None or max(f.g.max_degree, f.h.max_degree) < 2:
+    if f is None:
         return None, nodes
     witnesses = []
     for factor in (f.g, f.h):

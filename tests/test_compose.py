@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import colour_of, origin_edge
 from boxcolour.colouring import (
+    ColourPalette,
     EdgeColouring,
     VertexColouring,
     check_acyclic,
@@ -176,10 +177,10 @@ def test_compose_matches_the_classifier_construction():
 
 
 def test_brooks_shifts_fit_in_any_acyclic_palette():
-    # why compose never pads its modulus: the matching factor's vertex
-    # colouring uses at most lower_bound colours, and every acyclic palette
-    # of that factor, hence eta, has at least that many; K2 needs 2 > 1,
-    # which only matters when eta = 1 too, the four-cycle case
+    # why compose pads its modulus only for the four-cycle: the matching
+    # factor's vertex colouring uses at most lower_bound colours, and every
+    # acyclic palette of that factor, hence eta, has at least that many;
+    # K2 needs 2 > 1, which only matters when eta = 1 too, for K2 x K2
     for h in connected_graphs_up_to(7):
         if h.n < 2:
             continue
@@ -280,7 +281,9 @@ _TIGHT_PAIRS = {
 def test_pairs_up_to_four_vertices_sit_between_the_bounds():
     # the n <= 4 atlas: lower_bound <= aci <= compose <= a'(G) + a'(H) on all
     # 45 unordered pairs of connected factors with 2 to 4 vertices; K2 x K2,
-    # the four-cycle the paper excludes, takes 3 colours against 1 + 1
+    # the four-cycle the paper excludes, takes 3 colours against 1 + 1.
+    # compose's palette is max(eta, shifts) + beta, every rank used, and its
+    # modulus exceeds eta only on K2 x K2
     assert [_SMALL_NAMES[g.edges] for g in _SMALL_FACTORS] == list(_SMALL_NAMES.values())
     pairs = list(itertools.combinations_with_replacement(_SMALL_FACTORS, 2))
     assert len(pairs) == 45
@@ -290,8 +293,15 @@ def test_pairs_up_to_four_vertices_sit_between_the_bounds():
         product = cartesian_product(g, h)[0]
         result = exact_aci(product)
         assert not result.exhausted and result.nodes <= 2_655
-        used = colours_used(compose_or_solve(xg, xh))
+        x = compose_or_solve(xg, xh)
+        used = colours_used(x)
         paper = xg.palette.size + xh.palette.size
+        beta, eta = sorted((xg.palette.size, xh.palette.size))
+        # the smaller palette is the matching factor's, h's on a tie
+        shifts = brooks_colouring(g if xg.palette.size < xh.palette.size else h).count()
+        assert x.palette == ColourPalette(max(eta, shifts), beta)
+        assert used == x.palette.size
+        assert (shifts > eta) == (g == h == complete(2))
         assert lower_bound(product) <= result.aci <= used
         if g == h == complete(2):
             assert (result.aci, used, paper) == (3, 3, 2)
@@ -355,8 +365,8 @@ def test_random_pairs_hold_the_bound():
 
 
 def test_the_four_cycle_is_checked_only_where_it_is_handed_out(monkeypatch):
-    # compose_or_solve checks its two factors and the four-cycle's literal
-    # colouring it returns; compose checks the factors, then refuses
+    # compose_or_solve checks its two factors and the four-cycle's colouring
+    # it returns; compose checks the factors, then refuses
     checked = _count_checks(monkeypatch, "compose")
     _, x = one_edge()
     result = compose_or_solve(x, x)
@@ -379,14 +389,14 @@ def test_hypercube_colouring_checks_each_factor_and_the_cube_once(monkeypatch, d
 
 
 def test_exact_aci_checks_each_colouring_once_per_boundary(monkeypatch):
-    # Q6 factorises as K2 x Q5 down to K2 x K2, the four-cycle, which the
-    # search solves: 4 K2 witnesses and 1 four-cycle witness checked by the
-    # search, and 1 check per level Q3..Q6 of the composed colouring mapped
-    # onto the input; compose's own entry checks are not on this path
+    # Q6 factorises as K2 x Q5 down to K2 x K2, the four-cycle: 6 K2
+    # witnesses checked by the search, and 1 check per level Q2..Q6 of the
+    # composed colouring mapped onto the input; compose's own entry checks
+    # are not on this path
     checked = _count_checks(monkeypatch, "solver", "compose")
     result = exact_aci(hypercube(6))
     assert result.aci == 7 and result.tactic == "factor"
-    assert sorted(x.graph.n for x in checked) == [2, 2, 2, 2, 4, 8, 16, 32, 64]
+    assert sorted(x.graph.n for x in checked) == [2] * 6 + [4, 8, 16, 32, 64]
     assert checked[-1] is result.witness
 
 

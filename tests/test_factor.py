@@ -125,13 +125,16 @@ def test_factoriser_rejects_non_products(g):
     assert factorise(g) is None
 
 
-def test_four_cycle_is_left_to_the_search():
-    # the factoriser sees K2 x K2, but the theorem excludes it: max a' = 1
+def test_four_cycle_is_coloured_by_the_factor_tactic():
+    # the theorem leaves K2 x K2 out, but the padded modulus colours it with
+    # 2 + 1 colours, its lower bound: one node per single-edge factor, and
+    # no search over the product, which would place 4
     c4 = cycle(4)
     f = factorise(c4)
     assert f is not None and f.g.m == f.h.m == 1
     r = exact_aci(c4)
-    assert (r.aci, r.tactic, r.nodes) == (3, "search", _search(c4).nodes)
+    assert (r.aci, r.tactic, r.nodes) == (3, "factor", 2)
+    assert lower_bound(c4) == 3 and _search(c4).nodes == 4
 
 
 @pytest.mark.parametrize(

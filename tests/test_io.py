@@ -10,12 +10,14 @@ from bruteforce import (
     colouring_from_json_dict as reference_colouring,
     graph as reference_graph,
 )
-from boxcolour.colouring import ColourPalette, EdgeColouring
+from boxcolour.colouring import ColourPalette, EdgeColouring, check_acyclic
 from boxcolour.graphs import MAX_VERTICES, Graph, complete, cycle, path
 from boxcolour.io import (
     format_aci,
     format_colouring,
     format_edge_list,
+    format_exhausted,
+    format_violation,
     load_graph,
     parse_edge_list,
     parse_graph6,
@@ -273,6 +275,25 @@ def test_aci_writer_matches_the_indenting_encoder(n, g_size, h_size, data, nodes
     doc = {"aci": x.palette.size, "colouring": x.to_json_dict(), "nodes": nodes,
            "time_secs": time_secs}
     assert format_aci(x.palette.size, x, nodes, time_secs) == json.dumps(doc, indent=2) + "\n"
+
+
+@given(st.integers(0, 10**3), st.integers(0, 10**3), st.integers(0, 10**12), st.floats(0, 1e17))
+def test_exhausted_writer_matches_the_encoder(lower, upper, nodes, seconds):
+    time_secs = round(seconds, 3)
+    doc = {"exhausted": True, "lower": lower, "upper": upper, "nodes": nodes,
+           "time_secs": time_secs}
+    assert format_exhausted(lower, upper, nodes, time_secs) == json.dumps(doc) + "\n"
+
+
+def test_violation_writer_matches_the_encoder():
+    # both kinds of witness; the cycle alternates a plain and a primed label
+    improper = check_acyclic(EdgeColouring(path(3), [0, 0], ColourPalette(1)))
+    cyclic = check_acyclic(EdgeColouring(cycle(4), [0, 1, 1, 0], ColourPalette(1, 1)))
+    assert [v.to_json_dict()["kind"] for v in (improper, cyclic)] == [
+        "not_proper", "bichromatic_cycle"]
+    assert cyclic.to_json_dict()["colours"] == ["0", "0'"]
+    for v in (improper, cyclic):
+        assert format_violation(v) == json.dumps(v.to_json_dict()) + "\n"
 
 
 # ---------------------------------------------------------------------------

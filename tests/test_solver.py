@@ -194,7 +194,7 @@ def test_search_node_counts_on_small_corpus():
 @pytest.mark.parametrize(
     "g, aci, nodes, tactic",
     [
-        (hypercube(6), 7, 8, "factor"),
+        (hypercube(6), 7, 6, "factor"),
         (grid(8, 8), 4, 14, "factor"),
         (complete(6), 7, 24, "search"),
         (cartesian_product(complete(5), path(2))[0], 6, 13, "factor"),
@@ -202,23 +202,23 @@ def test_search_node_counts_on_small_corpus():
     ids=["Q6", "grid8x8", "K6", "K5xP2"],
 )
 def test_exact_node_counts(g, aci, nodes, tactic):
-    # the products are coloured by the theorem and only their factors are
-    # searched: Q6 through K2 x Q5, ..., down to the four-cycle Q2
+    # the products are coloured by the construction and only their factors
+    # are searched: Q6 through K2 x Q5, ..., K2 x K2, one node per K2
     r = exact_aci(g)
     assert (r.aci, r.nodes, r.tactic) == (aci, nodes, tactic)
 
 
 def test_exact_node_counts_on_small_corpus():
-    # the factor tactic changes exactly the two products with a factor
-    # other than K2 up to 7 vertices: P3 x K2 (10 -> 3 nodes) and K3 x K2
-    # (16 -> 4); K2 x K2 is the excluded case and is searched as before
+    # the factor tactic changes exactly the three products up to 7
+    # vertices: K2 x K2 (4 -> 2 nodes), P3 x K2 (10 -> 3) and K3 x K2
+    # (16 -> 4)
     graphs = connected_graphs_up_to(7)
     results = [exact_aci(g) for g in graphs]
-    assert sum(r.nodes for r, g in zip(results, graphs) if g.n <= 6) == 1_291
-    assert sum(r.nodes for r in results) == 23_915
+    assert sum(r.nodes for r, g in zip(results, graphs) if g.n <= 6) == 1_289
+    assert sum(r.nodes for r in results) == 23_913
     factored = [g for r, g in zip(results, graphs) if r.tactic == "factor"]
-    products = [cartesian_product(path(3), path(2))[0], cartesian_product(cycle(3), path(2))[0]]
-    assert len(factored) == 2
+    products = [cartesian_product(a, path(2))[0] for a in (path(2), path(3), cycle(3))]
+    assert len(factored) == 3
     assert all(any(isomorphic(g, p) for p in products) for g in factored)
 
 
