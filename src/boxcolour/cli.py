@@ -9,14 +9,24 @@ without a traceback.
 
 Any argument of the form @file pulls extra arguments from that file, one
 per line, where "key=value" means "--key=value" and '#' starts a comment.
+
+Every subcommand's arguments are listed once, in `_COMMANDS`.  A
+well-formed command line (an exact subcommand name, then its positionals
+and its exact long options, each once, as `--opt value`, `--opt=value` or
+a bare flag, with no value that starts with '-' or '@' and none its type
+or choices refuse) is read off that table without importing argparse.
+Every other command line (help, an abbreviated option, `--`, an @file, a
+repeated option, an error of any kind) is parsed by the full argparse
+parser built from the same table, which imports argparse, so every help,
+usage and error text is argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import sys
+from types import SimpleNamespace
 
 from . import io
 from .colouring import EdgeColouring, check_acyclic, colours_used
@@ -27,27 +37,8 @@ from .solver import AciResult, SearchBudget, exact_aci, greedy_acyclic, lower_bo
 OK, VERIFY_FAILED, USAGE, BUDGET, INTERNAL = 0, 1, 2, 3, 4
 
 
-class _Parser(argparse.ArgumentParser):
-    def convert_arg_line_to_args(self, line: str) -> list[str]:
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            return []
-        if not text.startswith("-") and "=" in text:
-            return ["--" + text]
-        return [text]
-
-
 def _budget(args) -> SearchBudget:
     return SearchBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs)
-
-
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=100_000_000, metavar="N")
-    p.add_argument("--budget-secs", type=float, default=60.0, metavar="S")
-
-
-def _add_format_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["edgelist", "graph6"], default="edgelist")
 
 
 def _print_colouring(x: EdgeColouring) -> None:
@@ -206,103 +197,160 @@ def _cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+# Each argument is (flags, add_argument keywords).  The keywords used are
+# choices, default, dest, metavar, help, required, type, action
+# ("store_true" only) and nargs ("+" only, on the last positional of a
+# subcommand without options): `_parse_plain` reads no others.
+_FORMAT = (("--format",), {"choices": ["edgelist", "graph6"], "default": "edgelist"})
+_BUDGET = (
+    (("--budget-nodes",), {"type": int, "default": 100_000_000, "metavar": "N"}),
+    (("--budget-secs",), {"type": float, "default": 60.0, "metavar": "S"}),
+)
+_OUT_GRAPH = (("--out-graph",), {"metavar": "FILE"})
+_FACTORS = (
+    (("--g",), {"required": True, "metavar": "FILE"}),
+    (("--h",), {"required": True, "metavar": "FILE"}),
+)
 
-def _gen_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family", choices=["path", "cycle", "complete", "grid", "hypercube"])
-    p.add_argument("params", type=int, nargs="+")
-    p.set_defaults(func=_cmd_gen)
-
-
-def _product_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--g", required=True, metavar="FILE")
-    p.add_argument("--h", required=True, metavar="FILE")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_product)
-
-
-def _aci_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph", metavar="FILE")
-    _add_format_flag(p)
-    _add_budget_flags(p)
-    p.add_argument("--lower-only", action="store_true")
-    p.set_defaults(func=_cmd_aci)
-
-
-def _greedy_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph", metavar="FILE")
-    _add_format_flag(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_greedy)
-
-
-def _compose_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--g", required=True, metavar="FILE")
-    p.add_argument("--h", required=True, metavar="FILE")
-    p.add_argument("--xg", metavar="JSON")
-    p.add_argument("--xh", metavar="JSON")
-    p.add_argument("--solve-factors", action="store_true")
-    p.add_argument("--out-graph", metavar="FILE")
-    _add_format_flag(p)
-    _add_budget_flags(p)
-    p.set_defaults(func=_cmd_compose)
-
-
-def _hypercube_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("d", type=int)
-    p.add_argument("--out-graph", metavar="FILE")
-    p.set_defaults(func=_cmd_hypercube)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("colouring", metavar="JSON")
-    p.add_argument("--graph", metavar="FILE")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_verify)
-
-
-def _scan_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-n", type=int, metavar="N",
-                   help="all connected graphs with up to N vertices")
-    p.add_argument("--in", dest="infile", metavar="FILE")
-    _add_format_flag(p)
-    _add_budget_flags(p)
-    p.set_defaults(func=_cmd_scan)
-
-
-# (name, help, builder of its arguments), in the order help lists them
+# (name, help, handler, arguments), in the order help lists them
 _COMMANDS = (
-    ("gen", "emit a generated graph as an edge list", _gen_args),
-    ("product", "cartesian product of two graphs", _product_args),
-    ("aci", "exact acyclic chromatic index", _aci_args),
-    ("greedy", "first-fit acyclic colouring", _greedy_args),
-    ("compose", "colour a product from factor colourings", _compose_args),
-    ("hypercube", "colour the d-cube with d+1 colours", _hypercube_args),
-    ("verify", "check a colouring JSON file", _verify_args),
-    ("scan", "exact solve over a corpus, CSV per graph", _scan_args),
+    ("gen", "emit a generated graph as an edge list", _cmd_gen, (
+        (("family",), {"choices": ["path", "cycle", "complete", "grid", "hypercube"]}),
+        (("params",), {"type": int, "nargs": "+"}),
+    )),
+    ("product", "cartesian product of two graphs", _cmd_product, (*_FACTORS, _FORMAT)),
+    ("aci", "exact acyclic chromatic index", _cmd_aci, (
+        (("graph",), {"metavar": "FILE"}),
+        _FORMAT,
+        *_BUDGET,
+        (("--lower-only",), {"action": "store_true"}),
+    )),
+    ("greedy", "first-fit acyclic colouring", _cmd_greedy, (
+        (("graph",), {"metavar": "FILE"}),
+        _FORMAT,
+        (("--seed",), {"type": int, "default": 0}),
+    )),
+    ("compose", "colour a product from factor colourings", _cmd_compose, (
+        *_FACTORS,
+        (("--xg",), {"metavar": "JSON"}),
+        (("--xh",), {"metavar": "JSON"}),
+        (("--solve-factors",), {"action": "store_true"}),
+        _OUT_GRAPH,
+        _FORMAT,
+        *_BUDGET,
+    )),
+    ("hypercube", "colour the d-cube with d+1 colours", _cmd_hypercube, (
+        (("d",), {"type": int}),
+        _OUT_GRAPH,
+    )),
+    ("verify", "check a colouring JSON file", _cmd_verify, (
+        (("colouring",), {"metavar": "JSON"}),
+        (("--graph",), {"metavar": "FILE"}),
+        _FORMAT,
+    )),
+    ("scan", "exact solve over a corpus, CSV per graph", _cmd_scan, (
+        (("--max-n",), {"type": int, "metavar": "N",
+                        "help": "all connected graphs with up to N vertices"}),
+        (("--in",), {"dest": "infile", "metavar": "FILE"}),
+        _FORMAT,
+        *_BUDGET,
+    )),
 )
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The full parser, or with `command` one holding that subcommand alone."""
+def _build_parser():
+    """The full argparse parser of `_COMMANDS`, for every command line
+    `_parse_plain` declines; only those command lines import argparse."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def convert_arg_line_to_args(self, line: str) -> list[str]:
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                return []
+            if not text.startswith("-") and "=" in text:
+                return ["--" + text]
+            return [text]
+
     parser = _Parser(prog="boxcolour", fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary, add_arguments in _COMMANDS:
-        if command is None or name == command:
-            add_arguments(sub.add_parser(name, help=summary))
+    for name, summary, func, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with the parser of the subcommand `argv` starts with alone,
-    whose own errors and help do not depend on its siblings.  Anything else
-    (top-level help, an @file first, an unknown command, no arguments) and
-    anything that parser leaves over goes to the full parser, so every
-    top-level usage message is the full parser's."""
-    if argv and any(argv[0] == name for name, _, _ in _COMMANDS):
-        args, rest = _build_parser(argv[0]).parse_known_args(argv)
-        if not rest:
-            return args
-    return _build_parser().parse_args(argv)
+def _plain_value(text: str, keywords: dict):
+    """`text` converted as argparse would; ValueError where argparse might
+    read it otherwise (an option, an @file) or would report an error."""
+    if text.startswith(("-", "@")):
+        raise ValueError(text)
+    value = keywords.get("type", str)(text)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(text)
+    return value
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the full parser gives a well-formed `argv` (see the
+    module docstring), read off `_COMMANDS` without argparse; None for any
+    other command line, where argparse's reading could differ or it would
+    print help or an error."""
+    command = next((c for c in _COMMANDS if argv and argv[0] == c[0]), None)
+    if command is None:
+        return None
+    name, _, func, arguments = command
+    values = {"command": name, "func": func}
+    options, positionals = {}, []
+    for flags, keywords in arguments:
+        if not flags[0].startswith("-"):
+            positionals.append((flags[0], keywords))
+            continue
+        dest = keywords.get("dest", flags[0][2:].replace("-", "_"))
+        options[flags[0]] = dest, keywords
+        flag_default = False if keywords.get("action") == "store_true" else None
+        values[dest] = keywords.get("default", flag_default)
+    seen, given = set(), []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                given.append(token)
+                continue
+            flag, eq, text = token.partition("=")
+            if flag not in options or flag in seen:
+                return None
+            seen.add(flag)
+            dest, keywords = options[flag]
+            if keywords.get("action") == "store_true":
+                if eq:
+                    return None
+                values[dest] = True
+            else:
+                values[dest] = _plain_value(text if eq else next(tokens), keywords)
+        if any(keywords.get("required") and flag not in seen
+               for flag, (_, keywords) in options.items()):
+            return None
+        several = bool(positionals) and positionals[-1][1].get("nargs") == "+"
+        if len(given) < len(positionals) or (len(given) > len(positionals) and not several):
+            return None
+        for i, (dest, keywords) in enumerate(positionals):
+            if keywords.get("nargs") == "+":
+                values[dest] = [_plain_value(text, keywords) for text in given[i:]]
+            else:
+                values[dest] = _plain_value(given[i], keywords)
+    except (StopIteration, TypeError, ValueError):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _parse_args(argv: list[str]):
+    """The table's reading of a well-formed command line, else the full
+    parser's, so every help, usage and error text is argparse's own."""
+    args = _parse_plain(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def run(argv: list[str]) -> int:

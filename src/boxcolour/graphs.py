@@ -294,6 +294,8 @@ def complete(n: int) -> Graph:
 
 def grid(m: int, n: int) -> Graph:
     """The m x n grid: the product of two paths; (row, col) is row * n + col."""
+    if m < 1 or n < 1:
+        raise ValueError(f"grid {m}x{n} needs at least one row and one column")
     _check_order(m * n)
     return cartesian_product(path(m), path(n))[0]
 

@@ -8,6 +8,7 @@ import time
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from boxcolour import cli, io
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
@@ -42,6 +43,14 @@ def test_gen_output_is_byte_stable(capsys):
 def test_gen_wrong_arity(capsys):
     assert run("gen", "grid", "3") == 2
     assert "parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sides", [["0", "3"], ["3", "0"], ["-2", "-3"]])
+def test_gen_grid_names_a_side_below_one(capsys, sides):
+    assert run("gen", "grid", *sides) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: grid {sides[0]}x{sides[1]} needs at least one row and one column\n"
 
 
 def test_usage_errors(capsys):
@@ -599,7 +608,7 @@ _COMMAND_NAMES = ["gen", "product", "aci", "greedy", "compose", "hypercube", "ve
         ["--help"],
         ["-h", "aci"],
         [],
-        # what the subcommand's parser alone cannot settle
+        # what the subcommand table leaves to the full parser
         ["bogus"],
         ["aci", "{k4}", "--bogus"],
         ["aci", "--bogus", "{k4}"],
@@ -607,6 +616,17 @@ _COMMAND_NAMES = ["gen", "product", "aci", "greedy", "compose", "hypercube", "ve
         ["aci", "{k7}", "--budget-n", "5"],
         ["@{args}"],
         ["aci", "{k7}", "@{budget}"],
+        ["aci", "--", "{k4}"],
+        ["aci", "{k4}", "--h"],
+        ["aci", "{k4}", "--format", "edgelist", "--format", "graph6"],
+        ["aci", "{k4}", "--lower-only=yes"],
+        ["gen", "grid", "-2", "-3"],
+        ["hypercube", "-1"],
+        # forms the table reads itself
+        ["compose", "--g={k4}", "--h={k2}", "--solve-factors"],
+        ["aci", "--lower-only", "{k4}"],
+        ["aci", "{k4}", "--budget-secs", "nan"],
+        ["hypercube", "\u0661"],
     ],
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )
@@ -631,24 +651,109 @@ def test_run_parses_as_the_full_parser_does(tmp_path, capsys, monkeypatch, argv)
     assert got.err == want.err
 
 
-def test_a_subcommand_run_builds_that_subcommand_alone(tmp_path, capsys, monkeypatch):
+def test_a_well_formed_run_builds_no_parser_and_a_declined_one_the_full_parser_once(
+        tmp_path, capsys, monkeypatch):
     f = tmp_path / "k4.el"
     f.write_text(format_edge_list(complete(4)))
     built = []
     build = cli._build_parser
 
-    def spy(command=None):
-        parser = build(command)
-        built.append(parser.format_usage().split("{")[1].split("}")[0])
-        return parser
+    def spy():
+        built.append(build())
+        return built[-1]
 
     monkeypatch.setattr(cli, "_build_parser", spy)
     assert run("aci", str(f)) == 0
-    assert built == ["aci"]
+    assert built == []
     # a leftover argument is reported by the full parser
     assert run("aci", str(f), "extra") == 2
-    assert built == ["aci", "aci", ",".join(_COMMAND_NAMES)]
+    assert len(built) == 1
     assert "{gen,product,aci," in capsys.readouterr().err
+
+
+# values each kind of argument takes, refuses or reads oddly
+_VALUES = {
+    int: ["3", "0", "\u0661", "+3", "1_0", "-3", "x", "1.5", ""],
+    float: ["1.5", "nan", "inf", "3", "-1.5", "x", ""],
+    str: ["g.el", "", "x=y", "a b", "-", "-g.el", "@x", "--h"],
+}
+# tokens argparse reads in its own way: help, abbreviations, the end of options
+_ODD = ["-h", "--h", "--he", "--help", "--budget-n", "--", "@x", "-x", "--bogus", "extra"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand's positionals and a few of its options, read off the
+    table, with values its types and choices take or refuse, in any order;
+    then perhaps an odd token, a repeated option or another first word."""
+    name = draw(st.sampled_from(_COMMAND_NAMES))
+    arguments = next(c[3] for c in cli._COMMANDS if c[0] == name)
+
+    def value(keywords):
+        choices = keywords.get("choices", [])
+        return draw(st.sampled_from([*choices, "dot"] if choices else
+                                    _VALUES[keywords.get("type", str)]))
+
+    positionals, options = [], []
+    for flags, keywords in arguments:
+        flag = flags[0]
+        if not flag.startswith("-"):
+            count = draw(st.integers(1, 3)) if keywords.get("nargs") == "+" else 1
+            positionals += [value(keywords) for _ in range(count)]
+        elif draw(st.integers(0, 9)) < (9 if keywords.get("required") else 4):
+            if keywords.get("action") == "store_true":
+                options.append(draw(st.sampled_from([[flag], [flag + "=x"]])))
+            else:
+                text = value(keywords)
+                options.append(draw(st.sampled_from([[flag, text], [f"{flag}={text}"]])))
+    pieces = draw(st.permutations([positionals, *options]))
+    flags = [piece[0] for piece in options]
+    for token in draw(st.lists(st.sampled_from(_ODD + flags), max_size=2)):
+        pieces.insert(draw(st.integers(0, len(pieces))), [token])
+    first = draw(st.sampled_from([name] * 6 + ["bogus", "ac", "-h", "@x"]))
+    return [first, *(token for piece in pieces for token in piece)]
+
+
+def _comparable(fields):
+    # nan is not equal to itself
+    return {k: "nan" if v != v else v for k, v in fields.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+@example(["aci", "g.el", "--format=graph6", "--budget-secs", "nan", "--lower-only"])
+@example(["gen", "grid", "\u0661", "3"])
+def test_the_table_reads_a_command_line_as_the_full_parser_does(argv):
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        assert _comparable(vars(plain)) == _comparable(vars(cli._build_parser().parse_args(argv)))
+
+
+# Every command line shape the CI workflow and the benchmark's workloads run.
+_PLAIN_ARGVS = [
+    ["gen", "complete", "8"],
+    ["gen", "grid", "40", "40"],
+    ["gen", "hypercube", "6"],
+    ["aci", "k8.el"],
+    ["aci", "k7.el", "--budget-nodes", "5"],
+    ["aci", "q6.el", "--budget-nodes", "5000000", "--budget-secs", "150"],
+    ["product", "--g", "k3.el", "--h", "k2.el"],
+    ["compose", "--g", "p40.el", "--h", "p40.el", "--solve-factors"],
+    ["compose", "--g", "grid40.el", "--h", "k5.el", "--xg", "grid40.json", "--xh", "k5.json"],
+    ["compose", "--g", "grid40.el", "--h", "k5.el", "--xg", "grid40.json", "--xh", "k5.json",
+     "--out-graph", "gridxk5.el"],
+    ["hypercube", "11"],
+    ["verify", "q3.json"],
+    ["verify", "gridxk5.json", "--graph", "gridxk5.el"],
+    ["scan", "--max-n", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", _PLAIN_ARGVS, ids=" ".join)
+def test_ci_and_benchmark_command_lines_are_read_without_argparse(argv):
+    plain = cli._parse_plain(argv)
+    assert plain is not None
+    assert vars(plain) == vars(cli._build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize(
@@ -707,21 +812,55 @@ def _modules_loaded(code):
     return proc, set(proc.stderr.split())
 
 
+def _run_module(argv):
+    """`python -m boxcolour.cli *argv`, with the modules it loaded."""
+    return _modules_loaded(
+        _LIST_MODULES
+        + f"; import runpy; sys.argv = {['boxcolour', *argv]!r}"
+        + "; runpy.run_module('boxcolour.cli', run_name='__main__', alter_sys=True)"
+    )
+
+
 def test_aci_start_up_skips_dataclasses_and_the_scan_only_modules(tmp_path):
     f = tmp_path / "k4.el"
     f.write_text(format_edge_list(complete(4)))
     _, bare = _modules_loaded(_LIST_MODULES)
-    # as `python -m boxcolour.cli aci k4.el` runs it
-    proc, loaded = _modules_loaded(
-        _LIST_MODULES
-        + f"; import runpy; sys.argv = ['boxcolour', 'aci', {str(f)!r}]"
-        + "; runpy.run_module('boxcolour.cli', run_name='__main__', alter_sys=True)"
-    )
+    proc, loaded = _run_module(["aci", str(f)])
     assert proc.returncode == 0 and json.loads(proc.stdout)["aci"] == 5
     assert "boxcolour.solver" in loaded
     # compared with a bare interpreter, so a site hook importing one is no failure
     heavy = {"dataclasses", "inspect", "csv", "boxcolour.corpus"}
     assert heavy & (loaded - bare) == set()
+
+
+def test_a_well_formed_run_imports_no_argparse_and_help_or_an_error_does(
+        tmp_path, capsys, monkeypatch):
+    k2, k4, c4 = tmp_path / "k2.el", tmp_path / "k4.el", tmp_path / "c4.json"
+    k2.write_text(format_edge_list(path(2)))
+    k4.write_text(format_edge_list(complete(4)))
+    c4.write_text(format_colouring(exact_aci(cycle(4)).witness))
+    _, bare = _modules_loaded(_LIST_MODULES)
+    parsing = {"argparse", "gettext", "locale"}
+    for argv in (["aci", str(k4)], ["gen", "grid", "3", "3"], ["hypercube", "3"],
+                 ["verify", str(c4)], ["compose", "--g", str(k2), "--h", str(k2),
+                                       "--solve-factors"], ["scan", "--max-n", "3"]):
+        proc, loaded = _run_module(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "boxcolour.io" in loaded
+        # compared with a bare interpreter, so a site hook importing one is no failure
+        assert parsing & (loaded - bare) == set(), argv
+    # help and errors are argparse's own text, at a fixed width
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, code in ((["--help"], 0), (["aci", str(k4), "--bogus"], 2)):
+        proc, loaded = _run_module(argv)
+        assert proc.returncode == code
+        assert "argparse" in loaded
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        assert proc.stdout == want.out
+        # the module names follow what the run wrote to stderr
+        assert proc.stderr.startswith(want.err)
 
 
 def test_only_a_json_reader_or_a_witness_imports_json(tmp_path):
@@ -733,11 +872,7 @@ def test_only_a_json_reader_or_a_witness_imports_json(tmp_path):
     encoder = {"json", "json.decoder", "json.encoder"}
     for argv, imports_json in ((["aci", str(k4)], False), (["hypercube", "3"], False),
                                (["verify", str(cj)], True)):
-        proc, loaded = _modules_loaded(
-            _LIST_MODULES
-            + f"; import runpy; sys.argv = {['boxcolour', *argv]!r}"
-            + "; runpy.run_module('boxcolour.cli', run_name='__main__', alter_sys=True)"
-        )
+        proc, loaded = _run_module(argv)
         assert proc.returncode == 0, proc.stderr
         assert encoder & (loaded - bare) == (encoder if imports_json else set()), argv
 

@@ -223,6 +223,14 @@ def test_grid_equals_path_product():
     assert grid(3, 4) == p
 
 
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0), (-2, -3), (-1, 4)])
+def test_a_grid_with_a_side_below_one_is_refused_by_name(m, n):
+    # two negative sides have a positive product, which the vertex-count
+    # check alone would pass on to `path`
+    with pytest.raises(ValueError, match=f"^grid {m}x{n} needs at least one row and one column$"):
+        grid(m, n)
+
+
 def test_product_commutes_up_to_coordinate_swap():
     g, h = path(3), cycle(4)
     gh, _ = cartesian_product(g, h)
