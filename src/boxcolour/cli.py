@@ -162,6 +162,9 @@ def _cmd_scan(args) -> int:
         fmt = args.format
         if fmt == "graph6":
             graphs = io.read_graph6(args.infile)
+            if not graphs:
+                # a header and "scanned 0 graphs" would read as a clean scan
+                raise ValueError(f"no graphs in {args.infile}")
         else:
             graphs = [io.read_edge_list(args.infile)]
     budget = _budget(args)

@@ -23,6 +23,23 @@ colour.  (Up to 7 vertices no two classes share a key, so there the test
 only ever confirms a duplicate.)  A `Graph` is built only for each
 representative kept, from its sorted edges.
 
+A candidate's key is read off three tables per base, each a list over the
+2^(n-1) subset masks S of the base's vertices:
+
+    rise[S]   sums unit[deg(w) + 1] - unit[deg(w)]  over w in S,
+    reach[S]  sums unit[deg(w) + 1]                 over w in S,
+    inner[S]  counts the base edges with both ends in S,
+
+with deg the base degrees (at most n - 2, so unit[deg(w) + 1] exists).
+Joining the new vertex to S raises each w in S by one degree, which moves
+w's count in its neighbours' colours up one field.  So base vertex v gets
+its base colour plus rise[S & adj[v]], plus (1 << top) + unit[|S|] when v
+is in S, for its own new edge and its new neighbour of degree |S|.  The
+new vertex gets (|S| << top) + reach[S], and the candidate's triangles
+are the base's plus inner[S], one per base edge the new vertex sees both
+ends of.  These are the ints the definition gives, with no per-candidate
+degree list and no walk over neighbours.
+
 Candidates are met in a fixed order (bases in order, then subsets by size,
 then lexicographically), buckets keep the order their keys first appear in,
 and the first candidate of each class is kept.  So the representatives,
@@ -107,6 +124,42 @@ def _colour_fields(n: int) -> tuple[int, list[int]]:
     return s * n, [1 << s * d for d in range(n)]
 
 
+def _base_tables(
+    base_adj: tuple[int, ...], top: int, unit: list[int],
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """A base's vertex colours on the fields (top, unit) of the next order,
+    and its tables rise, reach and inner over subset masks; see the module
+    docstring.  Adding vertex w to the masks below bit w doubles each
+    table, one comprehension per vertex."""
+    deg = [a.bit_count() for a in base_adj]
+    rise, reach, inner = [0], [0], [0]
+    for w, a in enumerate(base_adj):
+        before, after = unit[deg[w]], unit[deg[w] + 1]
+        rise += [r + after - before for r in rise]
+        reach += [r + after for r in reach]
+        inner += [t + (a & rest).bit_count() for rest, t in enumerate(inner)]
+    # reach - rise sums unit[deg w] over a mask: the base's own fields
+    colour = [(d << top) + reach[a] - rise[a] for d, a in zip(deg, base_adj)]
+    return colour, rise, reach, inner
+
+
+def _candidate(
+    base_adj: tuple[int, ...], tables: tuple[list[int], ...], mask: int,
+    subset: tuple[int, ...], top: int, unit: list[int],
+) -> tuple[list[int], int]:
+    """The vertex colours of the base plus a new vertex joined to `subset`,
+    whose bits are `mask`, and the number of base edges inside the subset,
+    read off the base's tables."""
+    base_colour, rise, reach, inner = tables
+    size = len(subset)
+    colour = [c + rise[mask & a] for c, a in zip(base_colour, base_adj)]
+    joined = (1 << top) + unit[size]
+    for v in subset:
+        colour[v] += joined
+    colour.append((size << top) + reach[mask])
+    return colour, inner[mask]
+
+
 def _level(n: int) -> tuple[tuple[Graph, ...], list[_Form]]:
     if n in _CACHE:
         return _CACHE[n]
@@ -125,9 +178,7 @@ def _level(n: int) -> tuple[tuple[Graph, ...], list[_Form]]:
     # key -> [(adjacency masks, colour classes, edges, triangles)]
     buckets: dict[tuple, list[tuple]] = {}
     for base_adj, base_edges, base_tri in _level(new)[1]:
-        base_deg = [a.bit_count() for a in base_adj]
-        base_nbrs = [[w for w in range(new) if a >> w & 1] for a in base_adj]
-        base_back = [[w for w in nbrs if w < v] for v, nbrs in enumerate(base_nbrs)]
+        base_back = [[w for w in range(v) if a >> w & 1] for v, a in enumerate(base_adj)]
         m = len(base_edges)
         # y -> the twins x < y, for y that has any; see the module docstring
         twins = []
@@ -140,31 +191,13 @@ def _level(n: int) -> tuple[tuple[Graph, ...], list[_Form]]:
                     xs |= xbit
             if xs:
                 twins.append((ybit, xs))
+        tables = _base_tables(base_adj, top, unit)
         for mask, subset in subsets:
             if any(mask & ybit and mask & xs != xs for ybit, xs in twins):
                 continue
-            size = len(subset)
-            deg = base_deg.copy()
-            for v in subset:
-                deg[v] += 1
-            deg.append(size)
-            # (degree, neighbour degrees) per vertex, as one int; see the
-            # module docstring
-            weight = [unit[d] for d in deg]
-            colour = []
-            for v, nbrs in enumerate(base_nbrs):
-                c = deg[v] << top
-                for w in nbrs:
-                    c += weight[w]
-                if mask >> v & 1:
-                    c += weight[new]
-                colour.append(c)
-            c = size << top
-            for v in subset:
-                c += weight[v]
-            colour.append(c)
-            tri = base_tri + sum((base_adj[v] & mask).bit_count() for v in subset) // 2
-            key = (n, m + size, tri, tuple(sorted(colour)))
+            colour, inside = _candidate(base_adj, tables, mask, subset, top, unit)
+            tri = base_tri + inside
+            key = (n, m + len(subset), tri, tuple(sorted(colour)))
             bucket = buckets.get(key)
             if bucket is not None:
                 back = base_back + [subset]

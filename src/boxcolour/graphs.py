@@ -4,11 +4,13 @@ Vertices are always 0..n-1, and a vertex is nothing but its index.
 Edges are stored as sorted (u, v) pairs in lexicographic order, so edge
 indices are stable across runs and output is byte-for-byte reproducible.
 Graphs are immutable after construction.  A graph stores only n and its
-edges; degrees, neighbours and incident edge indices are built together
-the first time one of them is read, and edge lookups scan a vertex's
-neighbours.  So a graph that is only compared, checked or written, as
-`verify` and `compose` do with their large inputs and outputs, never pays
-for them.
+edges.  Its degrees are counted the first time one is read; its
+neighbours and incident edge indices are built together the first time
+either is read, and edge lookups scan a vertex's neighbours.  So a graph
+that is only compared, checked or written, as `verify` and `compose` do
+with their large inputs and outputs, never pays for them, and one whose
+degrees alone are read, as the solver reads most of the `scan` corpus,
+never pays for its adjacency.
 
 `cartesian_product` lays the product of g and h out row-major, vertex
 (i, j) being i * h.n + j, and tells each edge's origin; it builds no index.
@@ -150,10 +152,12 @@ class Graph:
     drops repeats by comparing neighbours.  Range and self-loops are
     checked in bulk on the sorted edges; only when that check fails are
     the edges checked one by one in input order, so the error names the
-    first bad edge as given.  `degrees`, `neighbours` and `incident_edges`
-    read indexes built together on first use.  They catch the unset slot
-    themselves: a class with `__getattr__` loses CPython's specialised
-    attribute reads, so every `g.n` and `g.edges` would pay for it.
+    first bad edge as given.  `degrees`, `degree` and `max_degree` read
+    a degree index counted on first use; `neighbours`, `incident_edges`,
+    `has_edge` and `edge_index` read adjacency and incidence indexes built
+    together on first use.  The accessors catch the unset slot themselves:
+    a class with `__getattr__` loses CPython's specialised attribute
+    reads, so every `g.n` and `g.edges` would pay for it.
 
     Equality is structural: same n, same edge set.
     """
@@ -185,9 +189,20 @@ class Graph:
         object.__setattr__(g, "edges", tuple(edges))
         return g
 
-    def _index(self) -> tuple[tuple[int, ...], tuple, tuple]:
-        """Build, store and return the degrees, adjacency and incidence
-        indexes; the accessors call this when reading an index slot not yet
+    def _count_degrees(self) -> tuple[int, ...]:
+        """Count, store and return the degrees; the degree accessors call
+        this when reading `_degrees` not yet set raises AttributeError."""
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        degrees = tuple(deg)
+        object.__setattr__(self, "_degrees", degrees)
+        return degrees
+
+    def _index(self) -> tuple[tuple, tuple]:
+        """Build, store and return the adjacency and incidence indexes; the
+        adjacency accessors call this when reading an index slot not yet
         set raises AttributeError."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         incident: list[list[int]] = [[] for _ in range(self.n)]
@@ -196,13 +211,9 @@ class Graph:
             adj[v].append(u)
             incident[u].append(i)
             incident[v].append(i)
-        indexes = (
-            tuple(len(a) for a in adj),
-            tuple(tuple(a) for a in adj),
-            tuple(tuple(a) for a in incident),
-        )
-        for name, index in zip(("_degrees", "_adj", "_incident"), indexes):
-            object.__setattr__(self, name, index)
+        indexes = (tuple(map(tuple, adj)), tuple(map(tuple, incident)))
+        object.__setattr__(self, "_adj", indexes[0])
+        object.__setattr__(self, "_incident", indexes[1])
         return indexes
 
     def __setattr__(self, name, value):
@@ -223,7 +234,7 @@ class Graph:
         try:
             return self._degrees
         except AttributeError:
-            return self._index()[0]
+            return self._count_degrees()
 
     @property
     def max_degree(self) -> int:
@@ -233,20 +244,20 @@ class Graph:
         try:
             return self._degrees[v]
         except AttributeError:
-            return self._index()[0][v]
+            return self._count_degrees()[v]
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         try:
             return self._adj[v]
         except AttributeError:
-            return self._index()[1][v]
+            return self._index()[0][v]
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Indices into `edges` of the edges incident to v."""
         try:
             return self._incident[v]
         except AttributeError:
-            return self._index()[2][v]
+            return self._index()[1][v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self.neighbours(u)

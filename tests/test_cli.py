@@ -495,6 +495,21 @@ def test_scan_without_vertices_is_an_input_error(capsys, max_n):
     assert captured.err == "error: need at least one vertex\n"
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+def test_scan_of_a_graph6_file_without_graphs_is_an_input_error(tmp_path, capsys, text):
+    # as scan --max-n 0 and aci on the same file are
+    f = tmp_path / "none.g6"
+    f.write_text(text)
+    assert run("scan", "--in", str(f), "--format", "graph6") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no graphs in {f}\n"
+    assert run("aci", str(f), "--format", "graph6") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: expected one graph in {f}, found 0\n"
+
+
 def test_scan_past_the_corpus_limit_is_an_input_error_before_enumerating(capsys):
     start = time.perf_counter()
     assert run("scan", "--max-n", "10") == 2

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforce import connected_graphs_up_to as reference_corpus, isomorphic
 from boxcolour import corpus
-from boxcolour.corpus import _colour_fields, _isomorphic, connected_graphs, connected_graphs_up_to
+from boxcolour.corpus import (
+    _base_tables,
+    _candidate,
+    _colour_fields,
+    _isomorphic,
+    connected_graphs,
+    connected_graphs_up_to,
+)
 from boxcolour.graphs import Graph, cycle, hypercube, is_connected
 
 
@@ -103,8 +110,8 @@ def test_isomorphism_test_separates_classes_that_share_a_key():
 
 
 @st.composite
-def _graphs(draw):
-    n = draw(st.integers(1, 12))
+def _graphs(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -142,6 +149,33 @@ def test_int_colours_are_injective_on_every_neighbourhood_up_to_ten_vertices():
         ]
         ints = {len(around) << top | sum(unit[d] for d in around) for around in neighbourhoods}
         assert len(ints) == len(neighbourhoods)
+
+
+@given(_graphs(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_table_keys_equal_the_direct_formula_for_every_subset(base):
+    # bases of up to 8 vertices give candidates of up to 9, the enumeration's
+    # last order; every subset mask, the empty one included, is checked
+    # against the colours and triangle count of the augmented graph
+    k, base_edges = base
+    n = k + 1
+    top, unit = _colour_fields(n)
+    base_adj = [0] * k
+    for u, v in base_edges:
+        base_adj[u] |= 1 << v
+        base_adj[v] |= 1 << u
+    base_adj = tuple(base_adj)
+    tables = _base_tables(base_adj, top, unit)
+    for mask in range(1 << k):
+        subset = tuple(v for v in range(k) if mask >> v & 1)
+        nbrs = [[w for w in range(k) if base_adj[v] >> w & 1] for v in range(k)]
+        for v in subset:
+            nbrs[v].append(k)
+        nbrs.append(list(subset))
+        deg = [len(a) for a in nbrs]
+        colour = [deg[v] << top | sum(unit[deg[w]] for w in nbrs[v]) for v in range(n)]
+        inside = sum(1 for u, v in base_edges if mask >> u & 1 and mask >> v & 1)
+        assert _candidate(base_adj, tables, mask, subset, top, unit) == (colour, inside)
 
 
 def test_enumeration_leaves_no_cyclic_garbage():

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, strategies as st
 
+from boxcolour import solver
 from boxcolour.colouring import (
     BichromaticCycle,
     ColourPalette,
@@ -14,6 +15,8 @@ from boxcolour.colouring import (
     check_acyclic,
 )
 from boxcolour.compose import hypercube_colouring
+from boxcolour.corpus import connected_graphs_up_to
+from boxcolour.factor import factorise
 from boxcolour.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
@@ -492,23 +495,33 @@ def test_reading_comparing_checking_and_writing_build_no_index(tmp_path):
     assert all(_built(h) == [] for h in fresh)
 
 
+# each accessor, with the index slots its first use sets: degrees are
+# counted alone, adjacency and incidence built together
+_DEGREES, _ADJACENCY = ["_degrees"], ["_adj", "_incident"]
 _ACCESSORS = [
-    lambda g: g.degrees,
-    lambda g: g.max_degree,
-    lambda g: g.degree(g.n - 1),
-    lambda g: g.neighbours(0),
-    lambda g: g.incident_edges(0),
-    lambda g: g.has_edge(0, g.n - 1),
-    lambda g: g.edge_index(*g.edges[0]),
+    (lambda g: g.degrees, _DEGREES),
+    (lambda g: g.max_degree, _DEGREES),
+    (lambda g: g.degree(g.n - 1), _DEGREES),
+    (lambda g: g.neighbours(0), _ADJACENCY),
+    (lambda g: g.incident_edges(0), _ADJACENCY),
+    (lambda g: g.has_edge(0, g.n - 1), _ADJACENCY),
+    (lambda g: g.edge_index(*g.edges[0]), _ADJACENCY),
 ]
 
 
 @given(st.integers(2, 8), st.data(), st.sampled_from(range(len(_ACCESSORS))))
-def test_the_first_accessor_builds_every_index(n, data, which):
+def test_the_first_accessor_builds_only_its_own_indexes(n, data, which):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
     assert _built(g) == []
-    _ACCESSORS[which](g)
+    read, names = _ACCESSORS[which]
+    read(g)
+    assert _built(g) == names
+    # the other kind is then built on its own first use
+    if names is _DEGREES:
+        g.neighbours(0)
+    else:
+        g.degrees
     assert _built(g) == list(_INDEX_NAMES)
     assert (g._degrees, g._adj, g._incident) == reference_indexes(g)
 
@@ -519,6 +532,7 @@ def test_no_attribute_can_be_assigned(name, built):
     g = path(4)
     if built:
         g.degrees
+        g.neighbours(0)
     with pytest.raises(AttributeError):
         setattr(g, name, ())
     with pytest.raises(AttributeError):
@@ -527,7 +541,7 @@ def test_no_attribute_can_be_assigned(name, built):
 
 
 def _count_indexes(monkeypatch) -> list:
-    """Record every graph whose indexes are built."""
+    """Record every graph whose adjacency and incidence are built."""
     indexed = []
     real = Graph._index
 
@@ -549,6 +563,26 @@ def test_products_build_no_factor_index(monkeypatch):
     x = hypercube_colouring(11)
     assert x.graph == hypercube(11)
     assert indexed == [complete(2)]
+
+
+def test_scan_builds_adjacency_only_for_the_graphs_it_factorises(monkeypatch):
+    # the solver reads a corpus graph's degrees, its sorted edges and its
+    # edge count; only factorise reads neighbours and incident edges
+    indexed = _count_indexes(monkeypatch)
+    factorised = []
+
+    def counting(g):
+        factorised.append(g)
+        return factorise(g)
+
+    monkeypatch.setattr(solver, "factorise", counting)
+    # fresh copies, since the cached corpus may be indexed by other tests
+    graphs = [Graph._from_sorted(g.n, g.edges) for g in connected_graphs_up_to(6)]
+    for g in graphs:
+        exact_aci(g)
+    ids = {id(g) for g in graphs}
+    assert factorised and all(id(g) in ids for g in factorised)
+    assert [id(g) for g in indexed if id(g) in ids] == [id(g) for g in factorised]
 
 
 @given(st.integers(1, 5), st.integers(1, 5))
