@@ -540,35 +540,41 @@ def test_no_attribute_can_be_assigned(name, built):
     assert g == path(4) and _built(g) == (list(_INDEX_NAMES) if built else [])
 
 
-def _count_indexes(monkeypatch) -> list:
-    """Record every graph whose adjacency and incidence are built."""
-    indexed = []
-    real = Graph._index
+def _count_indexes(monkeypatch) -> tuple[list, list]:
+    """Record every graph whose adjacency and incidence are built, and
+    every graph whose degrees are counted, in two lists."""
+    indexed, counted = [], []
+    real_index, real_count = Graph._index, Graph._count_degrees
+
+    def indexing(g):
+        indexed.append(g)
+        return real_index(g)
 
     def counting(g):
-        indexed.append(g)
-        return real(g)
+        counted.append(g)
+        return real_count(g)
 
-    monkeypatch.setattr(Graph, "_index", counting)
-    return indexed
+    monkeypatch.setattr(Graph, "_index", indexing)
+    monkeypatch.setattr(Graph, "_count_degrees", counting)
+    return indexed, counted
 
 
 def test_products_build_no_factor_index(monkeypatch):
     # the product reads its factors' sorted edges; hypercube_colouring
     # indexes only K2, which it colours with brooks_colouring, never an
-    # intermediate cube
-    indexed = _count_indexes(monkeypatch)
+    # intermediate cube, and counts no other graph's degrees
+    indexed, counted = _count_indexes(monkeypatch)
     assert grid(40, 40).m == 2 * 40 * 39
-    assert indexed == []
+    assert indexed == [] and counted == []
     x = hypercube_colouring(11)
     assert x.graph == hypercube(11)
-    assert indexed == [complete(2)]
+    assert indexed == [complete(2)] and counted == [complete(2)]
 
 
 def test_scan_builds_adjacency_only_for_the_graphs_it_factorises(monkeypatch):
     # the solver reads a corpus graph's degrees, its sorted edges and its
     # edge count; only factorise reads neighbours and incident edges
-    indexed = _count_indexes(monkeypatch)
+    indexed, _ = _count_indexes(monkeypatch)
     factorised = []
 
     def counting(g):
