@@ -17,8 +17,9 @@ without `json`, in `json.dumps(..., indent=2)`'s exact layout, and so are
 `aci`'s document and the one line of an exhausted search.  Only a reader
 of JSON, and `verify`'s witness, import the encoder's package.
 
-A file that cannot be decoded as text is an input error that names the
-file, in every reader.
+A file that cannot be decoded as text, or that does not parse, is an
+input error that names the file, in every reader; a graph6 error names
+the line as well.
 
 graph6 is the compact ASCII encoding used by nauty and friends; only
 reading is supported, one graph per line.
@@ -93,7 +94,14 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(path: PathLike) -> Graph:
-    return parse_edge_list(_read_text(path))
+    return _parse_edge_list_file(_read_text(path), path)
+
+
+def _parse_edge_list_file(text: str, path: PathLike) -> Graph:
+    try:
+        return parse_edge_list(text)
+    except ValueError as exc:
+        raise ValueError(f"edge list in {path}: {exc}") from None
 
 
 def write_edge_list(g: Graph, path: PathLike) -> None:
@@ -150,9 +158,12 @@ def parse_graph6(line: str) -> Graph:
 
 def read_graph6(path: PathLike) -> list[Graph]:
     graphs = []
-    for line in _read_text(path).splitlines():
+    for number, line in enumerate(_read_text(path).splitlines(), 1):
         if line.strip():
-            graphs.append(parse_graph6(line))
+            try:
+                graphs.append(parse_graph6(line))
+            except ValueError as exc:
+                raise ValueError(f"graph6 in {path}, line {number}: {exc}") from None
     return graphs
 
 
@@ -241,4 +252,4 @@ def graph_file_matches(path: PathLike, fmt: str, g: Graph) -> bool:
     text = _read_text(path)
     if text.startswith(f"{g.n} {g.m}\n") and text == format_edge_list(g):
         return True
-    return parse_edge_list(text) == g
+    return _parse_edge_list_file(text, path) == g

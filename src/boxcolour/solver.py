@@ -14,11 +14,14 @@ with no search over the product; otherwise the search tries only the
 colour counts below it, and the composed colouring is the witness if
 every one of them is refuted.
 
-The tactic is skipped at once when the vertex count is prime or a vertex
-has degree below 2, since a product of connected factors with at least two
-vertices each has neither property.  The factors' solves draw on the same
-node and time budget as the product's search, and their nodes count in
-the result.
+The tactic is tried only where the counts allow a product.  A product of
+connected factors G and H on a and b >= 2 vertices has n = a * b, minimum
+degree at least 2, maximum degree Delta_G + Delta_H <= a + b - 2, and
+m = a * m_H + b * m_G >= a(b - 1) + b(a - 1) = 2n - a - b edges, since a
+connected graph on k vertices has at least k - 1 edges.  A graph that no
+split of n satisfies is not factorised (`_admits_product`).  The
+factors' solves draw on the same node and time budget as the product's
+search, and their nodes count in the result.
 
 `_search` is the exact core: iterative deepening on the colour count k
 from the certified `lower_bound` (the degree bound or the forest-counting
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import random
 import time
+from math import isqrt
 from typing import Optional
 
 from .colouring import EdgeColouring, check_acyclic, colours_used
@@ -131,14 +135,16 @@ def lower_bound(g: Graph) -> int:
     9 against 8 on K8.
     """
     delta = g.max_degree
-    if delta > 1 and all(d == delta for d in g.degrees):
+    if delta > 1 and min(g.degrees) == delta:
         delta += 1
     return max(delta, forest_bound(g))
 
 
 def _edge_order(g: Graph) -> list[int]:
-    deg, edges = g.degrees, g.edges
-    return sorted(range(g.m), key=lambda i: (-(deg[edges[i][0]] + deg[edges[i][1]]), i))
+    deg = g.degrees
+    key = [-(deg[u] + deg[v]) for u, v in g.edges]
+    # sorted is stable, so ties keep the edge order
+    return sorted(range(g.m), key=key.__getitem__)
 
 
 def _first_colouring(
@@ -323,8 +329,19 @@ def _exact(g: Graph, budget: SearchBudget, t0: float, nodes: int) -> AciResult:
     return _search(g, budget, t0, nodes, bound)
 
 
-def _composite(n: int) -> bool:
-    return any(n % d == 0 for d in range(2, int(n**0.5) + 1))
+def _admits_product(g: Graph) -> bool:
+    """Whether g's vertex, edge and degree counts allow a product of
+    connected factors on a and b >= 2 vertices, n = a * b (see the module
+    docstring).  Both count bounds loosen as a + b grows, and a + n/a
+    falls as a rises to sqrt(n), so only the split with the smallest a is
+    tested.  The vertex count comes first, so a graph of prime order, or
+    with no vertex at all, reads no degree."""
+    n = g.n
+    for a in range(2, isqrt(n) + 1):
+        if n % a == 0:
+            s = a + n // a
+            return g.m >= 2 * n - s and g.max_degree <= s - 2 and min(g.degrees) >= 2
+    return False
 
 
 def _by_factors(
@@ -336,7 +353,7 @@ def _by_factors(
     leaves out and the padded modulus covers (see `compose`), and every
     rank in it is used: the factors' witnesses are exact, so each uses its
     whole palette, and the rotations of a whole palette are whole."""
-    if not (_composite(g.n) and min(g.degrees) >= 2):
+    if not _admits_product(g):
         return None, nodes
     f = factorise(g)
     if f is None:

@@ -450,7 +450,45 @@ def test_verify_reports_a_malformed_graph_file_as_the_parser_does(tmp_path, caps
     good, _ = _c6_colourings(tmp_path)
     el = tmp_path / "bad.el"
     el.write_text(text)
-    assert _verify_outputs(capsys, str(good), "--graph", str(el)) == (2, "", f"error: {message}\n")
+    assert _verify_outputs(capsys, str(good), "--graph", str(el)) == (
+        2, "", f"error: edge list in {el}: {message}\n"
+    )
+
+
+_OUT_OF_RANGE = "edge endpoint out of range: (0, 5) with n=3"
+
+
+@pytest.mark.parametrize(
+    "argv, bad, message",
+    [
+        (["aci", "{bad}"], "", "edge list in {bad}: empty edge list"),
+        (["product", "--g", "{good}", "--h", "{bad}"], "3 1\n0 5\n",
+         f"edge list in {{bad}}: {_OUT_OF_RANGE}"),
+        (["compose", "--g", "{bad}", "--h", "{good}", "--solve-factors"], "3 1\n0 5\n",
+         f"edge list in {{bad}}: {_OUT_OF_RANGE}"),
+        (["compose", "--g", "{good}", "--h", "{bad}", "--solve-factors"], "3 1\n0 5\n",
+         f"edge list in {{bad}}: {_OUT_OF_RANGE}"),
+        (["scan", "--in", "{bad}"], "2 2\n0 1\n",
+         "edge list in {bad}: header announces 2 edges, found 1"),
+        (["scan", "--in", "{bad}", "--format", "graph6"], "Bw\n\n!\n",
+         "graph6 in {bad}, line 3: invalid graph6 character '!'"),
+        (["aci", "{bad}", "--format", "graph6"], "A",
+         "graph6 in {bad}, line 1: graph6 body length 0 wrong for n=2"),
+        (["verify", "{json}", "--graph", "{bad}"], "3 x\n",
+         "edge list in {bad}: invalid literal for int() with base 10: 'x'"),
+        (["verify", "{json}", "--graph", "{bad}", "--format", "graph6"], "!",
+         "graph6 in {bad}, line 1: invalid graph6 character '!'"),
+    ],
+    ids=["aci", "product-h", "compose-g", "compose-h", "scan-in", "scan-graph6", "aci-graph6",
+         "verify-graph", "verify-graph6"],
+)
+def test_a_graph_file_that_does_not_parse_is_named(tmp_path, capsys, argv, bad, message):
+    files = {"bad": tmp_path / "bad.txt", "good": tmp_path / "p3.el", "json": tmp_path / "p3.json"}
+    files["bad"].write_text(bad)
+    files["good"].write_text(format_edge_list(path(3)))
+    files["json"].write_text(format_colouring(exact_aci(path(3)).witness))
+    assert run(*[a.format(**files) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(**files)}\n")
 
 
 def test_scan_corpus(capsys):
@@ -772,7 +810,9 @@ def test_ci_and_benchmark_command_lines_are_read_without_argparse(argv):
 
 
 @pytest.mark.parametrize(
-    "g", [Graph(1, []), path(2), complete(6), hypercube(4)], ids=["K1", "K2", "K6", "Q4"]
+    "g",
+    [Graph(0, []), Graph(1, []), path(2), complete(6), hypercube(4)],
+    ids=["K0", "K1", "K2", "K6", "Q4"],
 )
 def test_aci_prints_the_indenting_encoders_bytes(tmp_path, capsys, g):
     f = tmp_path / "g.el"

@@ -17,7 +17,7 @@ from boxcolour.graphs import (
     hypercube,
     path,
 )
-from boxcolour.solver import _search, exact_aci, lower_bound
+from boxcolour.solver import _admits_product, _search, exact_aci, lower_bound
 
 FACTORS = [g for g in connected_graphs_up_to(5) if g.n >= 2]
 SMALL = [g for g in connected_graphs_up_to(6) if g.n >= 2]
@@ -153,3 +153,32 @@ def test_exact_on_relabelled_products_needs_no_product_search(g):
         assert (r.aci, r.lower, r.upper, r.tactic) == (lower, lower, lower, "factor")
         assert r.witness.graph == h and check_acyclic(r.witness) is None
         assert elapsed < 1.0
+
+
+def test_every_product_of_small_connected_factors_admits_a_product():
+    for g in FACTORS:
+        for h in FACTORS:
+            assert _admits_product(_product(g, h)), (g.edges, h.edges)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        *(hypercube(d) for d in range(2, 7)),
+        grid(8, 8),
+        _product(cycle(5), cycle(7)),
+        _product(complete(5), path(2)),
+    ],
+    ids=["Q2", "Q3", "Q4", "Q5", "Q6", "grid8x8", "C5xC7", "K5xP2"],
+)
+def test_known_products_admit_a_product_under_relabelling(g):
+    rng = random.Random(g.n)
+    assert _admits_product(g)
+    assert _admits_product(_relabel(g, rng))
+
+
+def test_factorise_finds_nothing_where_the_counts_rule_a_product_out():
+    graphs = connected_graphs_up_to(7)
+    admitted = [g for g in graphs if _admits_product(g)]
+    assert len(admitted) == 11
+    assert all(factorise(g) is None for g in graphs if not _admits_product(g))

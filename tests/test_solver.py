@@ -111,8 +111,9 @@ def test_every_witness_uses_its_whole_palette():
 
 
 def test_empty_and_trivial_graphs():
-    r = exact_aci(Graph(1, []))
-    assert r.aci == 0 and r.witness.colours == ()
+    for n in (0, 1):
+        r = exact_aci(Graph(n, []))
+        assert r.aci == 0 and r.witness.colours == ()
     r = exact_aci(Graph(3, [(0, 1)]))
     assert r.aci == 1
 
