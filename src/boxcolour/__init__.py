@@ -19,13 +19,7 @@ from .colouring import (
     check_proper_vertex,
     colours_used,
 )
-from .compose import (
-    C4ProductError,
-    compose,
-    compose_many,
-    compose_or_solve,
-    hypercube_colouring,
-)
+from .compose import compose, compose_many, hypercube_colouring
 from .graphs import (
     Graph,
     GraphClass,
@@ -44,7 +38,6 @@ from .vertex_colouring import brooks_bound, brooks_colouring
 __all__ = [
     "AciResult",
     "BichromaticCycle",
-    "C4ProductError",
     "ColourPalette",
     "EdgeColouring",
     "Graph",
@@ -63,7 +56,6 @@ __all__ = [
     "complete",
     "compose",
     "compose_many",
-    "compose_or_solve",
     "cycle",
     "exact_aci",
     "greedy_acyclic",

@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 from . import io
 from .colouring import EdgeColouring, check_acyclic, colours_used
-from .compose import compose_or_solve, hypercube_colouring
+from .compose import compose, hypercube_colouring
 from .graphs import cartesian_product, complete, cycle, grid, hypercube, path
 from .solver import AciResult, SearchBudget, exact_aci, greedy_acyclic, lower_bound
 
@@ -118,7 +118,7 @@ def _cmd_compose(args) -> int:
                 return _report_exhausted(result)
             x = result.witness
         factors.append(x)
-    x = compose_or_solve(*factors)
+    x = compose(*factors)
     if args.out_graph:
         io.write_edge_list(x.graph, args.out_graph)
     _print_colouring(x)

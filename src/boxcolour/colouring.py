@@ -47,6 +47,7 @@ from .graphs import (
     Edge,
     Graph,
     Record,
+    _check_int,
     _check_order,
     _first_bad_edge,
     _has_repeats,
@@ -65,7 +66,7 @@ class ColourPalette(Record):
     __slots__ = ("g_size", "h_size")
 
     def __init__(self, g_size: int, h_size: int = 0):
-        if g_size < 0 or h_size < 0:
+        if _check_int(g_size, "palette size") < 0 or _check_int(h_size, "palette size") < 0:
             raise ValueError("palette sizes must be non-negative")
         Record.__init__(self, g_size, h_size)
 
@@ -115,9 +116,13 @@ class EdgeColouring(Record):
         colours = tuple(colours)
         if len(colours) != graph.m:
             raise ValueError(f"expected {graph.m} edge colours, got {len(colours)}")
-        if colours and not 0 <= min(colours) <= max(colours) < palette.size:
-            c = next(c for c in colours if not 0 <= c < palette.size)  # the first edge's
-            raise ValueError(f"colour {colour_label(c, palette.g_size)} outside palette {palette}")
+        size = palette.size
+        if colours and not (
+            {int}.issuperset(map(type, colours)) and 0 <= min(colours) <= max(colours) < size
+        ):
+            for c in colours:  # name the first edge's
+                if not 0 <= _check_int(c, "colour") < size:
+                    raise ValueError(f"colour {colour_label(c, palette.g_size)} outside palette {palette}")
         Record.__init__(self, graph, colours, palette)
 
     @classmethod
@@ -166,8 +171,8 @@ class EdgeColouring(Record):
                     raise ValueError(f"edge row must be [u, v, colour label], got {row!r}")
                 u, v, label = row
                 if type(u) is not int or type(v) is not int:
-                    _json_int(u, "edge endpoint")
-                    _json_int(v, "edge endpoint")
+                    _check_int(u, "edge endpoint")
+                    _check_int(v, "edge endpoint")
                 edges.append((u, v) if u < v else (v, u))
                 if label not in ranks:
                     ranks[label] = parse_colour_label(label)
@@ -182,9 +187,9 @@ class EdgeColouring(Record):
         if _has_repeats(ordered_edges):
             _first_repeat(edges)
         palette = ColourPalette(
-            _json_int(sizes["g"], "palette size"), _json_int(sizes["h"], "palette size")
+            _check_int(sizes["g"], "palette size"), _check_int(sizes["h"], "palette size")
         )
-        n = _json_int(data["n"], "vertex count")
+        n = data["n"]
         _check_order(n)
         if not _valid_sorted(n, ordered_edges):
             _first_bad_edge(n, edges)
@@ -200,12 +205,6 @@ class EdgeColouring(Record):
 
     def __repr__(self) -> str:
         return f"EdgeColouring({self.graph!r}, {colours_used(self)} colours)"
-
-
-def _json_int(value, what: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _first_repeat(edges: list[Edge]) -> None:

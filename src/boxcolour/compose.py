@@ -29,20 +29,18 @@ take at most beta <= eta colours, and p = eta, on every connected factor
 but a single edge, which takes 2 against beta = 1.  That pads the modulus
 only when eta = 1 too: two single edges make the four-cycle, in 2 + 1 = 3
 colours, its acyclic chromatic index, though the paper's theorem, which
-needs max{eta, beta} > 1, leaves it out.  `compose`, which promises
-eta + beta, raises a dedicated error for it once both factors have passed
-their checks; `compose_or_solve` and `compose_many` colour it like any
-other.  Every function here returns the colouring alone, for the product.
+needs max{eta, beta} > 1, leaves it out.  Every function here returns the
+colouring alone, for the product.
 
 `_compose` only builds the colouring; `check_acyclic` runs at the entry
-points.  `compose` and `compose_or_solve` check both factors and their
-output.  `compose_many` checks every factor passed in, folds `_compose`,
-and checks only the final output.  That is enough because each fold
-colours every copy of the previous product by an injective relabelling of
-its colouring: a rotation of ranks when it is the shifted factor, the
-shift by p when it is the matching one.  Each copy is a subgraph of the
-new product, so an improper vertex or a two-coloured cycle in one fold
-reappears, relabelled, in every later fold and fails the final check.
+points.  `compose` checks both factors and its output.  `compose_many`
+checks every factor passed in, folds `_compose`, and checks only the
+final output.  That is enough because each fold colours every copy of
+the previous product by an injective relabelling of its colouring: a
+rotation of ranks when it is the shifted factor, the shift by p when it
+is the matching one.  Each copy is a subgraph of the new product, so an
+improper vertex or a two-coloured cycle in one fold reappears,
+relabelled, in every later fold and fails the final check.
 `solver._by_factors` calls `_compose` on factor witnesses its own solves
 verified, and checks the colouring it maps back onto its input.
 """
@@ -54,12 +52,6 @@ from functools import reduce
 from .colouring import ColourPalette, EdgeColouring, check_acyclic
 from .graphs import Graph, _check_dimension, cartesian_product, is_connected
 from .vertex_colouring import brooks_colouring
-
-
-class C4ProductError(ValueError):
-    """Both factors are single edges: their product is the four-cycle,
-    whose acyclic chromatic index is 3, not 1+1.  compose_or_solve
-    and compose_many return its 3-colouring instead."""
 
 
 def _validate_factor(name: str, x: EdgeColouring) -> None:
@@ -81,27 +73,20 @@ def _verified(x: EdgeColouring) -> EdgeColouring:
 
 def compose(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
     """Colour g x h, the product of the graphs of xg and xh, with at most
-    (palette of xg) + (palette of xh) colours.
+    eta + beta colours, the sum of their palettes, or 3 for two single
+    edges (module docstring).
 
     The output graph is always the product in caller order, whichever
     factor ends up supplying the shifted family.
     """
     _validate_factor("g", xg)
     _validate_factor("h", xh)
-    if xg.palette.size == 1 and xh.palette.size == 1:
-        raise C4ProductError(
-            "both factors are coloured with one colour (single edges); "
-            "their product is a 4-cycle and needs 3 colours"
-        )
     return _verified(_compose(xg, xh))
 
 
-def compose_or_solve(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
-    """compose, except that the product of two single edges, the
-    four-cycle, gets its 3-colouring (module docstring)."""
-    _validate_factor("g", xg)
-    _validate_factor("h", xh)
-    return _verified(_compose(xg, xh))
+# a second name for compose, kept while the benchmark tracer wraps it; it
+# goes when ROADMAP item 4's benchmark change drops that tracer target
+compose_or_solve = compose
 
 
 def _compose(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
@@ -133,16 +118,16 @@ def _compose(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
 
 
 def compose_many(colourings: list[EdgeColouring]) -> EdgeColouring:
-    """compose_or_solve folded over two or more factor colourings, within
-    the sum of their palettes, or d + 1 colours for d single edges.
+    """compose folded over two or more factor colourings, within the sum
+    of their palettes, or d + 1 colours for d single edges.
 
     The fold starts at the first factor whose palette exceeds 1 and then
-    attaches the factors before it on the left, so two single edges meet
-    only when every factor is one, and the four-cycle's third colour is
-    paid only then.  Row-major numbering is the same under any bracketing,
-    so the graph is the product in caller order.  Every colouring passed
-    in is verified once, and so is the final output; the intermediate
-    folds are not (module docstring).
+    attaches the factors before it on the left, so two single edges meet,
+    and the padded modulus pays the four-cycle's third colour, only when
+    every factor is one.  Row-major numbering is the same under any
+    bracketing, so the graph is the product in caller order.  Every
+    colouring passed in is verified once, and so is the final output; the
+    intermediate folds are not (module docstring).
     """
     if len(colourings) < 2:
         raise ValueError("need at least two factors")

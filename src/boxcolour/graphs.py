@@ -92,7 +92,16 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _check_int(value, what: str) -> int:
+    """`value` itself if its type is int; a value of any other type, a
+    bool or a float included, raises."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_order(n: int) -> None:
+    _check_int(n, "vertex count")
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if n > MAX_VERTICES:
@@ -114,9 +123,11 @@ def _valid_sorted(n: int, pairs: Sequence[Edge]) -> bool:
 
 
 def _first_bad_edge(n: int, edges: Iterable[Sequence[int]]) -> None:
-    """Check the edges one by one, in order, and raise for the first one out
-    of range or a self-loop."""
+    """Check the edges one by one, in order, and raise for the first one
+    with an endpoint that is not an int, out of range, or a self-loop."""
     for u, v in edges:
+        _check_int(u, "edge endpoint")
+        _check_int(v, "edge endpoint")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
         if u == v:
@@ -149,13 +160,15 @@ class Graph:
 
     Construction normalises each edge to (min, max), sorts the edges once
     (linear on input already in that order, as the writers emit it) and
-    drops repeats by comparing neighbours.  Range and self-loops are
-    checked in bulk on the sorted edges; only when that check fails are
-    the edges checked one by one in input order, so the error names the
-    first bad edge as given.  `degrees`, `degree` and `max_degree` read
-    a degree index counted on first use; `neighbours`, `incident_edges`,
-    `has_edge` and `edge_index` read adjacency and incidence indexes built
-    together on first use.  The accessors catch the unset slot themselves:
+    drops repeats by comparing neighbours.  The normalising pass keeps
+    only edges whose endpoints are of type int, so not bools or floats,
+    and range and self-loops are checked in bulk on the sorted edges; only
+    when an edge was dropped or that check fails are the edges checked
+    one by one in input order, so the error names the first bad edge as
+    given.  `degrees`, `degree` and `max_degree` read a degree index
+    counted on first use; `neighbours`, `incident_edges`, `has_edge` and
+    `edge_index` read adjacency and incidence indexes built together on
+    first use.  The accessors catch the unset slot themselves:
     a class with `__getattr__` loses CPython's specialised attribute
     reads, so every `g.n` and `g.edges` would pay for it.
 
@@ -168,9 +181,10 @@ class Graph:
         _check_order(n)
         edges = list(edges)
         try:
-            pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+            pairs = [(u, v) if u < v else (v, u) for u, v in edges
+                     if type(u) is type(v) is int]
             pairs.sort()
-            valid = _valid_sorted(n, pairs)
+            valid = len(pairs) == len(edges) and _valid_sorted(n, pairs)
         except (TypeError, ValueError):
             valid = False
         if not valid:

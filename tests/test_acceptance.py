@@ -13,13 +13,7 @@ from boxcolour.colouring import (
     check_proper_vertex,
     colours_used,
 )
-from boxcolour.compose import (
-    C4ProductError,
-    compose,
-    compose_many,
-    compose_or_solve,
-    hypercube_colouring,
-)
+from boxcolour.compose import compose, compose_many, hypercube_colouring
 from boxcolour.corpus import connected_graphs_up_to
 from boxcolour.graphs import cartesian_product, complete, cycle, hypercube, path
 from boxcolour.solver import exact_aci, lower_bound
@@ -172,16 +166,11 @@ def test_criterion_7_brooks_bound():
 def test_criterion_8_single_edge_square():
     k2 = complete(2)
     one = EdgeColouring.single_family(k2, [0], 1)
-    raised = False
-    try:
-        compose(one, one)
-    except C4ProductError:
-        raised = True
-    x = compose_or_solve(one, one)
+    x = compose(one, one)
     ok = (
-        raised
+        x.graph == cartesian_product(k2, k2)[0]
         and (x.graph.n, x.graph.m) == (4, 4)
         and colours_used(x) == 3
         and check_acyclic(x) is None
     )
-    _report(8, "product of two single edges rejected with the dedicated error and solved exactly as the 4-cycle", ok)
+    _report(8, "product of two single edges composed as the 4-cycle in 3 colours, its index", ok)

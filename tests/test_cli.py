@@ -491,6 +491,20 @@ def test_a_graph_file_that_does_not_parse_is_named(tmp_path, capsys, argv, bad, 
     assert capsys.readouterr() == ("", f"error: {message.format(**files)}\n")
 
 
+def test_a_file_with_several_faults_names_the_one_its_reader_checks_first(tmp_path, capsys):
+    # the readers check in phases, not line by line: an edge list's range
+    # before its repeats, a colouring's repeats before its range
+    el = tmp_path / "faults.el"
+    el.write_text("3 3\n0 1\n1 0\n0 5\n")
+    assert run("aci", str(el)) == 2
+    assert capsys.readouterr() == ("", f"error: edge list in {el}: {_OUT_OF_RANGE}\n")
+    doc = tmp_path / "faults.json"
+    rows = [[0, 5, "0"], [0, 1, "0"], [1, 0, "1"]]
+    doc.write_text(json.dumps({"n": 3, "palette": {"g": 2, "h": 0}, "edges": rows}))
+    assert run("verify", str(doc)) == 2
+    assert capsys.readouterr() == ("", "error: edge (0, 1) is listed twice\n")
+
+
 def test_scan_corpus(capsys):
     assert run("scan", "--max-n", "4") == 0
     captured = capsys.readouterr()

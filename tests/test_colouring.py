@@ -114,6 +114,38 @@ def test_edge_colouring_validation():
         x.colours = ()
 
 
+@pytest.mark.parametrize("colours, named", [
+    ([0.5, 0], "0.5"),
+    ([0, 1.0], "1.0"),
+    ([True, 0], "True"),
+    # the first edge's, though a later one is outside the palette
+    ([0, False, 7], "False"),
+    ([0, "1"], "'1'"),
+])
+def test_edge_colouring_rejects_colours_that_are_not_ints(colours, named):
+    g = path(len(colours) + 1)
+    with pytest.raises(ValueError, match=f"^colour must be an integer, got {named}$"):
+        EdgeColouring(g, colours, ColourPalette(2))
+
+
+@pytest.mark.parametrize("sizes, named", [((1.5,), "1.5"), ((1, 0.5), "0.5"), ((True,), "True")])
+def test_palette_sizes_must_be_ints(sizes, named):
+    # a one-and-a-half colour palette would be written to the wire as 1.5
+    with pytest.raises(ValueError, match=f"^palette size must be an integer, got {named}$"):
+        ColourPalette(*sizes)
+
+
+def test_a_colouring_that_is_not_ints_never_reaches_compose():
+    # [0.5, 0] would pass check_acyclic on two colours in a one-colour
+    # palette, and compose would then break its eta + beta bound
+    k2 = complete(2)
+    one = EdgeColouring.single_family(k2, [0], 1)
+    with pytest.raises(ValueError, match="colour must be an integer"):
+        compose(EdgeColouring(path(3), [0.5, 0], ColourPalette(1)), one)
+    with pytest.raises(ValueError, match="edge endpoint must be an integer"):
+        compose(one, EdgeColouring(Graph(3, [(0.5, 1), (1, 2)]), [0, 1], ColourPalette(2)))
+
+
 def test_from_edge_map_requires_total_map():
     g = path(3)
     full = {(0, 1): 0, (1, 2): 1}

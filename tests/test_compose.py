@@ -14,13 +14,7 @@ from boxcolour.colouring import (
     check_acyclic,
     colours_used,
 )
-from boxcolour.compose import (
-    C4ProductError,
-    compose,
-    compose_many,
-    compose_or_solve,
-    hypercube_colouring,
-)
+from boxcolour.compose import compose, compose_many, hypercube_colouring
 from boxcolour.corpus import connected_graphs_up_to
 from boxcolour.graphs import (
     Graph,
@@ -55,19 +49,16 @@ def test_shifts_are_mutually_non_fixing():
                     assert (j + i) % eta != (j + k) % eta
 
 
-def test_two_single_edges_are_rejected():
-    _, x = one_edge()
-    with pytest.raises(C4ProductError) as err:
-        compose(x, x)
-    assert "4-cycle" in str(err.value)
-
-
-def test_compose_or_solve_falls_back_to_the_four_cycle():
-    _, x = one_edge()
-    result = compose_or_solve(x, x)
-    assert (result.graph.n, result.graph.m) == (4, 4)
-    assert colours_used(result) == 3
+def test_two_single_edges_make_the_four_cycle_in_three_colours():
+    # the pair the paper's theorem leaves out: the padded modulus gives
+    # 2 + 1 colours, a'(C4), the cube's own colouring of Q2
+    k2, x = one_edge()
+    result = compose(x, x)
+    assert result.graph == cartesian_product(k2, k2)[0] == hypercube(2)
+    assert colours_used(result) == 3 == exact_aci(cycle(4)).aci
+    assert result.palette == ColourPalette(2, 1)
     assert check_acyclic(result) is None
+    assert result == hypercube_colouring(2)
 
 
 def test_cube_from_cycle_and_edge():
@@ -293,7 +284,7 @@ def test_pairs_up_to_four_vertices_sit_between_the_bounds():
         product = cartesian_product(g, h)[0]
         result = exact_aci(product)
         assert not result.exhausted and result.nodes <= 2_655
-        x = compose_or_solve(xg, xh)
+        x = compose(xg, xh)
         used = colours_used(x)
         paper = xg.palette.size + xh.palette.size
         beta, eta = sorted((xg.palette.size, xh.palette.size))
@@ -359,22 +350,18 @@ def test_random_pairs_hold_the_bound():
         xg, xh = solved(g), solved(h)
         if max(xg.palette.size, xh.palette.size) <= 1:
             continue
-        x = compose_or_solve(xg, xh)
+        x = compose(xg, xh)
         assert check_acyclic(x) is None
         assert colours_used(x) <= xg.palette.size + xh.palette.size
 
 
 def test_the_four_cycle_is_checked_only_where_it_is_handed_out(monkeypatch):
-    # compose_or_solve checks its two factors and the four-cycle's colouring
-    # it returns; compose checks the factors, then refuses
+    # compose checks its two factors and the four-cycle's colouring it
+    # returns, as for any other pair
     checked = _count_checks(monkeypatch, "compose")
     _, x = one_edge()
-    result = compose_or_solve(x, x)
+    result = compose(x, x)
     assert checked == [x, x, result]
-    checked.clear()
-    with pytest.raises(C4ProductError):
-        compose(x, x)
-    assert checked == [x, x]
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -108,6 +108,20 @@ def test_graph_rejects_bad_edges():
         Graph(-1, [])
 
 
+@pytest.mark.parametrize("n, edges, named", [
+    (3, [(0.5, 1), (1, 2)], "0.5"),
+    (3, [(0, 1), (1, 2.0)], "2.0"),
+    (3, [(True, 2), (0, 1)], "True"),
+    # in input order, though a later edge is out of range
+    (3, [(0, 1), (False, 2), (0, 5)], "False"),
+    (3, [(0, 1), ("1", 2)], "'1'"),
+    (3.0, [(0, 1)], "3.0"),
+])
+def test_graph_rejects_vertices_that_are_not_ints(n, edges, named):
+    with pytest.raises(ValueError, match=f"must be an integer, got {named}$"):
+        Graph(n, edges)
+
+
 def test_graph_is_immutable():
     g = path(3)
     with pytest.raises(AttributeError):
