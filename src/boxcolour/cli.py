@@ -101,19 +101,19 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    g = io.load_graph(args.g, args.format)
-    h = io.load_graph(args.h, args.format)
     budget = _budget(args)
     factors = []
-    for graph, colouring_path in ((g, args.xg), (h, args.xh)):
+    # a factor with a colouring is matched against its graph file, as
+    # verify does; only a factor to be solved has its graph loaded
+    for graph_path, colouring_path in ((args.g, args.xg), (args.h, args.xh)):
         if colouring_path is not None:
             x = io.read_colouring(colouring_path)
-            if x.graph != graph:
+            if not io.graph_file_matches(graph_path, args.format, x.graph):
                 raise ValueError(f"colouring in {colouring_path} is for a different graph")
         elif not args.solve_factors:
             raise ValueError("factor colourings missing; pass --xg/--xh or --solve-factors")
         else:
-            result = exact_aci(graph, budget)
+            result = exact_aci(io.load_graph(graph_path, args.format), budget)
             if result.exhausted:
                 return _report_exhausted(result)
             x = result.witness

@@ -30,13 +30,13 @@ mate maps.  This is the rule of the brute-force reference in the tests and
 of the benchmark's independent checker, so all three name the same cycle.
 
 Library code checks each colouring once per trust boundary, where it
-leaves the code that built it or enters from a caller.  The search and
-greedy check each colouring they return; `compose` checks the factor
-colourings it is handed and the colouring it returns; `compose_many`
-checks its factors and only its final output, since every fold relabels
-the previous one injectively (see `compose`), the four-cycle that two
-single edges make included; and `solver.exact_aci` checks a composed
-colouring once, after mapping it onto its input graph.
+leaves the code that built it or enters from a caller.  Greedy checks
+each colouring it returns; `compose` checks the factor colourings it is
+handed and the colouring it returns; `compose_many` checks its factors
+and only its final output, since every fold relabels the previous one
+injectively (see `compose`), the four-cycle that two single edges make
+included; and `solver.exact_aci` checks only the witness it returns, into
+which its factors' witnesses and inner folds are relabelled the same way.
 """
 
 from __future__ import annotations

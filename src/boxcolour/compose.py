@@ -41,8 +41,9 @@ rotation of ranks when it is the shifted factor, the shift by p when it
 is the matching one.  Each copy is a subgraph of the new product, so an
 improper vertex or a two-coloured cycle in one fold reappears,
 relabelled, in every later fold and fails the final check.
-`solver._by_factors` calls `_compose` on factor witnesses its own solves
-verified, and checks the colouring it maps back onto its input.
+`solver._by_factors` calls `_compose` the same way, on factor witnesses
+no one has checked yet, and `solver.exact_aci` checks only the colouring
+it returns.
 """
 
 from __future__ import annotations

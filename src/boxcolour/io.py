@@ -17,9 +17,9 @@ without `json`, in `json.dumps(..., indent=2)`'s exact layout, and so are
 `aci`'s document and the one line of an exhausted search.  Only a reader
 of JSON, and `verify`'s witness, import the encoder's package.
 
-A file that cannot be decoded as text, or that does not parse, is an
-input error that names the file, in every reader; a graph6 error names
-the line as well.
+A file that cannot be decoded as text, that does not parse, or whose
+colouring JSON holds a bad document, is an input error that names the
+file, in every reader; a graph6 error names the line as well.
 
 graph6 is the compact ASCII encoding used by nauty and friends; only
 reading is supported, one graph per line.
@@ -222,7 +222,10 @@ def read_colouring(path: PathLike) -> EdgeColouring:
         raise ValueError(f"colouring JSON in {path} is nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"colouring JSON in {path} is malformed: {exc}") from None
-    return EdgeColouring.from_json_dict(data)
+    try:
+        return EdgeColouring.from_json_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"colouring JSON in {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

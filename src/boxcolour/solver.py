@@ -6,13 +6,20 @@ max{a'(G), a'(H)} > 1.  When `factor.factorise` recognises the graph as a
 product G x H, the factors are solved exactly, by this same function, so
 the d-cube becomes K2 x Q(d-1) and so on down to the four-cycle K2 x K2,
 which the theorem leaves out, and `compose._compose` colours each product
-from its factors' witnesses, which their solves verified.
-Mapped back onto the input's vertices, that colouring passes
-`check_acyclic` on the input graph before it is used, the one check per
-recognised product.  If it meets the certified lower bound it is exact
-with no search over the product; otherwise the search tries only the
-colour counts below it, and the composed colouring is the witness if
-every one of them is refuted.
+from its factors' witnesses; that colouring is mapped back onto the
+input's vertices.  If it meets the certified lower bound it is exact with
+no search over the product; otherwise the search tries only the colour
+counts below it, and the composed colouring is the witness if every one
+of them is refuted.
+
+`exact_aci` is the solver's one check site: `check_acyclic` runs once, on
+the witness it returns.  That is sound: `lower` comes only from
+`lower_bound` and refuted levels, never from a colouring; a valid
+composed colouring never uses fewer colours than `lower_bound`, and a
+defective one, even one that uses fewer, is either dropped or returned
+and fails the check; and a defect in an inner fold, or in a factor's
+search witness, reaches the returned colouring through an injective
+relabelling (see `compose`), so the one check catches it too.
 
 The tactic is tried only where the counts allow a product.  A product of
 connected factors G and H on a and b >= 2 vertices has n = a * b, minimum
@@ -74,25 +81,25 @@ class SearchBudget(Record):
 
 
 class AciResult(Record):
-    """Outcome of an exact solve.
-
-    On success `aci` is the exact value, `witness` a verified colouring with
-    exactly `aci` colours, and lower == aci == upper.  If the budget ran out
-    while the certified lower bound was below the best colouring known,
-    `aci` and `witness` are None, `exhausted` is True, and [lower, upper]
-    are the best certified bounds; `upper` counts the colours of the
-    greedy colouring or of the product tactic's colouring, whichever uses
-    fewer.  If that colouring meets the lower bound, it is the witness and
-    the result is exact.
-
-    `tactic` names what produced the witness, or, for an exhausted result,
-    the colouring behind `upper`: "search" (the backtracking search),
-    "factor" (the paper's construction on a recognised product, see
-    `exact_aci`) or "greedy".  `nodes` counts every search node
-    placed, in the factors' solves as well, and `seconds` the wall time.
+    """Outcome of an exact solve: certified bounds lower <= a'(g) <= upper
+    and `witness`, a colouring of g with `upper` colours checked by
+    `exact_aci`; when the budget ran out it is greedy's or the product
+    tactic's, whichever uses fewer.  `aci` (exact, or None) and `exhausted`
+    are read off the bounds, so neither can disagree with them.  `tactic`
+    names the witness's maker: "search", "factor" (the product tactic) or
+    "greedy".  `nodes` counts every search node placed, the factors' solves'
+    included, and `seconds` the wall time up to the final check.
     """
 
-    __slots__ = ("aci", "witness", "nodes", "seconds", "exhausted", "lower", "upper", "tactic")
+    __slots__ = ("witness", "nodes", "seconds", "lower", "upper", "tactic")
+
+    @property
+    def aci(self) -> Optional[int]:
+        return self.lower if self.lower == self.upper else None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.lower != self.upper
 
 
 class _OutOfBudget(Exception):
@@ -245,66 +252,43 @@ def _search(
     nodes: int = 0,
     bound: Optional[EdgeColouring] = None,
 ) -> AciResult:
-    """Exact acyclic chromatic index by search, with a verified witness.
+    """Exact acyclic chromatic index by search, or certified bounds.
 
-    The search tries k = max(lower_bound, 1), k + 1, ... and counts its
-    nodes on from `nodes`, against a budget whose clock started at `t0`.
-    `bound` is a verified single-family colouring of g from the product
-    tactic: only the k below its colour count are searched, and if all of
-    them are refuted it is the exact witness.
+    The search tries k = lower_bound, k + 1, ..., never backtracking at
+    k = m, and counts nodes on from `nodes` against a budget whose clock
+    started at `t0`.  `bound`, the product tactic's colouring, limits it
+    to the k below its colour count and is the witness if all of them are
+    refuted.  If the search at k runs out of budget, k is the lower bound
+    and the better of greedy and `bound` the witness and upper bound.
     """
     budget = budget or SearchBudget()
     t0 = time.perf_counter() if t0 is None else t0
-
-    if g.m == 0:
-        witness = EdgeColouring.single_family(g, [], 0)
-        return AciResult(0, witness, nodes, time.perf_counter() - t0, False, 0, 0, "search")
-
     order = _edge_order(g)
-    start = max(lower_bound(g), 1)
     stop = g.m + 1 if bound is None else colours_used(bound)
-    for k in range(start, stop):
+    for k in range(lower_bound(g), stop):
         try:
             found, nodes = _first_colouring(g, order, k, budget, t0, nodes)
         except _OutOfBudget as exc:
-            return _exhausted(g, k, exc.nodes, t0, bound)
+            best, tactic = greedy_acyclic(g), "greedy"
+            if bound is not None and colours_used(bound) <= colours_used(best):
+                best, tactic = bound, "factor"
+            seconds = time.perf_counter() - t0
+            return AciResult(best, exc.nodes, seconds, k, colours_used(best), tactic)
         if found is not None:
             witness = EdgeColouring.single_family(g, found, k)
-            bad = check_acyclic(witness)
-            if bad is not None:
-                raise RuntimeError(f"solver produced an invalid witness: {bad}")
-            return AciResult(k, witness, nodes, time.perf_counter() - t0, False, k, k, "search")
-    if bound is None:
-        raise RuntimeError("unreachable: m distinct colours are always acyclic")
+            return AciResult(witness, nodes, time.perf_counter() - t0, k, k, "search")
     # every k from the certified lower bound up to the bound's count failed
-    k = stop
-    return AciResult(k, bound, nodes, time.perf_counter() - t0, False, k, k, "factor")
-
-
-def _exhausted(
-    g: Graph, k: int, nodes: int, t0: float, bound: Optional[EdgeColouring]
-) -> AciResult:
-    """The result when the search at k runs out of budget: k is a certified
-    lower bound, and the better of greedy and `bound` the upper one."""
-    best, tactic = greedy_acyclic(g), "greedy"
-    if bound is not None and colours_used(bound) <= colours_used(best):
-        best, tactic = bound, "factor"
-    upper = colours_used(best)
-    seconds = time.perf_counter() - t0
-    if upper == k:
-        # the colouring (already verified) meets the certified lower bound
-        return AciResult(k, best, nodes, seconds, False, k, k, tactic)
-    return AciResult(None, None, nodes, seconds, True, k, upper, tactic)
+    return AciResult(bound, nodes, time.perf_counter() - t0, stop, stop, "factor")
 
 
 def greedy_acyclic(g: Graph, seed: int = 0) -> EdgeColouring:
     """First-fit acyclic colouring, opening a new colour when none fits.
 
     Seed 0 keeps the natural edge order; any other seed shuffles it.  This
-    is the exact search with k = m, which never backtracks: a colour
-    incident to neither endpoint passes both checks, so the next unopened
-    colour always fits, and first-fit never needs more than 2(Δ-1)+1
-    colours.  It places exactly m nodes, so its budget never runs out.
+    is the exact search with k = m, which never backtracks: a colour used
+    nowhere yet always fits, though one merely absent from both endpoints
+    may close a cycle.  It places exactly m nodes, so its budget never runs
+    out.
     """
     order = list(range(g.m))
     if seed != 0:
@@ -320,8 +304,13 @@ def greedy_acyclic(g: Graph, seed: int = 0) -> EdgeColouring:
 
 
 def exact_aci(g: Graph, budget: Optional[SearchBudget] = None) -> AciResult:
-    """Exact acyclic chromatic index with a verified witness."""
-    return _exact(g, budget or SearchBudget(), time.perf_counter(), 0)
+    """Exact acyclic chromatic index, or certified bounds when the budget
+    runs out, with a witness checked here, the solver's one check site."""
+    result = _exact(g, budget or SearchBudget(), time.perf_counter(), 0)
+    bad = check_acyclic(result.witness)
+    if bad is not None:
+        raise RuntimeError(f"solver produced an invalid colouring: {bad}")
+    return result
 
 
 def _exact(g: Graph, budget: SearchBudget, t0: float, nodes: int) -> AciResult:
@@ -362,13 +351,9 @@ def _by_factors(
     for factor in (f.g, f.h):
         result = _exact(factor, budget, t0, nodes)
         nodes = result.nodes
-        if result.witness is None:
+        if result.exhausted:
             return None, nodes
         witnesses.append(result.witness)
     x = _compose(*witnesses)
     colours = [x.colours[x.graph.edge_index(f.vertex[u], f.vertex[v])] for u, v in g.edges]
-    witness = EdgeColouring.single_family(g, colours, x.palette.size)
-    bad = check_acyclic(witness)
-    if bad is not None:
-        raise RuntimeError(f"product tactic produced an invalid colouring: {bad}")
-    return witness, nodes
+    return EdgeColouring.single_family(g, colours, x.palette.size), nodes

@@ -221,6 +221,58 @@ def test_compose_with_explicit_colourings(tmp_path, capsys):
     assert colours_used(x) == 4
 
 
+def _counting_edge_list_parses(monkeypatch) -> list:
+    parsed = []
+    real = io.parse_edge_list
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(io, "parse_edge_list", counting)
+    return parsed
+
+
+def _explicit_factors(tmp_path, g: Graph, h: Graph) -> list[str]:
+    argv = ["compose"]
+    for name, graph in [("g", g), ("h", h)]:
+        el = tmp_path / f"{name}.el"
+        el.write_text(format_edge_list(graph))
+        cj = tmp_path / f"{name}.json"
+        cj.write_text(format_colouring(exact_aci(graph).witness))
+        argv += [f"--{name}", str(el), f"--x{name}", str(cj)]
+    return argv
+
+
+def test_compose_matches_writer_form_graph_files_without_parsing(tmp_path, capsys, monkeypatch):
+    # as in verify, a graph file holding the writer's text for the
+    # colouring's graph is that graph
+    argv = _explicit_factors(tmp_path, path(3), cycle(5))
+    parsed = _counting_edge_list_parses(monkeypatch)
+    assert run(*argv) == 0
+    assert parsed == []
+    x = EdgeColouring.from_json_dict(json.loads(capsys.readouterr().out))
+    assert x.graph == cartesian_product(path(3), cycle(5))[0]
+
+
+def test_compose_parses_and_compares_a_shuffled_graph_file(tmp_path, capsys, monkeypatch):
+    argv = _explicit_factors(tmp_path, path(3), cycle(5))
+    assert run(*argv) == 0
+    want = capsys.readouterr().out
+    h = tmp_path / "h.el"
+    head, *lines = h.read_text().splitlines()
+    flipped = [" ".join(line.split()[::-1]) for line in reversed(lines)]
+    h.write_text("\n".join(["# shuffled", head, *flipped]) + "\n")
+    parsed = _counting_edge_list_parses(monkeypatch)
+    assert run(*argv) == 0
+    assert len(parsed) == 1 and capsys.readouterr().out == want
+    # a parsed file for another graph is still rejected
+    h.write_text("# five vertices\n5 4\n0 1\n1 2\n2 3\n3 4\n")
+    assert run(*argv) == 2
+    err = f"error: colouring in {tmp_path / 'h.json'} is for a different graph\n"
+    assert capsys.readouterr() == ("", err)
+
+
 def test_compose_rejects_mismatched_colouring(tmp_path, capsys):
     el = tmp_path / "c4.el"
     el.write_text(format_edge_list(cycle(4)))
@@ -502,7 +554,26 @@ def test_a_file_with_several_faults_names_the_one_its_reader_checks_first(tmp_pa
     rows = [[0, 5, "0"], [0, 1, "0"], [1, 0, "1"]]
     doc.write_text(json.dumps({"n": 3, "palette": {"g": 2, "h": 0}, "edges": rows}))
     assert run("verify", str(doc)) == 2
-    assert capsys.readouterr() == ("", "error: edge (0, 1) is listed twice\n")
+    err = f"error: colouring JSON in {doc}: edge (0, 1) is listed twice\n"
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("flag", ["--xg", "--xh"])
+def test_compose_names_a_colouring_file_with_bad_content(tmp_path, capsys, flag):
+    el = tmp_path / "p3.el"
+    el.write_text(format_edge_list(path(3)))
+    good = tmp_path / "good.json"
+    good.write_text(format_colouring(exact_aci(path(3)).witness))
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    files = {"--xg": good, "--xh": good, flag: bad}
+    argv = ["compose", "--g", str(el), "--h", str(el)]
+    for name, f in files.items():
+        argv += [name, str(f)]
+    assert run(*argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: colouring JSON in {bad}: colouring JSON must be an object\n"
+    )
 
 
 def test_scan_corpus(capsys):
@@ -853,7 +924,7 @@ def test_an_exhausted_budget_prints_the_encoders_line(tmp_path, capsys):
     assert doc["exhausted"] is True
     assert out == json.dumps(doc) + "\n"
     for seconds in (0.0, 0.0004, 2.5, 1234.56789, 1e16):
-        result = AciResult(None, None, 12, seconds, True, 7, 9, "greedy")
+        result = AciResult(None, 12, seconds, 7, 9, "greedy")
         assert cli._report_exhausted(result) == 3
         doc = {"exhausted": True, "lower": 7, "upper": 9, "nodes": 12,
                "time_secs": round(seconds, 3)}

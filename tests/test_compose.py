@@ -376,15 +376,17 @@ def test_hypercube_colouring_checks_each_factor_and_the_cube_once(monkeypatch, d
 
 
 def test_exact_aci_checks_each_colouring_once_per_boundary(monkeypatch):
-    # Q6 factorises as K2 x Q5 down to K2 x K2, the four-cycle: 6 K2
-    # witnesses checked by the search, and 1 check per level Q2..Q6 of the
-    # composed colouring mapped onto the input; compose's own entry checks
-    # are not on this path
+    # Q6 factorises as K2 x Q5 down to K2 x K2, the four-cycle; neither the
+    # factors' witnesses nor the inner folds are checked, since each reaches
+    # the returned colouring through an injective relabelling, and compose's
+    # own entry checks are not on this path
     checked = _count_checks(monkeypatch, "solver", "compose")
-    result = exact_aci(hypercube(6))
-    assert result.aci == 7 and result.tactic == "factor"
-    assert sorted(x.graph.n for x in checked) == [2] * 6 + [4, 8, 16, 32, 64]
-    assert checked[-1] is result.witness
+    k5p2 = cartesian_product(complete(5), path(2))[0]
+    for g, aci in [(hypercube(6), 7), (grid(8, 8), 4), (k5p2, 6)]:
+        checked.clear()
+        result = exact_aci(g)
+        assert result.aci == aci and result.tactic == "factor"
+        assert len(checked) == 1 and checked[0] is result.witness
 
 
 def _all_zero(g: Graph) -> VertexColouring:
@@ -410,6 +412,26 @@ def test_a_defect_in_an_inner_fold_fails_the_final_check(monkeypatch):
     with pytest.raises(RuntimeError, match="failed verification"):
         compose_many([xp] * 3)
     assert len(calls) == 2
+
+
+def test_a_defect_in_exact_acis_innermost_fold_fails_its_one_check(monkeypatch):
+    # Q4 folds K2 x K2, then K2 x Q2 and K2 x Q3; with all-zero shifts the
+    # four-cycle gets 2 colours, a two-coloured cycle, below its lower
+    # bound, so no level is searched and each later fold relabels it
+    module = importlib.import_module("boxcolour.compose")
+    real = module.brooks_colouring
+    calls = []
+
+    def first_call_broken(g):
+        calls.append(g)
+        return _all_zero(g) if len(calls) == 1 else real(g)
+
+    monkeypatch.setattr(module, "brooks_colouring", first_call_broken)
+    checked = _count_checks(monkeypatch, "solver", "compose")
+    with pytest.raises(RuntimeError, match="solver produced an invalid colouring"):
+        exact_aci(hypercube(4))
+    assert len(calls) == 3
+    assert len(checked) == 1 and checked[0].graph == hypercube(4)
 
 
 def test_a_defective_construction_never_leaves_compose_or_exact_aci(monkeypatch):

@@ -367,11 +367,10 @@ _RECORDS = [
     ),
     (
         AciResult,
-        {"aci": 2, "witness": None, "nodes": 3, "seconds": 0.5, "exhausted": False,
-         "lower": 2, "upper": 2, "tactic": "search"},
+        {"witness": None, "nodes": 3, "seconds": 0.5, "lower": 2, "upper": 2,
+         "tactic": "search"},
         {},
-        "AciResult(aci=2, witness=None, nodes=3, seconds=0.5, exhausted=False, "
-        "lower=2, upper=2, tactic='search')",
+        "AciResult(witness=None, nodes=3, seconds=0.5, lower=2, upper=2, tactic='search')",
         [],
     ),
 ]

@@ -1,4 +1,6 @@
+import importlib
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,12 +130,23 @@ def test_budget_validation():
 def test_budget_exhaustion_reports_bounds():
     r = exact_aci(complete(7), SearchBudget(max_nodes=5, max_time=60))
     assert r.exhausted
-    assert r.aci is None and r.witness is None
+    assert r.aci is None
     # K7 is 6-regular, so the search floor is 7; 5 nodes cannot settle it
-    assert r.lower == 7
-    assert r.upper >= r.lower
-    assert r.nodes >= 5
-    assert r.tactic == "greedy"
+    assert (r.lower, r.upper, r.nodes, r.tactic) == (7, 9, 6, "greedy")
+    # greedy's colouring stays behind the upper bound
+    assert r.witness == greedy_acyclic(complete(7))
+    assert colours_used(r.witness) == r.upper
+
+
+def test_aci_and_exhausted_are_read_off_the_bounds():
+    exact = AciResult(None, 3, 0.5, 2, 2, "search")
+    assert (exact.aci, exact.exhausted) == (2, False)
+    open_bracket = AciResult(None, 3, 0.5, 2, 3, "greedy")
+    assert (open_bracket.aci, open_bracket.exhausted) == (None, True)
+    for name in ("aci", "exhausted"):
+        assert name not in AciResult.__slots__
+        with pytest.raises(AttributeError):
+            setattr(exact, name, 5)
 
 
 def test_budget_exhaustion_with_meeting_bounds_is_exact():
@@ -152,10 +165,51 @@ def test_budget_exhaustion_keeps_the_composed_upper_bound():
     g = cartesian_product(cycle(5), cycle(7))[0]
     truth = exact_aci(g).aci
     r = exact_aci(g, SearchBudget(max_nodes=50, max_time=60))
-    assert r.exhausted and r.aci is None and r.witness is None
-    assert (r.lower, r.upper, r.tactic) == (5, 6, "factor")
+    assert r.exhausted and r.aci is None
+    assert (r.lower, r.upper, r.nodes, r.tactic) == (5, 6, 51, "factor")
     assert colours_used(greedy_acyclic(g)) > 6
     assert r.lower <= truth <= r.upper
+    # the composed colouring, which the full solve's search beats, is the
+    # witness behind the upper bound
+    assert r.witness.graph == g and colours_used(r.witness) == 6
+    assert exact_aci(g).witness != r.witness
+
+
+def _perfbench_checker():
+    # the benchmark's independent checker, imported as tests/test_surface.py
+    # imports the tracer
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(perfbench)
+        return importlib.import_module("check")
+
+
+@pytest.mark.parametrize(
+    "g, max_nodes, tactic",
+    [(complete(7), 5, "greedy"), (cartesian_product(cycle(5), cycle(7))[0], 50, "factor")],
+    ids=["K7-greedy", "C5xC7-factor"],
+)
+def test_every_exhausted_result_carries_its_upper_colouring(g, max_nodes, tactic):
+    r = exact_aci(g, SearchBudget(max_nodes=max_nodes, max_time=60))
+    assert r.exhausted and r.tactic == tactic
+    assert colours_used(r.witness) == r.upper
+    assert check_acyclic(r.witness) is None
+    check = _perfbench_checker()
+    x = check.check_colouring(r.witness.to_json_dict(), g.n, list(g.edges), r.upper)
+    assert len(x.used()) == r.upper
+
+
+_SMALL = connected_graphs_up_to(6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_SMALL), st.integers(1, 50))
+def test_any_budget_brackets_the_index_with_a_checked_colouring(g, max_nodes):
+    r = exact_aci(g, SearchBudget(max_nodes=max_nodes, max_time=60))
+    assert r.lower <= brute_aci(g) <= r.upper
+    assert check_acyclic(r.witness) is None
+    assert r.witness.graph == g and colours_used(r.witness) == r.upper
+    assert (r.aci is None) == r.exhausted
 
 
 @pytest.mark.parametrize(
@@ -236,6 +290,13 @@ def test_greedy_examples():
     x = greedy_acyclic(complete(6))
     assert 5 <= colours_used(x) <= 15
     assert check_acyclic(x) is None
+
+
+def test_greedy_may_open_a_colour_absent_from_both_endpoints():
+    # on the four-cycle 0-1-2-3, colour 0 is at neither end of (2, 3), yet
+    # it would close 2-1-0-3 with colour 1, so the edge opens colour 2
+    g = Graph(4, [(0, 1), (0, 3), (1, 2), (2, 3)])
+    assert greedy_acyclic(g).colours == (0, 1, 1, 2)
 
 
 def test_greedy_seeds():
