@@ -6,28 +6,36 @@ the wire tells the two families apart: rank r is written "r" below g_size
 and "j'" for r = g_size + j, by `colour_label` and `parse_colour_label`.
 
 The verifier here is the trusted oracle for every other module.  One pass
-over the edges builds, per colour, a mate map: vertex -> the other end of
-its edge of that colour; a vertex met twice by one colour makes the
-colouring improper, and a second pass over the edges then picks the
-witness.  In a proper colouring any two colour classes form a subgraph
-of maximum degree 2, a union of paths and cycles, so acyclicity is a walk
-along those alternating paths, once per colour pair, over the mate map of
-the smaller class.  The walks mark vertices in one list of n integers, each
-pair with a stamp of its own, so no pair allocates a set: O(k*m) time over
-all pairs and O(n + m) memory.  A colour used on one edge is never walked,
-since a two-coloured cycle holds at least two edges of each colour, and
-neither is a pair whose classes share no vertex.  The pairs that share
-one are found by testing each of the k(k-1)/2 pairs of the k classes with
-two or more edges while those pairs number at most 4m; beyond that, each
-vertex lists its classes once, in O(m) memory, and each class finds its
-partners at its vertices, a step per pair and shared vertex, which the
-pair's walk pays anyway.  Either way the pairs come in rank order, so
-the walks, and the witness, are the same.  The walk only detects a
-cycle.  The witness, in the first pair that has one, is the cycle closed by
-the first edge of the pair, in index order, whose ends a union-find pass
-over the pair's earlier edges has already joined; it is read off the two
-mate maps.  This is the rule of the brute-force reference in the tests and
-of the benchmark's independent checker, so all three name the same cycle.
+over the edges fills, per colour used on two or more edges, its mates:
+vertex -> the other end of its edge of that colour, -1 where it has none.
+A class with at least n/8 edges keeps them in a list of n, which costs
+about what a dict of its mates would at that share; a smaller class keeps
+them in a dict that reads -1 for a vertex it lacks, so one walk reads
+both by subscript.  At most 8m/n classes reach the share, so the lists hold
+at most 8m slots.  The same pass records one end of each edge of a dense
+class, where its walks start; a sparse class starts from its dict's keys.
+A class that covers fewer than two vertices per edge makes the colouring
+improper, and a second pass over the edges then picks the witness.  In a
+proper colouring any two colour classes form a subgraph of maximum degree
+2, a union of paths and cycles, so acyclicity is a walk along those
+alternating paths, once per colour pair, from the class with fewer starts.
+The walks mark vertices in one list of n integers, each pair with a stamp
+of its own, so no pair allocates a set: O(k*m) time over all pairs and
+O(n + m) memory.  A colour used on one edge is never walked, since a
+two-coloured cycle holds at least two edges of each colour, and neither is
+a pair whose classes are known to share no vertex.  While the k(k-1)/2
+pairs of the k classes with two or more edges number at most 4m, each pair
+of sparse classes is tested, and a pair with a dense class is walked
+untested, since a list offers no faster test than the walk; beyond that,
+each vertex lists its classes once, in O(m) memory, and each class finds
+its partners at its vertices, a step per pair and shared vertex, which the
+pair's walk pays anyway.  Either way the pairs come in rank order, so the
+walks, and the witness, are the same.  The walk only detects a cycle.  The witness, in the first pair that
+has one, is the cycle closed by the first edge of the pair, in index
+order, whose ends a union-find pass over the pair's earlier edges has
+already joined; it is read off the two classes' mates.  This is the rule
+of the brute-force reference in the tests and of the benchmark's
+independent checker, so all three name the same cycle.
 
 Library code checks each colouring once per trust boundary, where it
 leaves the code that built it or enters from a caller.  Greedy checks
@@ -41,6 +49,7 @@ which its factors' witnesses and inner folds are relabelled the same way.
 
 from __future__ import annotations
 
+from collections import _count_elements
 from typing import Iterable, Iterator, Optional, Union
 
 from .graphs import (
@@ -296,20 +305,55 @@ def canonical_cycle(vertices: Iterable[int]) -> tuple[int, ...]:
 # Checks
 
 
-def _mate_maps(x: EdgeColouring) -> Optional[dict[int, dict[int, int]]]:
-    """Per colour used, vertex -> the other end of its edge of that colour;
+# a colour class with at least n / _DENSE_SHARE edges keeps its mates in a
+# list of n; at most _DENSE_SHARE * m / n classes reach that share, so the
+# lists hold at most _DENSE_SHARE * m slots
+_DENSE_SHARE = 8
+
+
+class _SparseMates(dict):
+    """The mates of a class below the dense share: vertex -> mate, where a
+    vertex the class does not cover reads -1, as in a dense class's list."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> int:
+        return -1
+
+
+_Mates = Union[list[int], _SparseMates]
+
+
+def _mate_maps(x: EdgeColouring) -> Optional[dict[int, tuple[_Mates, Iterable[int]]]]:
+    """Per colour used on two or more edges, its mates (vertex -> the other
+    end of its edge of that colour, -1 where it has none) and the vertices
+    a walk over it starts from: one end of each edge, in index order, for a
+    dense class, and the keys of its dict, both ends, for a sparse one;
     None if some vertex meets two edges of one colour."""
-    mates: dict[int, dict[int, int]] = {}
+    n = x.graph.n
+    # Counter's own counting loop, without Counter's Python-level set-up,
+    # which costs more than the rest of the check on a 7-vertex graph
+    sizes: dict[int, int] = {}
+    _count_elements(sizes, x.colours)
+    classes = {}
+    for c, size in sizes.items():
+        if size > 1:  # a colour on one edge is never paired
+            mate = [-1] * n if size * _DENSE_SHARE >= n else _SparseMates()
+            classes[c] = (mate, [] if type(mate) is list else mate)
     for (u, v), c in zip(x.graph.edges, x.colours):
-        mate = mates.get(c)
-        if mate is None:
-            mates[c] = {u: v, v: u}
-        elif u in mate or v in mate:
-            return None
-        else:
+        entry = classes.get(c)
+        if entry is not None:
+            mate, starts = entry
             mate[u] = v
             mate[v] = u
-    return mates
+            if starts is not mate:
+                starts.append(u)
+    # a class is a matching iff its edges cover twice as many vertices
+    for c, (mate, _) in classes.items():
+        covered = n - mate.count(-1) if type(mate) is list else len(mate)
+        if covered != 2 * sizes[c]:
+            return None
+    return classes
 
 
 def _first_clash(x: EdgeColouring) -> Optional[NotProper]:
@@ -337,48 +381,47 @@ def check_proper_vertex(y: VertexColouring) -> Optional[Edge]:
 
 
 def _has_cycle(
-    mate_a: dict[int, int], mate_b: dict[int, int], seen: list[int], stamp: int,
+    starts_a: Iterable[int], mate_a: _Mates, mate_b: _Mates, seen: list[int], stamp: int,
 ) -> bool:
-    """Whether the union of two matchings, given by their mate maps, holds a
-    cycle.  Its components are paths and cycles; each one holding an edge
-    of `a` is walked once, so pass the smaller matching as `a`.  A vertex
-    is marked by setting its entry of `seen` to `stamp`, which must differ
-    from every entry already there."""
-    for u in mate_a:
+    """Whether the union of two matchings, given by their mates and by at
+    least one end of each edge of `a`, holds a cycle.  Its components are
+    paths and cycles; each one holding an edge of `a` is walked once, so
+    pass the smaller matching as `a`.  A vertex is marked by setting its
+    entry of `seen` to `stamp`, which must differ from every entry already
+    there."""
+    for u in starts_a:
         if seen[u] == stamp:
             continue
         # forward from u along its a-edge; a cycle closes back at u
         w = mate_a[u]
         seen[w] = stamp
         while True:
-            v = mate_b.get(w)
-            if v is None:
-                break
+            v = mate_b[w]
             if v == u:
                 return True
-            w = mate_a.get(v)
-            if w is None:
+            if v < 0:
+                break
+            w = mate_a[v]
+            if w < 0:
                 break
             seen[v] = seen[w] = stamp
         # an open path: mark the a-edges on u's other side as well
-        v = mate_b.get(u)
-        while v is not None:
-            w = mate_a.get(v)
-            if w is None:
+        v = mate_b[u]
+        while v >= 0:
+            w = mate_a[v]
+            if w < 0:
                 break
             seen[v] = seen[w] = stamp
-            v = mate_b.get(w)
+            v = mate_b[w]
     return False
 
 
-def _cycle_witness(
-    x: EdgeColouring, a: int, b: int, mate_a: dict[int, int], mate_b: dict[int, int],
-) -> list[int]:
+def _cycle_witness(x: EdgeColouring, a: int, b: int, mate_a: _Mates, mate_b: _Mates) -> list[int]:
     """The cycle closed by the first edge coloured a or b, in index order,
     whose ends a union-find pass over the earlier such edges has already
     joined, as a vertex sequence; the {a, b} subgraph must hold a cycle.
     That subgraph has maximum degree 2, so the edge's component is the
-    cycle itself, read off the mate maps of a and b from one of its ends."""
+    cycle itself, read off the mates of a and b from one of its ends."""
     parent = list(range(x.graph.n))
     for (u, v), c in zip(x.graph.edges, x.colours):
         if (c == a or c == b) and not _union(parent, u, v):
@@ -399,20 +442,28 @@ def _cycle_witness(
 _PAIRS_PER_EDGE = 4
 
 
-def _meeting_pairs(ends: list, n: int, m: int) -> Iterator[tuple[int, int]]:
-    """The pairs i < j of classes whose vertex sets `ends[i]` and `ends[j]`
-    meet, in lexicographic order, for a graph of order n and size m.  While
-    the k classes give at most `_PAIRS_PER_EDGE` pairs per edge, each pair
-    is tested; beyond that, each vertex lists its classes once, in O(m)
-    memory, and class i's partners are the classes j > i listed at its
+def _meeting_pairs(
+    classes: list[tuple[_Mates, Iterable[int]]], n: int, m: int,
+) -> Iterator[tuple[int, int]]:
+    """The pairs i < j of classes, each given by its mates and starts, that
+    may share a vertex, in lexicographic order, for a graph of order n and
+    size m.  While the k classes give at most `_PAIRS_PER_EDGE` pairs per
+    edge, each pair of sparse classes is tested and every pair with a dense
+    class is passed; beyond that, each vertex lists its classes once, in
+    O(m) memory, and class i's partners are the classes j > i listed at its
     vertices."""
-    k = len(ends)
+    k = len(classes)
     if k * (k - 1) // 2 <= _PAIRS_PER_EDGE * m:
-        for i, ends_a in enumerate(ends):
+        sparse = [mate.keys() if type(mate) is _SparseMates else None for mate, _ in classes]
+        for i, ends_a in enumerate(sparse):
             for j in range(i + 1, k):
-                if not ends_a.isdisjoint(ends[j]):
+                if ends_a is None or sparse[j] is None or not ends_a.isdisjoint(sparse[j]):
                     yield i, j
         return
+    ends = [
+        starts if type(mate) is _SparseMates else starts + [mate[u] for u in starts]
+        for mate, starts in classes
+    ]
     at: list[list[int]] = [[] for _ in range(n)]
     for i, ends_a in enumerate(ends):
         for v in ends_a:
@@ -428,7 +479,7 @@ def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
     An improper colouring yields the first colour met twice at a vertex,
     vertices and their incident edges taken in index order.  Otherwise
     colour pairs are scanned in rank order, skipping colours used on a
-    single edge and pairs whose classes share no vertex, and within the
+    single edge and pairs found to share no vertex, and within the
     first pair holding a cycle the witness is the cycle closed by the first
     edge, in index order, whose ends the pair's earlier edges already join.
     Memory is O(n + m), whatever the number of colours.
@@ -436,19 +487,21 @@ def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
     mates = _mate_maps(x)
     if mates is None:
         return _first_clash(x)
-    # a two-coloured cycle holds at least two edges of each colour
-    paired = sorted(c for c, mate in mates.items() if len(mate) > 2)
+    paired = sorted(mates)
     classes = [mates[c] for c in paired]
-    ends = [mate.keys() for mate in classes]
     # one mark list for every walk: each pair marks with a stamp of its own
     seen = [0] * x.graph.n
     stamp = 0
-    for i, j in _meeting_pairs(ends, x.graph.n, x.graph.m):
-        mate_a, mate_b = classes[i], classes[j]
-        # the walks start from the smaller class; the cycle found is the same
-        small, large = (mate_a, mate_b) if len(mate_a) <= len(mate_b) else (mate_b, mate_a)
+    for i, j in _meeting_pairs(classes, x.graph.n, x.graph.m):
+        (mate_a, starts_a), (mate_b, starts_b) = classes[i], classes[j]
         stamp += 1
-        if _has_cycle(small, large, seen, stamp):
+        # the walks start from the class with fewer starts; the cycle found
+        # is the same
+        if len(starts_b) < len(starts_a):
+            cyclic = _has_cycle(starts_b, mate_b, mate_a, seen, stamp)
+        else:
+            cyclic = _has_cycle(starts_a, mate_a, mate_b, seen, stamp)
+        if cyclic:
             witness = _cycle_witness(x, paired[i], paired[j], mate_a, mate_b)
             a, b = (colour_label(c, x.palette.g_size) for c in (paired[i], paired[j]))
             return BichromaticCycle(a, b, canonical_cycle(witness))

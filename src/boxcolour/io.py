@@ -249,10 +249,12 @@ def graph_file_matches(path: PathLike, fmt: str, g: Graph) -> bool:
     as `load_graph` does.  An edge list is read once: if its text is
     `format_edge_list(g)`, it is `g`, since the writer emits one text per
     graph and parsing that text rebuilds `g`; any other text is parsed and
-    compared."""
+    compared.  The writer's text is built only for a file that opens with
+    its header line and first edge line."""
     if fmt != "edgelist":
         return load_graph(path, fmt) == g
     text = _read_text(path)
-    if text.startswith(f"{g.n} {g.m}\n") and text == format_edge_list(g):
+    head = f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges[:1])
+    if text.startswith(head) and text == format_edge_list(g):
         return True
     return _parse_edge_list_file(text, path) == g

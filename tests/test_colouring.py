@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 import time
 import tracemalloc
 from unittest import mock
@@ -524,3 +526,105 @@ def test_check_acyclic_matches_the_reference_with_many_colours(n, data):
     assert check_acyclic(x) == want
     with mock.patch.object(colouring, "_PAIRS_PER_EDGE", 0):
         assert check_acyclic(x) == want
+
+
+_DENSE, _SPARSE = (0, 1, 2), (3, 4, 5, 6)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` have passed, so that a
+    walk that never ends fails its test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@given(
+    st.integers(24, 48),
+    st.sampled_from([None, (_DENSE, _DENSE), (_DENSE, _SPARSE), (_SPARSE, _SPARSE)]),
+    st.booleans(),
+    st.data(),
+)
+def test_check_acyclic_matches_the_references_on_dense_and_sparse_classes(n, planted, clash, data):
+    # a class with at least n/8 edges keeps its mates in a list of n, a
+    # smaller one in a dict.  Colours 0-2 get at least n/8 edges each and
+    # colours 3-6 two to n/8 - 1, so dense-dense, dense-sparse and
+    # sparse-sparse pairs are all walked.  An even cycle alternating two
+    # colours of the drawn kinds may be planted, and one edge may take the
+    # colour of an edge it meets.  Checked as they come and again with the
+    # pairs that meet listed from the vertices.
+    share = -(-n // 8)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    at = [set() for _ in range(n)]
+    coloured = {}
+
+    def add(u, v, c):
+        coloured[(u, v) if u < v else (v, u)] = c
+        at[u].add(c)
+        at[v].add(c)
+
+    if planted is not None:
+        a = data.draw(st.sampled_from(planted[0]))
+        b = data.draw(st.sampled_from([c for c in planted[1] if c != a]))
+        longest = n if planted[1] is _DENSE else 2 * (share - 1)
+        ring = rng.sample(range(n), data.draw(st.sampled_from(range(4, longest + 1, 2))))
+        for i, u in enumerate(ring):
+            add(u, ring[i - 1], a if i % 2 else b)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for c in _DENSE + _SPARSE:
+        size = sum(1 for d in coloured.values() if d == c)
+        target = share + rng.randrange(share) if c in _DENSE else rng.randrange(2, share)
+        for u, v in rng.sample(pairs, len(pairs)):
+            if size >= target:
+                break
+            if (u, v) not in coloured and c not in at[u] | at[v]:
+                add(u, v, c)
+                size += 1
+    x = from_edge_map(Graph(n, coloured), coloured, ColourPalette(7))
+    sizes = [x.colours.count(c) for c in range(7)]
+    assert all(size * 8 >= n for size in sizes[:3])
+    assert all(2 <= size and size * 8 < n for size in sizes[3:])
+    if clash:
+        # recolour an edge to the colour of an edge at one of its ends
+        i, c = rng.choice([
+            (i, c) for i, (u, v) in enumerate(x.graph.edges)
+            for c in sorted(at[u] | at[v]) if c != x.colours[i]
+        ])
+        colours = list(x.colours)
+        colours[i] = c
+        x = EdgeColouring(x.graph, colours, x.palette)
+    want = first_clash(x)
+    if want is None:
+        want = bichromatic_cycle(x)
+        assert want is not None or planted is None
+    assert clash == isinstance(want, NotProper)
+    with _time_limit(1):
+        assert check_acyclic(x) == want
+        with mock.patch.object(colouring, "_PAIRS_PER_EDGE", 0):
+            assert check_acyclic(x) == want
+
+
+def test_classes_at_the_dense_share_verify_in_linear_memory():
+    # C16000 with colour i on edges i mod 8: every class has exactly n/8
+    # edges, the fewest that keep a class's mates in a list of n, so the
+    # lists hold 8m slots, the most the share allows
+    n = 16_000
+    tracemalloc.start()
+    try:
+        x = EdgeColouring.single_family(cycle(n), [i % 8 for i in range(n)], 8)
+        own = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert check_acyclic(x) is None
+        extra = tracemalloc.get_traced_memory()[1] - own
+    finally:
+        tracemalloc.stop()
+    assert extra < 2 * own

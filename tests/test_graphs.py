@@ -495,7 +495,7 @@ def test_reading_comparing_checking_and_writing_build_no_index(tmp_path):
         assert format_edge_list(h).count("\n") == h.m + 1
         assert repr(h) == f"Graph(n={h.n}, m={h.m})"
     assert check_acyclic(x) is None
-    # a cycle's witness is read off the mate maps, and connectivity off a
+    # a cycle's witness is read off the classes' mates, and connectivity off a
     # union-find over the sorted edges
     rejected = EdgeColouring.single_family(cycle(6), [0, 1, 1, 0, 1, 0], 2)
     assert isinstance(check_acyclic(rejected), BichromaticCycle)

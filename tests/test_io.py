@@ -1,6 +1,8 @@
 import json
+import random
 import re
 import tracemalloc
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -11,13 +13,15 @@ from bruteforce import (
     graph as reference_graph,
 )
 from boxcolour.colouring import ColourPalette, EdgeColouring, check_acyclic
-from boxcolour.graphs import MAX_VERTICES, Graph, complete, cycle, path
+from boxcolour import io
+from boxcolour.graphs import MAX_VERTICES, Graph, complete, cycle, grid, path
 from boxcolour.io import (
     format_aci,
     format_colouring,
     format_edge_list,
     format_exhausted,
     format_violation,
+    graph_file_matches,
     load_graph,
     parse_edge_list,
     parse_graph6,
@@ -164,6 +168,30 @@ def test_edge_list_files(tmp_path):
     target = tmp_path / "p4.el"
     write_edge_list(g, target)
     assert read_edge_list(target) == g
+
+
+def test_a_graph_file_unlike_the_writers_text_is_never_formatted(tmp_path):
+    # a 40x40 grid relabelled at random, its edges in the generator's order:
+    # the header is the grid's, but the first edge line is neither the
+    # grid's nor the relabelled graph's, so the file is parsed and compared
+    # without building the writer's text of either
+    g = grid(40, 40)
+    perm = list(range(g.n))
+    random.Random(40).shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    target = tmp_path / "grid-relabelled.el"
+    target.write_text("\n".join([f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in edges]) + "\n")
+    relabelled = Graph(g.n, edges)
+    with mock.patch.object(io, "format_edge_list", wraps=format_edge_list) as formatter:
+        assert graph_file_matches(target, "edgelist", relabelled)
+        assert not graph_file_matches(target, "edgelist", g)
+    assert formatter.call_count == 0
+    # the writer's own text is still matched by its text
+    write_edge_list(relabelled, target)
+    with mock.patch.object(io, "format_edge_list", wraps=format_edge_list) as formatter:
+        assert graph_file_matches(target, "edgelist", relabelled)
+        assert not graph_file_matches(target, "edgelist", g)
+    assert formatter.call_count == 1
 
 
 def test_graph6_hand_cases():
