@@ -23,6 +23,7 @@ from .compose import compose, compose_many, hypercube_colouring
 from .graphs import (
     Graph,
     GraphClass,
+    adjacency,
     cartesian_product,
     classify,
     complete,
@@ -46,6 +47,7 @@ __all__ = [
     "SearchBudget",
     "VertexColouring",
     "Violation",
+    "adjacency",
     "brooks_bound",
     "brooks_colouring",
     "cartesian_product",

@@ -3,9 +3,10 @@
 Subcommands: gen, product, aci, greedy, compose, hypercube, verify, scan.
 Exit codes: 0 success, 1 verification failure (witness printed), 2 usage
 or input error, 3 search budget exhausted, 4 internal error (an
-unexpected exception, reported on stderr).  A reader that closes the pipe
-early (`boxcolour scan --max-n 7 | head`) is an output error: exit 2,
-without a traceback.
+unexpected exception, reported on stderr).  Output that cannot be
+written, to a pipe its reader closed (`boxcolour scan --max-n 7 | head`),
+a full device (`> /dev/full`) or a stdout closed before the start
+(`>&-`), is an output error: exit 2, without a traceback.
 
 Any argument of the form @file pulls extra arguments from that file, one
 per line, where "key=value" means "--key=value" and '#' starts a comment.
@@ -375,19 +376,21 @@ def run(argv: list[str]) -> int:
         return INTERNAL
 
 
-def _pipe_closed() -> int:
-    """A reader closed stdout, and stderr too if `run` could not report
-    that.  As the Python docs advise for SIGPIPE, point each stream that
-    cannot be flushed at devnull, so the interpreter's final flush of what
-    it still buffers does not fail again and turn the exit code into 120."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    for stream in (sys.stdout, sys.stderr):
+def _flushed() -> bool:
+    """Whether stdout and stderr, those not closed before the start, flush.
+    As the Python docs advise for SIGPIPE, each that cannot is pointed at
+    devnull, so the interpreter's final flush of what it still buffers
+    does not fail again and turn the exit code into 120."""
+    flushed = True
+    for stream in filter(None, (sys.stdout, sys.stderr)):
         try:
             stream.flush()
         except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, stream.fileno())
-    os.close(devnull)
-    return USAGE
+            os.close(devnull)
+            flushed = False
+    return flushed
 
 
 def _observed() -> bool:
@@ -405,11 +408,12 @@ def _observed() -> bool:
 
 def entry() -> None:
     try:
-        code = run(sys.argv[1:])
-        # buffered output shorter than the buffer meets a closed pipe only here
-        sys.stdout.flush()
-    except BrokenPipeError:
-        code = _pipe_closed()
+        # a stdout closed before the start is None, and takes no output
+        code = USAGE if sys.stdout is None else run(sys.argv[1:])
+    except OSError:  # output failed where `run` could not report it
+        code = USAGE
+    # buffered output shorter than the buffer meets a failing sink only here
+    code = code if _flushed() else USAGE
     if _observed():
         sys.exit(code)
     # The interpreter's teardown (module clean-up, final collections, freeing
@@ -417,12 +421,7 @@ def entry() -> None:
     # reclaims the memory anyway: run the atexit handlers and flush, as the
     # teardown would, then exit at once.
     atexit._run_exitfuncs()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except BrokenPipeError:
-        code = _pipe_closed()
-    os._exit(code)
+    os._exit(code if _flushed() else USAGE)
 
 
 if __name__ == "__main__":

@@ -92,15 +92,10 @@ compose_or_solve = compose
 
 def _compose(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
     """The construction alone, on factors the caller has checked."""
-    eta, beta = xg.palette.size, xh.palette.size
-
     # orientation: the larger palette plays the shifted role
-    swapped = eta < beta
-    if swapped:
-        shift_x, match_x = xh, xg
-        eta, beta = beta, eta
-    else:
-        shift_x, match_x = xg, xh
+    swapped = xg.palette.size < xh.palette.size
+    shift_x, match_x = (xh, xg) if swapped else (xg, xh)
+    eta, beta = shift_x.palette.size, match_x.palette.size
     y = brooks_colouring(match_x.graph)
     # above eta only for two single edges (module docstring)
     p = max(eta, y.count())

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graphs import Graph, Record, _components, _norm_edge, _root, _union
+from .graphs import Graph, Record, _components, _norm_edge, _root, _union, adjacency
 
 
 class Factorisation(Record):
@@ -41,9 +41,11 @@ def delta_star(g: Graph) -> list[int]:
     of v and w other than u that is not adjacent to u.
     """
     parent = list(range(g.m))
-    near = [frozenset(g.neighbours(v)) for v in range(g.n)]
-    for u in range(g.n):
-        around = list(zip(g.neighbours(u), g.incident_edges(u)))
+    index = {e: i for i, e in enumerate(g.edges)}
+    adj = adjacency(g)
+    near = list(map(frozenset, adj))
+    for u, neighbours in enumerate(adj):
+        around = [(v, index[_norm_edge(u, v)]) for v in neighbours]
         for a, (v, e) in enumerate(around):
             for w, f in around[a + 1 :]:
                 square = False
@@ -51,8 +53,8 @@ def delta_star(g: Graph) -> list[int]:
                     for x in near[v] & near[w]:
                         if x != u and x not in near[u]:
                             square = True
-                            _union(parent, e, g.edge_index(x, w))
-                            _union(parent, f, g.edge_index(x, v))
+                            _union(parent, e, index[_norm_edge(x, w)])
+                            _union(parent, f, index[_norm_edge(x, v)])
                 if not square:
                     _union(parent, e, f)
     return [_root(parent, e) for e in range(g.m)]

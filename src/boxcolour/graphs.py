@@ -3,26 +3,27 @@
 Vertices are always 0..n-1, and a vertex is nothing but its index.
 Edges are stored as sorted (u, v) pairs in lexicographic order, so edge
 indices are stable across runs and output is byte-for-byte reproducible.
-Graphs are immutable after construction.  A graph stores only n and its
-edges.  Its degrees are counted the first time one is read; its
-neighbours and incident edge indices are built together the first time
-either is read, and edge lookups scan a vertex's neighbours.  So a graph
-that is only compared, checked or written, as `verify` and `compose` do
-with their large inputs and outputs, never pays for them, and one whose
-degrees alone are read, as the solver reads most of the `scan` corpus,
-never pays for its adjacency.
+Graphs are immutable after construction.  A graph stores only n, its
+edges and, once one is read, its degrees.  It keeps no adjacency:
+`adjacency(g)` builds the neighbours afresh for the two walks that need
+them.  So a graph that is only compared, checked or written, as `verify`
+and `compose` do with their large inputs and outputs, or whose degrees
+alone are read, as the solver reads most of the `scan` corpus, never
+pays for one.
 
 `cartesian_product` lays the product of g and h out row-major, vertex
 (i, j) being i * h.n + j, and tells each edge's origin; it builds no index.
 
-A graph has at most MAX_VERTICES = 2^20 vertices.  The indexes hold a list
-per vertex, so a vertex count read from a file is checked against that
-limit on construction: a 14-byte edge list announcing 10^10 vertices is an
-input error, not a request for memory.  The generators and
-the product also check their edge count, known from their parameters,
-against MAX_EDGES = 2^22 before building: within the vertex limit, K_n can
-have 5.5 * 10^11 edges and the 20-cube 10^7.  An edge list read from a
-file is bounded by the file's size.
+A graph has at most MAX_VERTICES = 2^20 vertices.  Degrees and adjacency
+hold a value per vertex, so a vertex count read from a file is checked
+against that limit on construction: a 14-byte edge list announcing 10^10
+vertices is an input error, not a request for memory.  The generators
+and the product also check their edge count, known from their
+parameters, against MAX_EDGES = 2^22 before building: within the vertex
+limit, K_n can have 5.5 * 10^11 edges and the 20-cube 10^7.  An edge
+list read from a file is bounded by the file's size; a graph6 line,
+whose bytes spell six edges each, by MAX_EDGES, checked on its set bits
+before any edge is built.
 """
 
 from __future__ import annotations
@@ -165,17 +166,15 @@ class Graph:
     and range and self-loops are checked in bulk on the sorted edges; only
     when an edge was dropped or that check fails are the edges checked
     one by one in input order, so the error names the first bad edge as
-    given.  `degrees`, `degree` and `max_degree` read a degree index
-    counted on first use; `neighbours`, `incident_edges`, `has_edge` and
-    `edge_index` read adjacency and incidence indexes built together on
-    first use.  The accessors catch the unset slot themselves:
-    a class with `__getattr__` loses CPython's specialised attribute
-    reads, so every `g.n` and `g.edges` would pay for it.
+    given.  `degrees` and `max_degree` read degrees counted on first
+    use; `degrees` catches the unset slot itself: a class with
+    `__getattr__` loses CPython's specialised attribute reads, so every
+    `g.n` and `g.edges` would pay for it.
 
     Equality is structural: same n, same edge set.
     """
 
-    __slots__ = ("n", "edges", "_degrees", "_adj", "_incident")
+    __slots__ = ("n", "edges", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         _check_order(n)
@@ -204,8 +203,8 @@ class Graph:
         return g
 
     def _count_degrees(self) -> tuple[int, ...]:
-        """Count, store and return the degrees; the degree accessors call
-        this when reading `_degrees` not yet set raises AttributeError."""
+        """Count, store and return the degrees; `degrees` calls this when
+        reading `_degrees` not yet set raises AttributeError."""
         deg = [0] * self.n
         for u, v in self.edges:
             deg[u] += 1
@@ -213,22 +212,6 @@ class Graph:
         degrees = tuple(deg)
         object.__setattr__(self, "_degrees", degrees)
         return degrees
-
-    def _index(self) -> tuple[tuple, tuple]:
-        """Build, store and return the adjacency and incidence indexes; the
-        adjacency accessors call this when reading an index slot not yet
-        set raises AttributeError."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        incident: list[list[int]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-            incident[u].append(i)
-            incident[v].append(i)
-        indexes = (tuple(map(tuple, adj)), tuple(map(tuple, incident)))
-        object.__setattr__(self, "_adj", indexes[0])
-        object.__setattr__(self, "_incident", indexes[1])
-        return indexes
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -254,34 +237,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
 
-    def degree(self, v: int) -> int:
-        try:
-            return self._degrees[v]
-        except AttributeError:
-            return self._count_degrees()[v]
-
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        try:
-            return self._adj[v]
-        except AttributeError:
-            return self._index()[0][v]
-
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        """Indices into `edges` of the edges incident to v."""
-        try:
-            return self._incident[v]
-        except AttributeError:
-            return self._index()[1][v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self.neighbours(u)
-
-    def edge_index(self, u: int, v: int) -> int:
-        if not self.has_edge(u, v):
-            raise KeyError((u, v))
-        # has_edge built the indexes
-        return self._incident[u][self._adj[u].index(v)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -292,6 +247,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's neighbours in increasing order, built from the sorted
+    edges on every call and stored nowhere."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(tuple, adj))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Union
 
 from .colouring import EdgeColouring, Violation, colour_label
-from .graphs import Graph
+from .graphs import Graph, _check_size
 
 PathLike = Union[str, Path]
 
@@ -112,47 +112,57 @@ def write_edge_list(g: Graph, path: PathLike) -> None:
 # graph6
 
 
+# a graph6 byte's set bits, as positions 0..5 from the most significant
+_BIT_OFFSETS = tuple(tuple(j for j in range(6) if (b - 63) & 32 >> j) for b in range(256))
+
+
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 line (optionally prefixed with '>>graph6<<')."""
+    """Decode one graph6 line (optionally prefixed with '>>graph6<<').
+
+    The body's set bits are counted against MAX_EDGES before any edge is
+    built, and the edges are then read straight off its bytes."""
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
         raise ValueError("empty graph6 line")
-    data = [ord(ch) - 63 for ch in s]
-    for val, ch in zip(data, s):
-        if val < 0 or val > 63:
-            raise ValueError(f"invalid graph6 character {ch!r}")
+    if not (s.isascii() and "?" <= min(s) and max(s) <= "~"):
+        bad = next(ch for ch in s if not "?" <= ch <= "~")
+        raise ValueError(f"invalid graph6 character {bad!r}")
+    data = s.encode("ascii")
 
     # N(n): one byte for n <= 62, '~' + 3 bytes, or '~~' + 6 bytes
-    if data[0] <= 62:
-        n, body = data[0], data[1:]
-    elif len(data) >= 4 and data[1] <= 62:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+    if data[0] != 126:
+        field, body = data[:1], data[1:]
+    elif len(data) >= 4 and data[1] != 126:
+        field, body = data[1:4], data[4:]
     elif len(data) >= 8:
-        n = 0
-        for b in data[2:8]:
-            n = (n << 6) | b
-        body = data[8:]
+        field, body = data[2:8], data[8:]
     else:
         raise ValueError("truncated graph6 size field")
+    n = 0
+    for b in field:
+        n = (n << 6) | (b - 63)
 
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ValueError(f"graph6 body length {len(body)} wrong for n={n}")
-    bits = []
-    for b in body:
-        for shift in range(5, -1, -1):
-            bits.append((b >> shift) & 1)
+    # the last byte's low bits past the upper triangle are padding
+    padding = (body[-1] - 63) & ((1 << (6 * len(body) - nbits)) - 1) if body else 0
+    _check_size(sum(map(len, map(_BIT_OFFSETS.__getitem__, body))) - padding.bit_count())
     edges = []
-    k = 0
-    # upper triangle, column by column: x(0,1), x(0,2), x(1,2), x(0,3), ...
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
+    # upper triangle, column by column: x(0,1), x(0,2), x(1,2), x(0,3), ...;
+    # bit k is x(k - first, v) for the column v that holds bits first..first+v-1
+    v, first = 1, 0
+    for i, b in enumerate(body):
+        for j in _BIT_OFFSETS[b]:
+            k = 6 * i + j
+            if k >= nbits:
+                break
+            while k >= first + v:
+                first += v
+                v += 1
+            edges.append((k - first, v))
     return Graph(n, edges)
 
 

@@ -67,7 +67,7 @@ from typing import Optional
 from .colouring import EdgeColouring, check_acyclic, colours_used
 from .compose import _compose
 from .factor import factorise
-from .graphs import Graph, Record
+from .graphs import Graph, Record, _norm_edge
 
 
 class SearchBudget(Record):
@@ -355,5 +355,6 @@ def _by_factors(
             return None, nodes
         witnesses.append(result.witness)
     x = _compose(*witnesses)
-    colours = [x.colours[x.graph.edge_index(f.vertex[u], f.vertex[v])] for u, v in g.edges]
+    colour, vertex = dict(zip(x.graph.edges, x.colours)), f.vertex
+    colours = [colour[_norm_edge(vertex[u], vertex[v])] for u, v in g.edges]
     return EdgeColouring.single_family(g, colours, x.palette.size), nodes

@@ -15,7 +15,7 @@ raised as RuntimeError after the final verification.
 from __future__ import annotations
 
 from .colouring import VertexColouring, check_proper_vertex
-from .graphs import Graph, classify
+from .graphs import Graph, adjacency, classify
 
 
 def brooks_bound(h: Graph) -> int:
@@ -28,19 +28,20 @@ def brooks_colouring(h: Graph) -> VertexColouring:
     """Proper vertex colouring within the brooks_bound budget, its colours
     relabelled in order of first appearance, so vertex 0 gets 0."""
     budget = brooks_bound(h)
+    adj = adjacency(h)
     root = min(range(h.n), key=h.degrees.__getitem__)
     order = [root]
     seen = [False] * h.n
     seen[root] = True
     for v in order:  # breadth-first: the list grows while it is walked
-        for w in h.neighbours(v):
+        for w in adj[v]:
             if not seen[w]:
                 seen[w] = True
                 order.append(w)
 
     colours = [-1] * h.n
     for v in reversed(order):
-        taken = {colours[w] for w in h.neighbours(v)}
+        taken = {colours[w] for w in adj[v]}
         c = 0
         while c in taken:
             c += 1

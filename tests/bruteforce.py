@@ -1,7 +1,7 @@
 """Independent brute-force oracle for the acyclic chromatic index.
 
 Deliberately shares nothing with the solver's machinery: edges are taken
-in plain index order, properness is a direct scan of incident edges, and
+in plain index order, properness is a direct scan of the edge list, and
 acyclicity is a from-scratch union-find pass per colour pair.  A partial
 colouring containing a bichromatic cycle can never extend to one without
 (extensions only add edges), so pruning on partial violations still
@@ -38,8 +38,9 @@ colourings and error messages.  It reads labels with `label_rank`, a
 reference for `parse_colour_label` written from the wire format.
 `from_edge_map` builds a colouring from an edge -> colour map, as the
 dict-based reader did.  `indexes` is the reference for a graph's
-degrees, neighbours and incident edges, computed from the edge list
-alone.
+degrees and neighbours, and holds its incident edges, computed from the
+edge list alone: this module reads a graph only through its `n`, `m` and
+`edges`, so it shares no accessor with the code it checks.
 
 `connected_graphs_up_to` is the reference for the corpus: the enumeration
 on `Graph` objects (invariant per candidate, pairwise backtracking
@@ -81,16 +82,12 @@ def _pair_has_cycle(g: Graph, colours: list[int], a: int, b: int) -> bool:
 
 
 def _proper_at(g: Graph, colours: list[int], i: int) -> bool:
+    """No other edge of edge i's colour shares an end with it."""
     u, v = g.edges[i]
     c = colours[i]
-    for w in (u, v):
-        hits = 0
-        for ei in g.incident_edges(w):
-            if colours[ei] == c:
-                hits += 1
-                if hits > 1:
-                    return False
-    return True
+    return not any(
+        colours[j] == c and (u in e or v in e) for j, e in enumerate(g.edges) if j != i
+    )
 
 
 def feasible(g: Graph, k: int, use_cap: bool = True) -> bool:
@@ -138,7 +135,7 @@ def brute_aci(g: Graph, use_cap: bool = True) -> int:
     """Smallest feasible colour count, from the properness floor upward."""
     if g.m == 0:
         return 0
-    for k in range(max(g.max_degree, 1), g.m + 1):
+    for k in range(max(indexes(g)[0]), g.m + 1):
         if feasible(g, k, use_cap):
             return k
     raise AssertionError("m distinct colours are always feasible")
@@ -214,8 +211,10 @@ def bichromatic_cycle(x: EdgeColouring) -> Optional[BichromaticCycle]:
 
 
 def proper(x: EdgeColouring) -> bool:
-    """No two edges of equal colour share a vertex."""
-    return all(_proper_at(x.graph, x.colours, i) for i in range(x.graph.m))
+    """No two edges of equal colour share a vertex: no (vertex, colour)
+    pair is met twice at the edges' ends."""
+    ends = [(w, c) for e, c in zip(x.graph.edges, x.colours) for w in e]
+    return len(set(ends)) == len(ends)
 
 
 def first_clash(x: EdgeColouring) -> Optional[NotProper]:
@@ -223,8 +222,13 @@ def first_clash(x: EdgeColouring) -> Optional[NotProper]:
     with the first of its incident edges, in index order, whose colour an
     earlier one repeats, and that earlier edge; None for a proper colouring."""
     g = x.graph
-    for v in range(g.n):
-        incident = g.incident_edges(v)
+    # one pass over the edges, since `indexes` scans them once per vertex
+    # and this runs on products of thousands of vertices
+    incidence: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        incidence[u].append(i)
+        incidence[v].append(i)
+    for v, incident in enumerate(incidence):
         for j, ei in enumerate(incident):
             for ek in incident[:j]:
                 if x.colours[ek] == x.colours[ei]:
@@ -234,23 +238,30 @@ def first_clash(x: EdgeColouring) -> Optional[NotProper]:
 
 def _invariant(g: Graph) -> tuple:
     """Cheap isomorphism invariant used for bucketing."""
+    degrees, adj, _ = indexes(g)
     per_vertex = sorted(
-        (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbours(v))))
-        for v in range(g.n)
+        (degrees[v], tuple(sorted(degrees[w] for w in adj[v]))) for v in range(g.n)
     )
+    edges = set(g.edges)
     triangles = sum(
         1
         for a, b, c in combinations(range(g.n), 3)
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+        if {(a, b), (a, c), (b, c)} <= edges
     )
     return (g.n, g.m, triangles, tuple(per_vertex))
+
+
+def _joined(edges: set[Edge], u: int, v: int) -> bool:
+    return (min(u, v), max(u, v)) in edges
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:
     """Backtracking vertex-map search, mapping only between equal degrees."""
     if g.n != h.n or g.m != h.m:
         return False
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    g_deg, h_deg = indexes(g)[0], indexes(h)[0]
+    g_edges, h_edges = set(g.edges), set(h.edges)
+    order = sorted(range(g.n), key=lambda v: (-g_deg[v], v))
     mapping = [-1] * g.n
     used = [False] * h.n
 
@@ -259,11 +270,11 @@ def isomorphic(g: Graph, h: Graph) -> bool:
             return True
         v = order[pos]
         for w in range(h.n):
-            if used[w] or g.degree(v) != h.degree(w):
+            if used[w] or g_deg[v] != h_deg[w]:
                 continue
             ok = True
             for prev in order[:pos]:
-                if g.has_edge(v, prev) != h.has_edge(w, mapping[prev]):
+                if _joined(g_edges, v, prev) != _joined(h_edges, w, mapping[prev]):
                     ok = False
                     break
             if not ok:
@@ -393,7 +404,8 @@ def colouring_from_json_dict(data) -> EdgeColouring:
 
 def indexes(g: Graph) -> tuple[tuple[int, ...], tuple, tuple]:
     """Degrees, neighbours and incident edge indices per vertex, each
-    vertex's in edge order, found by scanning the edge list."""
+    vertex's in edge order, found by scanning the edge list: the reference
+    for `Graph.degrees` and `adjacency`, and this module's own index."""
     adj = tuple(
         tuple(b if a == v else a for a, b in g.edges if v in (a, b)) for v in range(g.n)
     )
@@ -404,7 +416,8 @@ def indexes(g: Graph) -> tuple[tuple[int, ...], tuple, tuple]:
 
 
 def colour_of(x: EdgeColouring, u: int, v: int) -> int:
-    return x.colours[x.graph.edge_index(u, v)]
+    """The colour of edge uv, found by scanning the edge list."""
+    return x.colours[x.graph.edges.index((min(u, v), max(u, v)))]
 
 
 def product_vertex(g_index: int, h_index: int, h_order: int) -> int:

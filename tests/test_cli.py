@@ -10,7 +10,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from boxcolour import cli, io
+from boxcolour import cli, graphs, io
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
 from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
 from boxcolour.io import format_colouring, format_edge_list, parse_edge_list
@@ -543,6 +543,15 @@ def test_a_graph_file_that_does_not_parse_is_named(tmp_path, capsys, argv, bad, 
     assert capsys.readouterr() == ("", f"error: {message.format(**files)}\n")
 
 
+def test_a_graph6_line_over_the_edge_limit_is_an_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_EDGES", 9)
+    bad = tmp_path / "k5.g6"
+    bad.write_text("D~{\n")
+    assert run("aci", str(bad), "--format", "graph6") == 2
+    message = f"error: graph6 in {bad}, line 1: edge count 10 exceeds the limit of 9\n"
+    assert capsys.readouterr() == ("", message)
+
+
 def test_a_file_with_several_faults_names_the_one_its_reader_checks_first(tmp_path, capsys):
     # the readers check in phases, not line by line: an edge list's range
     # before its repeats, a colouring's repeats before its range
@@ -1017,37 +1026,74 @@ def test_only_a_json_reader_or_a_witness_imports_json(tmp_path):
         assert encoder & (loaded - bare) == (encoder if imports_json else set()), argv
 
 
-@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("stderr_too", [False, True], ids=["stdout", "stdout-and-stderr"])
-@pytest.mark.parametrize(
-    "argv",
-    [["aci", "K4"], ["scan", "--max-n", "5"], ["hypercube", "8"]],
-    ids=["aci-short-output", "scan", "hypercube-long-output"],
-)
-def test_a_closed_pipe_exits_2_without_a_traceback(tmp_path, argv, stderr_too, buffered):
+def _assert_output_error(tmp_path, argv, sink, stderr_too, buffered):
+    """Run the CLI with stdout, and stderr too if `stderr_too`, on `sink`:
+    "pipe", a pipe whose reader has gone; "full", /dev/full, where every
+    write fails with ENOSPC; or "closed", no open file at all.  It exits 2
+    without a traceback."""
     f = tmp_path / "k4.el"
     f.write_text(format_edge_list(complete(4)))
     argv = [str(f) if a == "K4" else a for a in argv]
-    # a block-buffered stdout meets the closed pipe later than an unbuffered one
+    # a block-buffered stdout meets the failing sink later than an unbuffered one
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    if sink == "pipe":
+        read_end, fd = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+    elif sink == "full":
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        fd = subprocess.DEVNULL  # closed in the child before it starts
+
+    def close_sink():
+        os.close(1)
+        if stderr_too:
+            os.close(2)
+
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "boxcolour.cli", *argv],
-            stdout=write_end,
-            stderr=write_end if stderr_too else subprocess.PIPE,
+            stdout=fd,
+            stderr=fd if stderr_too else subprocess.PIPE,
+            preexec_fn=close_sink if sink == "closed" else None,
             env=env,
         )
     finally:
-        os.close(write_end)
+        if sink != "closed":
+            os.close(fd)
     assert proc.returncode == 2
     if not stderr_too:
         # the run's own stderr output and an `error:` report may remain
         assert b"Traceback" not in proc.stderr
         assert b"internal error" not in proc.stderr
+
+
+_OUTPUTS = [["aci", "K4"], ["scan", "--max-n", "5"], ["hypercube", "8"]]
+_OUTPUT_IDS = ["aci-short-output", "scan", "hypercube-long-output"]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr_too", [False, True], ids=["stdout", "stdout-and-stderr"])
+@pytest.mark.parametrize("argv", _OUTPUTS, ids=_OUTPUT_IDS)
+def test_a_closed_pipe_exits_2_without_a_traceback(tmp_path, argv, stderr_too, buffered):
+    _assert_output_error(tmp_path, argv, "pipe", stderr_too, buffered)
+
+
+_NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+# a missing file's error report is the one write when stderr fails too, and
+# must not turn into exit 1, which claims a failed verification
+@pytest.mark.parametrize("sink", [pytest.param("full", marks=_NEEDS_DEV_FULL), "closed"])
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr_too", [False, True], ids=["stdout", "stdout-and-stderr"])
+@pytest.mark.parametrize("argv", [*_OUTPUTS, ["aci", "missing.el"]],
+                         ids=[*_OUTPUT_IDS, "aci-missing-file"])
+def test_a_full_device_or_a_closed_stdout_exits_2_without_a_traceback(
+    tmp_path, argv, stderr_too, buffered, sink
+):
+    _assert_output_error(tmp_path, argv, sink, stderr_too, buffered)
 
 
 # The CLI ends with os._exit, which flushes nothing itself; a child without

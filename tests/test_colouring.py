@@ -31,6 +31,7 @@ from bruteforce import (
     colour_of,
     first_clash,
     from_edge_map,
+    indexes,
     label_of,
     label_rank,
     origin_edge,
@@ -302,7 +303,7 @@ def _revalidate_witness(g, x, bad):
     walk = []
     for i in range(len(cyc)):
         u, v = cyc[i], cyc[(i + 1) % len(cyc)]
-        assert g.has_edge(u, v)
+        assert (min(u, v), max(u, v)) in g.edges
         walk.append(colour_of(x, u, v))
     assert {label_of(x.palette, c) for c in walk} == {bad.colour_a, bad.colour_b}
     for first, second in zip(walk, walk[1:] + walk[:1]):
@@ -326,12 +327,13 @@ def test_proper_colourings_use_at_least_max_degree_colours():
     # pigeonhole at a maximum-degree vertex
     star = Graph(6, [(0, i) for i in range(1, 6)])
     for g in (path(5), cycle(6), complete(5), star):
+        incident = indexes(g)[2]
         assigned = {}
         for u, v in g.edges:
             used = {
                 assigned[g.edges[i]]
                 for w in (u, v)
-                for i in g.incident_edges(w)
+                for i in incident[w]
                 if g.edges[i] in assigned
             }
             c = 0
@@ -431,7 +433,7 @@ def test_check_acyclic_matches_the_references_on_a_large_product():
     composed = _relabelled(compose(xg, xh), rng)
     assert check_acyclic(composed) is None
     g = composed.graph
-    top = g.incident_edges(g.n - 1)
+    top = [i for i, e in enumerate(g.edges) if g.n - 1 in e]
     colours = list(composed.colours)
     colours[top[-1]] = colours[top[0]]
     clashing = EdgeColouring(g, colours, composed.palette)

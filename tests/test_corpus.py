@@ -16,7 +16,7 @@ from boxcolour.corpus import (
     connected_graphs,
     connected_graphs_up_to,
 )
-from boxcolour.graphs import Graph, cycle, hypercube, is_connected
+from boxcolour.graphs import Graph, adjacency, cycle, hypercube, is_connected
 
 
 def test_known_class_counts():
@@ -81,11 +81,11 @@ def test_same_graphs_in_the_same_order_as_the_reference():
 def _bitmask_isomorphic(a: Graph, b: Graph) -> bool:
     # the corpus's test, on inputs built here from the two graphs
     def colours(g):
-        return [(g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbours(v))))
-                for v in range(g.n)]
+        return [(g.degrees[v], tuple(sorted(g.degrees[w] for w in near)))
+                for v, near in enumerate(adjacency(g))]
 
-    back = [[w for w in a.neighbours(v) if w < v] for v in range(a.n)]
-    adj_b = tuple(sum(1 << w for w in b.neighbours(v)) for v in range(b.n))
+    back = [[w for w in near if w < v] for v, near in enumerate(adjacency(a))]
+    adj_b = tuple(sum(1 << w for w in near) for near in adjacency(b))
     classes: dict = {}
     for v, c in enumerate(colours(b)):
         classes.setdefault(c, []).append(v)

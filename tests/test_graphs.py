@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 import tracemalloc
 
 import networkx as nx
@@ -23,6 +24,7 @@ from boxcolour.graphs import (
     Graph,
     GraphClass,
     Record,
+    adjacency,
     cartesian_product,
     classify,
     complete,
@@ -129,21 +131,13 @@ def test_graph_is_immutable():
 
 
 def test_adjacency_accessors():
-    g = Graph(4, [(0, 1), (1, 2), (1, 3)])
-    assert g.neighbours(1) == (0, 2, 3)
-    assert g.degree(1) == 3 and g.degree(0) == 1
-    assert g.max_degree == 3
-    assert g.has_edge(2, 1) and not g.has_edge(0, 2)
-    assert g.edges[g.edge_index(3, 1)] == (1, 3)
-    with pytest.raises(KeyError):
-        g.edge_index(0, 3)
-    # out-of-range vertices are not edges either
-    assert not g.has_edge(-1, 3) and not g.has_edge(3, -1) and not g.has_edge(1, 4)
-    with pytest.raises(KeyError):
-        g.edge_index(4, 1)
-    # incident edge indices point back at the vertex
-    for ei in g.incident_edges(1):
-        assert 1 in g.edges[ei]
+    g = Graph(4, [(3, 1), (1, 2), (0, 1)])
+    assert g.degrees == (1, 3, 1, 1) and g.max_degree == 3
+    # neighbours in increasing order, whatever order the edges came in
+    assert adjacency(g) == ((1,), (0, 2, 3), (1,), (1,))
+    assert adjacency(Graph(2, [])) == ((), ()) and adjacency(Graph(0, [])) == ()
+    # built afresh on each call, not stored on the graph
+    assert adjacency(g) is not adjacency(g)
 
 
 def test_equality_is_structural():
@@ -155,13 +149,13 @@ def test_generators_shapes():
     p = path(5)
     assert (p.n, p.m, p.max_degree) == (5, 4, 2)
     c = cycle(6)
-    assert (c.n, c.m) == (6, 6) and all(c.degree(v) == 2 for v in range(6))
+    assert (c.n, c.m) == (6, 6) and c.degrees == (2,) * 6
     k = complete(5)
     assert (k.n, k.m, k.max_degree) == (5, 10, 4)
     g = grid(3, 4)
     assert (g.n, g.m, g.max_degree) == (12, 17, 4)
     q = hypercube(4)
-    assert (q.n, q.m) == (16, 32) and all(q.degree(v) == 4 for v in range(16))
+    assert (q.n, q.m) == (16, 32) and q.degrees == (4,) * 16
 
 
 def test_generator_bounds():
@@ -222,7 +216,7 @@ def test_product_of_two_edges_is_a_four_cycle():
     k2 = complete(2)
     p, _ = cartesian_product(k2, k2)
     assert (p.n, p.m) == (4, 4)
-    assert all(p.degree(v) == 2 for v in range(4))
+    assert p.degrees == (2, 2, 2, 2)
     assert is_connected(p)
 
 
@@ -232,7 +226,7 @@ def test_product_edges_decode_to_factor_edges():
     p, _ = cartesian_product(g, h)
     for u, v in p.edges:
         (gu, hu), (gv, hv) = product_coords(u, h.n), product_coords(v, h.n)
-        assert (gu == gv and h.has_edge(hu, hv)) or (hu == hv and g.has_edge(gu, gv))
+        assert (gu == gv and (hu, hv) in h.edges) or (hu == hv and (gu, gv) in g.edges)
 
 
 def test_grid_equals_path_product():
@@ -461,24 +455,43 @@ def test_degree_sum_is_twice_edge_count(n, data):
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     g = Graph(n, chosen)
     assert sum(g.degrees) == 2 * g.m
-    for u, v in g.edges:
-        assert v in g.neighbours(u) and u in g.neighbours(v)
+    assert adjacency(g) == reference_indexes(g)[1]
 
 
 # ---------------------------------------------------------------------------
-# Indexes built on first use
-
-_INDEX_NAMES = ("_degrees", "_adj", "_incident")
+# Degrees counted on first use, adjacency built only where it is walked
 
 
 def _built(g: Graph) -> list[str]:
-    """The index slots that are set."""
-    return [name for name in _INDEX_NAMES if hasattr(g, name)]
+    """The index slots that are set: a graph stores its degrees alone."""
+    return [name for name in ("_degrees",) if hasattr(g, name)]
 
 
-def test_reading_comparing_checking_and_writing_build_no_index(tmp_path):
+def _count_indexes(monkeypatch) -> tuple[list, list]:
+    """Record every graph whose adjacency any library module builds, and
+    every graph whose degrees are counted, in two lists."""
+    built, counted = [], []
+    real_count = Graph._count_degrees
+
+    def building(g):
+        built.append(g)
+        return adjacency(g)
+
+    def counting(g):
+        counted.append(g)
+        return real_count(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("boxcolour.") and hasattr(module, "adjacency"):
+            monkeypatch.setattr(module, "adjacency", building)
+    monkeypatch.setattr(Graph, "_count_degrees", counting)
+    return built, counted
+
+
+def test_reading_comparing_checking_and_writing_build_no_index(tmp_path, monkeypatch):
     g = grid(6, 7)
     x = hypercube_colouring(4)
+    built, _ = _count_indexes(monkeypatch)
     fresh = [g, x.graph, Graph(5, [(3, 4), (0, 1)]), parse_edge_list(format_edge_list(g))]
     # a graph file matched by its text, as verify --graph does, and one parsed
     written = tmp_path / "q4.el"
@@ -505,20 +518,16 @@ def test_reading_comparing_checking_and_writing_build_no_index(tmp_path):
     assert check_acyclic(clashing) == NotProper(3, (2, 3), (3, 4))
     fresh += [rejected.graph, clashing.graph]
     assert [is_connected(h) for h in fresh] == [True, True, False, True, True, True]
-    assert all(_built(h) == [] for h in fresh)
+    assert all(_built(h) == [] for h in fresh) and built == []
 
 
 # each accessor, with the index slots its first use sets: degrees are
-# counted alone, adjacency and incidence built together
-_DEGREES, _ADJACENCY = ["_degrees"], ["_adj", "_incident"]
+# counted and stored, adjacency built and handed back
+_DEGREES = ["_degrees"]
 _ACCESSORS = [
     (lambda g: g.degrees, _DEGREES),
     (lambda g: g.max_degree, _DEGREES),
-    (lambda g: g.degree(g.n - 1), _DEGREES),
-    (lambda g: g.neighbours(0), _ADJACENCY),
-    (lambda g: g.incident_edges(0), _ADJACENCY),
-    (lambda g: g.has_edge(0, g.n - 1), _ADJACENCY),
-    (lambda g: g.edge_index(*g.edges[0]), _ADJACENCY),
+    (adjacency, []),
 ]
 
 
@@ -530,64 +539,44 @@ def test_the_first_accessor_builds_only_its_own_indexes(n, data, which):
     read, names = _ACCESSORS[which]
     read(g)
     assert _built(g) == names
-    # the other kind is then built on its own first use
-    if names is _DEGREES:
-        g.neighbours(0)
-    else:
-        g.degrees
-    assert _built(g) == list(_INDEX_NAMES)
-    assert (g._degrees, g._adj, g._incident) == reference_indexes(g)
+    # the degrees are then counted on their own first read
+    assert g.degrees == reference_indexes(g)[0] and _built(g) == _DEGREES
 
 
+# "_adj" and "_incident" named the adjacency and incidence indexes a graph
+# once stored; they are refused like any other name
 @pytest.mark.parametrize("built", [False, True])
-@pytest.mark.parametrize("name", ["n", "edges", "degrees", *_INDEX_NAMES, "m", "extra"])
+@pytest.mark.parametrize("name", ["n", "edges", "degrees", "_degrees", "_adj", "_incident",
+                                  "m", "extra"])
 def test_no_attribute_can_be_assigned(name, built):
     g = path(4)
     if built:
         g.degrees
-        g.neighbours(0)
+        adjacency(g)
     with pytest.raises(AttributeError):
         setattr(g, name, ())
     with pytest.raises(AttributeError):
         delattr(g, name)
-    assert g == path(4) and _built(g) == (list(_INDEX_NAMES) if built else [])
-
-
-def _count_indexes(monkeypatch) -> tuple[list, list]:
-    """Record every graph whose adjacency and incidence are built, and
-    every graph whose degrees are counted, in two lists."""
-    indexed, counted = [], []
-    real_index, real_count = Graph._index, Graph._count_degrees
-
-    def indexing(g):
-        indexed.append(g)
-        return real_index(g)
-
-    def counting(g):
-        counted.append(g)
-        return real_count(g)
-
-    monkeypatch.setattr(Graph, "_index", indexing)
-    monkeypatch.setattr(Graph, "_count_degrees", counting)
-    return indexed, counted
+    assert g == path(4) and _built(g) == (_DEGREES if built else [])
 
 
 def test_products_build_no_factor_index(monkeypatch):
     # the product reads its factors' sorted edges; hypercube_colouring
-    # indexes only K2, which it colours with brooks_colouring, never an
-    # intermediate cube, and counts no other graph's degrees
-    indexed, counted = _count_indexes(monkeypatch)
+    # builds adjacency only for K2, which each fold colours with
+    # brooks_colouring, never for an intermediate cube, and counts no other
+    # graph's degrees
+    built, counted = _count_indexes(monkeypatch)
     assert grid(40, 40).m == 2 * 40 * 39
-    assert indexed == [] and counted == []
+    assert built == [] and counted == []
     x = hypercube_colouring(11)
     assert x.graph == hypercube(11)
-    assert indexed == [complete(2)] and counted == [complete(2)]
+    assert set(built) == {complete(2)} and counted == [complete(2)]
 
 
 def test_scan_builds_adjacency_only_for_the_graphs_it_factorises(monkeypatch):
     # the solver reads a corpus graph's degrees, its sorted edges and its
-    # edge count; only factorise reads neighbours and incident edges
-    indexed, _ = _count_indexes(monkeypatch)
+    # edge count; only factorise builds its adjacency
+    built, _ = _count_indexes(monkeypatch)
     factorised = []
 
     def counting(g):
@@ -595,14 +584,13 @@ def test_scan_builds_adjacency_only_for_the_graphs_it_factorises(monkeypatch):
         return factorise(g)
 
     monkeypatch.setattr(solver, "factorise", counting)
-    # fresh copies, since the cached corpus may be indexed by other tests
-    graphs = [Graph._from_sorted(g.n, g.edges) for g in connected_graphs_up_to(7)]
+    graphs = connected_graphs_up_to(7)
     for g in graphs:
         exact_aci(g)
     ids = {id(g) for g in graphs}
     # the vertex, edge and degree counts leave 11 of the 996 graphs
     assert len(factorised) == 11 and all(id(g) in ids for g in factorised)
-    assert [id(g) for g in indexed if id(g) in ids] == [id(g) for g in factorised]
+    assert [id(g) for g in built if id(g) in ids] == [id(g) for g in factorised]
 
 
 @given(st.integers(1, 5), st.integers(1, 5))
@@ -612,4 +600,4 @@ def test_product_degrees_add(ng, nh):
     for gi in range(g.n):
         for hi in range(h.n):
             idx = product_vertex(gi, hi, h.n)
-            assert p.degree(idx) == g.degree(gi) + h.degree(hi)
+            assert p.degrees[idx] == g.degrees[gi] + h.degrees[hi]

@@ -13,8 +13,8 @@ from bruteforce import (
     graph as reference_graph,
 )
 from boxcolour.colouring import ColourPalette, EdgeColouring, check_acyclic
-from boxcolour import io
-from boxcolour.graphs import MAX_VERTICES, Graph, complete, cycle, grid, path
+from boxcolour import graphs, io
+from boxcolour.graphs import MAX_EDGES, MAX_VERTICES, Graph, complete, cycle, grid, path
 from boxcolour.io import (
     format_aci,
     format_colouring,
@@ -210,6 +210,30 @@ def test_graph6_errors():
         parse_graph6("B")  # body too short for n=3
     with pytest.raises(ValueError):
         parse_graph6("A" + chr(200))
+
+
+def test_graph6_line_over_the_edge_limit_is_refused_before_building_an_edge(monkeypatch):
+    # K2897 has 4,194,856 edges, just over MAX_EDGES = 2^22: its 699 KB line
+    # is refused on the count of its set bits, with no edge list built
+    n = 2897
+    assert n * (n - 1) // 2 > MAX_EDGES
+    line = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    line += "~" * ((n * (n - 1) // 2 + 5) // 6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"edge count {n * (n - 1) // 2} exceeds"):
+            parse_graph6(line)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(line)
+    # the count leaves out the last byte's padding bits: K5's 10 bits fill
+    # two bytes, and "~" sets all 12
+    monkeypatch.setattr(graphs, "MAX_EDGES", 9)
+    with pytest.raises(ValueError, match="edge count 10 exceeds the limit of 9$"):
+        parse_graph6("D~~")
+    k5_less_34 = [(u, v) for v in range(5) for u in range(v) if (u, v) != (3, 4)]
+    assert parse_graph6("D~z") == Graph(5, k5_less_34)
 
 
 def _nx_g6(G) -> str:

@@ -5,6 +5,8 @@ from boxcolour.corpus import connected_graphs_up_to
 from boxcolour.graphs import Graph, complete, cycle, path
 from boxcolour.vertex_colouring import brooks_bound, brooks_colouring
 
+from bruteforce import indexes
+
 
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
@@ -69,7 +71,7 @@ def test_regular_two_connected_case():
     n = 8
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n) for i in range(n)]
     g = Graph(n, edges)
-    assert all(g.degree(v) == 4 for v in range(n))
+    assert g.degrees == (4,) * n
     y = brooks_colouring(g)
     assert check_proper_vertex(y) is None
     assert y.count() <= brooks_bound(g) == 5
@@ -77,7 +79,7 @@ def test_regular_two_connected_case():
 
 def test_regular_with_cut_vertex_case():
     g = two_cubic_blobs_with_a_bridge()
-    assert all(g.degree(v) == 3 for v in range(g.n))
+    assert g.degrees == (3,) * g.n
     y = brooks_colouring(g)
     assert check_proper_vertex(y) is None
     assert y.count() <= 3
@@ -111,13 +113,15 @@ def test_determinism():
 
 def _chromatic_number(g: Graph) -> int:
     # independent exhaustive check, small graphs only
+    adj = indexes(g)[1]
+
     def feasible(k: int) -> bool:
         colours = [-1] * g.n
 
         def place(v: int) -> bool:
             if v == g.n:
                 return True
-            taken = {colours[w] for w in g.neighbours(v) if colours[w] >= 0}
+            taken = {colours[w] for w in adj[v] if colours[w] >= 0}
             for c in range(k):
                 if c not in taken:
                     colours[v] = c
