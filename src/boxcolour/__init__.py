@@ -13,7 +13,6 @@ from .colouring import (
     ColourPalette,
     EdgeColouring,
     NotProper,
-    VertexColouring,
     Violation,
     check_acyclic,
     check_proper_vertex,
@@ -22,7 +21,6 @@ from .colouring import (
 from .compose import compose, compose_many, hypercube_colouring
 from .graphs import (
     Graph,
-    GraphClass,
     adjacency,
     cartesian_product,
     classify,
@@ -42,10 +40,8 @@ __all__ = [
     "ColourPalette",
     "EdgeColouring",
     "Graph",
-    "GraphClass",
     "NotProper",
     "SearchBudget",
-    "VertexColouring",
     "Violation",
     "adjacency",
     "brooks_bound",

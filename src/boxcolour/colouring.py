@@ -230,27 +230,6 @@ def colours_used(x: EdgeColouring) -> int:
     return len(set(x.colours))
 
 
-class VertexColouring(Record):
-    """Total assignment of colour indices 0..d-1 to the vertices of a graph."""
-
-    __slots__ = ("graph", "colours")
-
-    def __init__(self, graph: Graph, colours: Iterable[int]):
-        colours = tuple(colours)
-        if len(colours) != graph.n:
-            raise ValueError(f"expected {graph.n} vertex colours, got {len(colours)}")
-        for c in colours:
-            if c < 0:
-                raise ValueError("vertex colour indices must be non-negative")
-        Record.__init__(self, graph, colours)
-
-    def count(self) -> int:
-        return len(set(self.colours))
-
-    def __repr__(self) -> str:
-        return f"VertexColouring({self.graph!r}, {self.count()} colours)"
-
-
 # ---------------------------------------------------------------------------
 # Violations
 
@@ -372,10 +351,13 @@ def _first_clash(x: EdgeColouring) -> Optional[NotProper]:
     return best
 
 
-def check_proper_vertex(y: VertexColouring) -> Optional[Edge]:
-    """None iff no edge is monochromatic; otherwise the first such edge."""
-    for u, v in y.graph.edges:
-        if y.colours[u] == y.colours[v]:
+def check_proper_vertex(g: Graph, colours: list[int]) -> Optional[Edge]:
+    """None iff no edge of g is monochromatic under `colours`, one per
+    vertex; otherwise the first such edge."""
+    if len(colours) != g.n:
+        raise ValueError(f"expected {g.n} vertex colours, got {len(colours)}")
+    for u, v in g.edges:
+        if colours[u] == colours[v]:
             return (u, v)
     return None
 

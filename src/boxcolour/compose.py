@@ -96,19 +96,19 @@ def _compose(xg: EdgeColouring, xh: EdgeColouring) -> EdgeColouring:
     swapped = xg.palette.size < xh.palette.size
     shift_x, match_x = (xh, xg) if swapped else (xg, xh)
     eta, beta = shift_x.palette.size, match_x.palette.size
+    # the product checks its size limits before any colour list is built
+    product, origin = cartesian_product(xg.graph, xh.graph)
     y = brooks_colouring(match_x.graph)
     # above eta only for two single edges (module docstring)
-    p = max(eta, y.count())
+    p = max(eta, max(y) + 1)
 
     # Colour every product edge in provenance order (see cartesian_product):
     # the copy of the shifted factor at matching vertex v has its colours
     # rotated by y(v); every copy of the matching factor keeps its own
     # colours, after the p rotations.
-    shifted = [(c + s) % p for s in y.colours for c in shift_x.colours]
+    shifted = [(c + s) % p for s in y for c in shift_x.colours]
     matched = [p + c for c in match_x.colours] * shift_x.graph.n
     by_origin = matched + shifted if swapped else shifted + matched
-
-    product, origin = cartesian_product(xg.graph, xh.graph)
     colours = [by_origin[o] for o in origin]
     return EdgeColouring(product, colours, ColourPalette(p, beta))
 

@@ -21,6 +21,8 @@ delta* classes and the components both come from the union-find in
 
 from __future__ import annotations
 
+import time
+from math import inf
 from typing import Optional, Sequence
 
 from .graphs import Graph, Record, _components, _norm_edge, _root, _union, adjacency
@@ -33,8 +35,10 @@ class Factorisation(Record):
     __slots__ = ("g", "h", "vertex")
 
 
-def delta_star(g: Graph) -> list[int]:
-    """The delta* class of every edge, as the smallest edge index in it.
+def delta_star(g: Graph, deadline: float = inf) -> Optional[list[int]]:
+    """The delta* class of every edge, as the smallest edge index in it,
+    or None once `time.perf_counter()` passes `deadline`, which it reads
+    once per vertex and neighbour.
 
     Each chordless 4-cycle u-v-x-w is met from its corner u and the pair
     of neighbours v, w: they are non-adjacent, and x is a common neighbour
@@ -47,6 +51,8 @@ def delta_star(g: Graph) -> list[int]:
     for u, neighbours in enumerate(adj):
         around = [(v, index[_norm_edge(u, v)]) for v in neighbours]
         for a, (v, e) in enumerate(around):
+            if time.perf_counter() > deadline:
+                return None
             for w, f in around[a + 1 :]:
                 square = False
                 if w not in near[v]:
@@ -60,16 +66,15 @@ def delta_star(g: Graph) -> list[int]:
     return [_root(parent, e) for e in range(g.m)]
 
 
-def factorise(g: Graph) -> Optional[Factorisation]:
+def factorise(g: Graph, deadline: float = inf) -> Optional[Factorisation]:
     """g as a product of two connected factors with at least two vertices
-    each, or None when delta* does not expose one.
+    each, or None when delta* does not expose one before `deadline`.
 
     The delta* class of edge 0 is taken as the first factor's edges and
     every other edge as the second's; `_verified_split` checks the claim.
     """
-    if g.m == 0:
-        return None
-    return _verified_split(g, [c == 0 for c in delta_star(g)])
+    classes = delta_star(g, deadline)
+    return None if classes is None else _verified_split(g, [c == 0 for c in classes])
 
 
 def _verified_split(g: Graph, first: Sequence[bool]) -> Optional[Factorisation]:

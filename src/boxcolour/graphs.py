@@ -394,12 +394,9 @@ def is_connected(g: Graph) -> bool:
     return max(_components(g.n, g.edges)) == 0
 
 
-class GraphClass(Record):
-    __slots__ = ("max_degree", "is_regular")
-
-
-def classify(h: Graph) -> GraphClass:
-    """The degree facts used when budgeting vertex colours.
+def classify(h: Graph) -> tuple[int, bool]:
+    """The degree facts used when budgeting vertex colours: the max
+    degree, and whether h is regular.
 
     Requires a connected graph on at least two vertices.
     """
@@ -408,4 +405,4 @@ def classify(h: Graph) -> GraphClass:
     if not is_connected(h):
         raise ValueError("classification needs a connected graph")
     delta = h.max_degree
-    return GraphClass(delta, all(d == delta for d in h.degrees))
+    return delta, all(d == delta for d in h.degrees)

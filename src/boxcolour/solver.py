@@ -27,8 +27,9 @@ degree at least 2, maximum degree Delta_G + Delta_H <= a + b - 2, and
 m = a * m_H + b * m_G >= a(b - 1) + b(a - 1) = 2n - a - b edges, since a
 connected graph on k vertices has at least k - 1 edges.  A graph that no
 split of n satisfies is not factorised (`_admits_product`).  The
-factors' solves draw on the same node and time budget as the product's
-search, and their nodes count in the result.
+recognition stops at the budget's clock, the factors' solves draw on the
+same node and time budget as the product's search, and their nodes count
+in the result.
 
 `_search` is the exact core: iterative deepening on the colour count k
 from the certified `lower_bound` (the degree bound or the forest-counting
@@ -344,7 +345,8 @@ def _by_factors(
     whole palette, and the rotations of a whole palette are whole."""
     if not _admits_product(g):
         return None, nodes
-    f = factorise(g)
+    # past the budget's clock, recognition gives up as if g were no product
+    f = factorise(g, t0 + budget.max_time)
     if f is None:
         return None, nodes
     witnesses = []

@@ -14,19 +14,20 @@ raised as RuntimeError after the final verification.
 
 from __future__ import annotations
 
-from .colouring import VertexColouring, check_proper_vertex
+from .colouring import check_proper_vertex
 from .graphs import Graph, adjacency, classify
 
 
 def brooks_bound(h: Graph) -> int:
     """Colour budget: Δ, plus one when h is regular."""
-    cls = classify(h)
-    return cls.max_degree + cls.is_regular
+    delta, regular = classify(h)
+    return delta + regular
 
 
-def brooks_colouring(h: Graph) -> VertexColouring:
-    """Proper vertex colouring within the brooks_bound budget, its colours
-    relabelled in order of first appearance, so vertex 0 gets 0."""
+def brooks_colouring(h: Graph) -> list[int]:
+    """Proper vertex colouring, one colour per vertex, within the
+    brooks_bound budget, its colours relabelled in order of first
+    appearance, so vertex 0 gets 0."""
     budget = brooks_bound(h)
     adj = adjacency(h)
     root = min(range(h.n), key=h.degrees.__getitem__)
@@ -48,10 +49,10 @@ def brooks_colouring(h: Graph) -> VertexColouring:
         colours[v] = c
 
     relabel: dict[int, int] = {}
-    result = VertexColouring(h, [relabel.setdefault(c, len(relabel)) for c in colours])
-    bad = check_proper_vertex(result)
+    result = [relabel.setdefault(c, len(relabel)) for c in colours]
+    bad = check_proper_vertex(h, result)
     if bad is not None:
         raise RuntimeError(f"constructed colouring is not proper at edge {bad}")
-    if result.count() > budget:
-        raise RuntimeError(f"used {result.count()} colours, budget is {budget}")
+    if len(relabel) > budget:
+        raise RuntimeError(f"used {len(relabel)} colours, budget is {budget}")
     return result

@@ -157,7 +157,7 @@ def test_criterion_7_brooks_bound():
             continue
         count += 1
         y = brooks_colouring(g)
-        if check_proper_vertex(y) is not None or y.count() > brooks_bound(g):
+        if check_proper_vertex(g, y) is not None or len(set(y)) > brooks_bound(g):
             failures += 1
     ok = failures == 0
     _report(7, f"vertex colouring proper and within budget on all {count} connected graphs up to 7 vertices", ok)

@@ -13,7 +13,6 @@ from boxcolour.colouring import (
     ColourPalette,
     EdgeColouring,
     NotProper,
-    VertexColouring,
     canonical_cycle,
     check_acyclic,
     check_proper_vertex,
@@ -250,15 +249,10 @@ def test_violation_json_shapes():
 
 def test_vertex_colouring_checks():
     g = path(3)
-    y = VertexColouring(g, [0, 1, 0])
-    assert check_proper_vertex(y) is None
-    assert y.count() == 2
-    bad = VertexColouring(g, [0, 0, 1])
-    assert check_proper_vertex(bad) == (0, 1)
-    with pytest.raises(ValueError):
-        VertexColouring(g, [0, 1])
-    with pytest.raises(ValueError):
-        VertexColouring(g, [0, -1, 0])
+    assert check_proper_vertex(g, [0, 1, 0]) is None
+    assert check_proper_vertex(g, [0, 0, 1]) == (0, 1)
+    with pytest.raises(ValueError, match="expected 3 vertex colours, got 2"):
+        check_proper_vertex(g, [0, 1])
 
 
 @given(st.integers(2, 9), st.data())

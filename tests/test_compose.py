@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -10,7 +11,6 @@ from bruteforce import colour_of, origin_edge
 from boxcolour.colouring import (
     ColourPalette,
     EdgeColouring,
-    VertexColouring,
     check_acyclic,
     colours_used,
 )
@@ -94,7 +94,7 @@ def test_restrictions_match_the_factors():
             assert c == eta + colour_of(xh, *edge)
         else:
             # a copy of g at vertex v is g's colouring rotated by y(v)
-            assert c == (colour_of(xg, *edge) + y.colours[fixed]) % eta
+            assert c == (colour_of(xg, *edge) + y[fixed]) % eta
     assert x.palette.g_size == eta and x.palette.h_size == xh.palette.size
 
 
@@ -111,6 +111,20 @@ def test_swap_when_second_palette_is_larger():
     # ranks follow the shifted family's
     for o, c in zip(origin, x.colours):
         assert (c >= x.palette.g_size) == (origin_edge(o, k2, c4)[0] == "g")
+
+
+def test_an_oversize_product_is_refused_before_its_colours_are_built():
+    # P4000 x P4000 has 16,000,000 vertices; its colour lists would hold
+    # 2 * 4000 * 3999 entries
+    x = EdgeColouring.single_family(path(4000), [i % 2 for i in range(3999)], 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertex count 16000000 exceeds the limit"):
+            compose(x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_factor_validation():
@@ -144,7 +158,7 @@ def _reference_colours(xg: EdgeColouring, xh: EdgeColouring) -> tuple[int, ...]:
         if (factor == "g") == swapped:
             out.append(modulus + rank)
         else:
-            out.append((rank + y.colours[copy]) % modulus)
+            out.append((rank + y[copy]) % modulus)
     return tuple(out)
 
 
@@ -175,7 +189,7 @@ def test_brooks_shifts_fit_in_any_acyclic_palette():
     for h in connected_graphs_up_to(7):
         if h.n < 2:
             continue
-        used, bound = brooks_colouring(h).count(), lower_bound(h)
+        used, bound = len(set(brooks_colouring(h))), lower_bound(h)
         assert used <= bound or (h == complete(2) and (used, bound) == (2, 1))
 
 
@@ -289,7 +303,7 @@ def test_pairs_up_to_four_vertices_sit_between_the_bounds():
         paper = xg.palette.size + xh.palette.size
         beta, eta = sorted((xg.palette.size, xh.palette.size))
         # the smaller palette is the matching factor's, h's on a tie
-        shifts = brooks_colouring(g if xg.palette.size < xh.palette.size else h).count()
+        shifts = len(set(brooks_colouring(g if xg.palette.size < xh.palette.size else h)))
         assert x.palette == ColourPalette(max(eta, shifts), beta)
         assert used == x.palette.size
         assert (shifts > eta) == (g == h == complete(2))
@@ -389,8 +403,8 @@ def test_exact_aci_checks_each_colouring_once_per_boundary(monkeypatch):
         assert len(checked) == 1 and checked[0] is result.witness
 
 
-def _all_zero(g: Graph) -> VertexColouring:
-    return VertexColouring(g, [0] * g.n)
+def _all_zero(g: Graph) -> list[int]:
+    return [0] * g.n
 
 
 def test_a_defect_in_an_inner_fold_fails_the_final_check(monkeypatch):

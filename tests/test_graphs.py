@@ -22,7 +22,6 @@ from boxcolour.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
     Graph,
-    GraphClass,
     Record,
     adjacency,
     cartesian_product,
@@ -37,7 +36,6 @@ from boxcolour.graphs import (
 from boxcolour.graphs import _check_dimension, _check_order, _check_size
 from boxcolour.io import format_edge_list, graph_file_matches, parse_edge_list
 from boxcolour.solver import AciResult, SearchBudget, exact_aci
-from boxcolour.vertex_colouring import brooks_colouring
 
 from bruteforce import (
     indexes as reference_indexes,
@@ -325,13 +323,6 @@ _RECORDS = [
     (Pair, {"edge": (0, 1), "vertex": 2}, {}, "Pair(edge=(0, 1), vertex=2)", []),
     (TwinPair, {"edge": (0, 1), "vertex": 2}, {}, "TwinPair(edge=(0, 1), vertex=2)", []),
     (
-        GraphClass,
-        {"max_degree": 3, "is_regular": True},
-        {},
-        "GraphClass(max_degree=3, is_regular=True)",
-        [],
-    ),
-    (
         ColourPalette,
         {"g_size": 1, "h_size": 0},
         {"h_size": 0},
@@ -423,8 +414,8 @@ def test_records_of_different_classes_are_never_equal():
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: path(3), lambda: exact_aci(hypercube(4)), lambda: brooks_colouring(path(3))],
-    ids=["Graph", "AciResult", "VertexColouring"],
+    [lambda: path(3), lambda: exact_aci(hypercube(4))],
+    ids=["Graph", "AciResult"],
 )
 def test_graphs_and_colourings_copy_and_pickle(make):
     # an AciResult carries a Graph inside its EdgeColouring witness
@@ -435,14 +426,11 @@ def test_graphs_and_colourings_copy_and_pickle(make):
 
 
 def test_classify():
-    k = classify(complete(4))
-    assert k.is_regular and k.max_degree == 3
-    c5 = classify(cycle(5))
-    assert c5.is_regular and c5.max_degree == 2
-    p = classify(path(4))
-    assert not p.is_regular and p.max_degree == 2
-    star = classify(Graph(4, [(0, 1), (0, 2), (0, 3)]))
-    assert not star.is_regular and star.max_degree == 3
+    # (max degree, regular)
+    assert classify(complete(4)) == (3, True)
+    assert classify(cycle(5)) == (2, True)
+    assert classify(path(4)) == (2, False)
+    assert classify(Graph(4, [(0, 1), (0, 2), (0, 3)])) == (3, False)
     with pytest.raises(ValueError):
         classify(Graph(1, []))
     with pytest.raises(ValueError):
@@ -579,9 +567,9 @@ def test_scan_builds_adjacency_only_for_the_graphs_it_factorises(monkeypatch):
     built, _ = _count_indexes(monkeypatch)
     factorised = []
 
-    def counting(g):
+    def counting(g, deadline):
         factorised.append(g)
-        return factorise(g)
+        return factorise(g, deadline)
 
     monkeypatch.setattr(solver, "factorise", counting)
     graphs = connected_graphs_up_to(7)

@@ -210,6 +210,10 @@ def test_graph6_errors():
         parse_graph6("B")  # body too short for n=3
     with pytest.raises(ValueError):
         parse_graph6("A" + chr(200))
+    # '~' opens a 3-byte size field and '~~' a 6-byte one
+    for line in ("~", "~AB", "~~ABCDE"):
+        with pytest.raises(ValueError, match="truncated graph6 size field"):
+            parse_graph6(line)
 
 
 def test_graph6_line_over_the_edge_limit_is_refused_before_building_an_edge(monkeypatch):
@@ -259,6 +263,8 @@ def test_graph6_long_form_sizes():
     G = nx.path_graph(70)
     parsed = parse_graph6(_nx_g6(G))
     assert parsed == Graph(70, list(G.edges()))
+    # and '~~' + 6 bytes is the 8-byte form, here of the empty graph
+    assert parse_graph6("~~??????") == Graph(0, [])
 
 
 @settings(max_examples=30)

@@ -175,6 +175,25 @@ def test_budget_exhaustion_keeps_the_composed_upper_bound():
     assert exact_aci(g).witness != r.witness
 
 
+def test_the_search_stops_at_its_clock():
+    # K9's search at its lower bound 9 runs far past 0.05 s, and the clock
+    # is read on every 2048th node, so that is where the search stops
+    r = exact_aci(complete(9), SearchBudget(max_nodes=10**9, max_time=0.05))
+    assert r.exhausted and r.lower == 9 and r.nodes % 2048 == 0
+    assert check_acyclic(r.witness) is None and colours_used(r.witness) == r.upper
+
+
+def test_product_recognition_stops_at_the_clock():
+    # K60,60 has the counts and degrees of K2 x K60, so it is factorised,
+    # and delta* on it costs about 60^4 steps; the clock cuts that short,
+    # and the search then stops at its first clock read
+    g = Graph(120, [(i, 60 + j) for i in range(60) for j in range(60)])
+    start = time.perf_counter()
+    r = exact_aci(g, SearchBudget(max_nodes=10**9, max_time=0.2))
+    assert time.perf_counter() - start < 2
+    assert r.exhausted and r.lower == 61 and r.nodes == 2048
+
+
 def _perfbench_checker():
     # the benchmark's independent checker, imported as tests/test_surface.py
     # imports the tracer
