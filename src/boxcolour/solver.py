@@ -31,10 +31,18 @@ recognition stops at the budget's clock, the factors' solves draw on the
 same node and time budget as the product's search, and their nodes count
 in the result.
 
+`lower_bound` is the larger of the degree bound and the forest-counting
+bound of the densest subgraph met by peeling off a vertex of least degree
+at a time.  It is sound because an acyclic colouring restricts to every
+subgraph S, so a'(S) <= a'(G).  The regular graph's +1 has no subgraph
+version, since in a connected graph only the whole graph can be regular
+of its max degree; and peeling misses little: of the 12,112 graphs with
+an edge and at most 8 vertices, the best of all vertex subsets has a
+larger forest count than every prefix on 18, and raises the bound on 3.
+
 `_search` is the exact core: iterative deepening on the colour count k
-from the certified `lower_bound` (the degree bound or the forest-counting
-bound, whichever is larger), and for each k a backtracking search over
-edges in a fixed order (degree-sum descending).  `_first_colouring` is
+from the certified `lower_bound`, and for each k a backtracking search
+over edges in a fixed order (degree-sum descending).  `_first_colouring` is
 that search, one loop over plain locals: the search keeps its stack
 explicitly, as the colour assigned at each position of the order, so its
 depth is bounded by memory rather than by Python's recursion limit.
@@ -68,7 +76,7 @@ from typing import Optional
 from .colouring import EdgeColouring, check_acyclic, colours_used
 from .compose import _compose
 from .factor import factorise
-from .graphs import Graph, Record, _norm_edge
+from .graphs import Graph, Record, _norm_edge, adjacency
 
 
 class SearchBudget(Record):
@@ -119,7 +127,11 @@ def forest_bound(g: Graph) -> int:
     (Alon, Sudakov and Zaks, J. Graph Theory 37, 2001).  Nothing here
     needs the graph connected: isolated vertices only loosen the count.
     """
-    n, m = g.n, g.m
+    return _forest(g.n, g.m)
+
+
+def _forest(n: int, m: int) -> int:
+    # `forest_bound` of a graph with n vertices and m edges
     if m == 0:
         return 0
     half = n // 2
@@ -133,7 +145,7 @@ def forest_bound(g: Graph) -> int:
 
 def lower_bound(g: Graph) -> int:
     """The certified lower bound the search starts from: the larger of the
-    degree bound and `forest_bound`.
+    degree bound and the forest bound of the densest peeled subgraph.
 
     The degree bound is the max degree, plus one when the graph is regular
     of degree above one.  The extra one is forced: in a proper Δ-edge-
@@ -141,11 +153,71 @@ def lower_bound(g: Graph) -> int:
     and any two perfect matchings union to a disjoint set of bichromatic
     cycles.  `forest_bound` is larger on dense graphs: 7 against 6 on K6,
     9 against 8 on K8.
+
+    An acyclic colouring of g restricts to one of each subgraph S, so
+    a'(g) >= a'(S) >= forest_bound(S).  `_peeled` takes S over the prefixes
+    of a peeling, the core-decomposition order of Batagelj and Zaversnik
+    (arXiv cs/0310049): K4 with a pendant edge reads 5, K4's index, where
+    the whole graph gives 4.  The regular +1 has no subgraph version: an
+    r-regular subgraph gives r + 1 <= Δ when r < Δ, and a Δ-regular one
+    sends no edge out, so in a connected graph it is the whole graph.  And
+    peeling is near the best vertex subset: over the 12,112 graphs with an
+    edge and at most 8 vertices, the best of all 2^n subsets has a larger
+    forest count than every prefix on only 18, and a larger bound on 3.
+
+    Peeling first drops a vertex of least degree δ, so the first prefix
+    has n - 1 vertices and m - δ edges and needs no peel.  The next vertex
+    peeled has degree at least δ - 1, so a later prefix has at most n - 2
+    vertices and m - 2δ + 1 edges: the peel runs only where `_may_beat`
+    lets such a prefix raise the bound, and stops once none can.
     """
-    delta = g.max_degree
-    if delta > 1 and min(g.degrees) == delta:
+    n, m = g.n, g.m
+    delta, low = g.max_degree, min(g.degrees, default=0)
+    if delta > 1 and low == delta:
         delta += 1
-    return max(delta, forest_bound(g))
+    bound = max(delta, _forest(n, m), _forest(n - 1, m - low))
+    if _may_beat(bound, n - 2, m - 2 * low + 1):
+        return _peeled(g, bound)
+    return bound
+
+
+def _may_beat(bound: int, n: int, m: int) -> bool:
+    """Whether a graph on at most n vertices and m edges may have a forest
+    bound above `bound`, B >= 1 (an edgeless graph has nothing above 0).
+    On n' vertices and m' edges the bound exceeds B just when 2m' >
+    B(n' - 1) for odd n' and 2m' > B(n' - 2) + 2 for even n'.  As 2m' <=
+    n'(n' - 1), an even n' must be at least B and an odd one at least
+    B + 1, so n' >= k = B + B % 2, and then either case needs 2m' >
+    B(k - 2) + 2."""
+    k = bound + bound % 2
+    return k <= n and 2 * m > bound * (k - 2) + 2
+
+
+def _peeled(g: Graph, bound: int) -> int:
+    """The larger of `bound` and the forest bound of each prefix of g's
+    peeling, which removes a vertex of least degree, the lowest on ties,
+    in O((n + m) log n); a prefix on fewer than 3 vertices has a bound of
+    at most 1, so it never counts.  The heap holds (degree, vertex)
+    entries, sorted to start with; an entry is stale once its vertex's
+    degree has moved, and a peeled vertex's degree is -1."""
+    # only a peel needs heapq, so hypercube, compose and verify never load it
+    from heapq import heappop, heappush
+
+    degree, adj = list(g.degrees), adjacency(g)
+    heap = sorted(zip(degree, range(g.n)))
+    n, m = g.n, g.m
+    while _may_beat(bound, n - 1, m):
+        d, v = heappop(heap)
+        if d == degree[v]:
+            degree[v] = -1
+            for u in adj[v]:
+                e = degree[u]
+                if e > 0:
+                    degree[u] = e - 1
+                    heappush(heap, (e - 1, u))
+            n, m = n - 1, m - d
+            bound = max(bound, _forest(n, m))
+    return bound
 
 
 def _edge_order(g: Graph) -> list[int]:

@@ -561,24 +561,34 @@ def test_products_build_no_factor_index(monkeypatch):
     assert set(built) == {complete(2)} and counted == [complete(2)]
 
 
-def test_scan_builds_adjacency_only_for_the_graphs_it_factorises(monkeypatch):
+def test_scan_builds_adjacency_only_for_the_graphs_it_factorises_or_peels(monkeypatch):
     # the solver reads a corpus graph's degrees, its sorted edges and its
-    # edge count; only factorise builds its adjacency
+    # edge count; only factorise, and the lower bound's peel where the
+    # counts let a subgraph raise the bound, build its adjacency
     built, _ = _count_indexes(monkeypatch)
-    factorised = []
+    factorised, peeled = [], []
 
     def counting(g, deadline):
         factorised.append(g)
         return factorise(g, deadline)
 
+    def peeling(g, bound):
+        peeled.append(g)
+        return real_peel(g, bound)
+
+    real_peel = solver._peeled
     monkeypatch.setattr(solver, "factorise", counting)
+    monkeypatch.setattr(solver, "_peeled", peeling)
     graphs = connected_graphs_up_to(7)
     for g in graphs:
         exact_aci(g)
     ids = {id(g) for g in graphs}
-    # the vertex, edge and degree counts leave 11 of the 996 graphs
+    # the vertex, edge and degree counts leave 11 of the 996 graphs to
+    # factorise and 344 to peel
     assert len(factorised) == 11 and all(id(g) in ids for g in factorised)
-    assert [id(g) for g in built if id(g) in ids] == [id(g) for g in factorised]
+    assert len(peeled) == 344 and all(id(g) in ids for g in peeled)
+    built_ids = sorted(id(g) for g in built if id(g) in ids)
+    assert built_ids == sorted(map(id, factorised + peeled))
 
 
 @given(st.integers(1, 5), st.integers(1, 5))

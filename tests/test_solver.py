@@ -36,12 +36,63 @@ def test_lower_bound_examples():
     assert lower_bound(hypercube(3)) == 4
     assert lower_bound(path(5)) == 2
     assert lower_bound(Graph(4, [(0, 1), (0, 2), (0, 3)])) == 3
-    assert lower_bound(Graph(1, [])) == 0
+    # the whole graph's counts give 4; its K4 gives 5, which is its index
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+    assert (_whole_graph_bound(g), lower_bound(g), brute_aci(g)) == (4, 5, 5)
+    # at most 3 vertices, and no edge
+    assert [lower_bound(g) for g in (path(2), path(3), complete(3))] == [1, 2, 3]
+    assert [lower_bound(Graph(n, [])) for n in range(6)] == [0] * 6
+
+
+def _whole_graph_bound(g: Graph) -> int:
+    # the degree bound and the whole graph's forest count, the larger
+    degrees = [0] * g.n
+    for u, v in g.edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    delta = max(degrees, default=0)
+    regular = delta > 1 and min(degrees) == delta
+    return max(delta + regular, forest_bound(g))
+
+
+def _peeling_bound(g: Graph) -> int:
+    """The bound by its definition: the whole graph's bound, and the forest
+    count of each prefix of the peeling that removes a vertex of least
+    degree, the lowest on ties, down to 3 vertices, each prefix built as a
+    graph."""
+    best, alive = _whole_graph_bound(g), list(range(g.n))
+    while len(alive) > 3:
+        inside = [(u, v) for u, v in g.edges if u in alive and v in alive]
+        degree = {v: sum(v in e for e in inside) for v in alive}
+        alive.remove(min(alive, key=lambda v: (degree[v], v)))
+        index = {v: i for i, v in enumerate(alive)}
+        rest = [(index[u], index[v]) for u, v in inside if u in index and v in index]
+        best = max(best, forest_bound(Graph(len(alive), rest)))
+    return best
 
 
 def test_bounds_are_sound_on_every_connected_graph_up_to_six_vertices():
     for g in reference_corpus(6):
-        assert forest_bound(g) <= lower_bound(g) <= brute_aci(g), g.edges
+        assert _whole_graph_bound(g) <= lower_bound(g) <= brute_aci(g), g.edges
+
+
+def test_peeled_bound_is_sound_and_never_below_the_whole_graph_bound_up_to_seven_vertices():
+    # the skip and the early stop never change the value: it is the
+    # definition's on every graph, and at most aci on all 996
+    raised = 0
+    for g in connected_graphs_up_to(7):
+        bound = lower_bound(g)
+        assert _whole_graph_bound(g) <= bound == _peeling_bound(g) <= exact_aci(g).aci, g.edges
+        raised += bound > _whole_graph_bound(g)
+    assert raised == 128
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9), st.sets(st.tuples(st.integers(0, 8), st.integers(1, 9))))
+def test_peeled_bound_matches_its_definition(n, pairs):
+    # disconnected graphs and isolated vertices included
+    g = Graph(n, {(u, v) for u, v in pairs if u < v < n})
+    assert lower_bound(g) == _peeling_bound(g)
 
 
 @pytest.mark.parametrize(
@@ -55,14 +106,15 @@ def test_bounds_are_sound_on_every_connected_graph_up_to_six_vertices():
             + [(i, j) for i in range(4, 8) for j in range(i + 1, 8)]),
         (6, [(i, j) for i in range(5) for j in range(i + 1, 5)]),
         (7, [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+        (7, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(4, 5), (5, 6)]),
     ],
-    ids=["edgeless", "K2+2K1", "2K3", "K4+K2", "2K4", "K5+K1", "K6+K1"],
+    ids=["edgeless", "K2+2K1", "2K3", "K4+K2", "2K4", "K5+K1", "K6+K1", "K4+P3"],
 )
 def test_bounds_are_sound_on_disconnected_graphs(n, edges):
     # the matching counts hold on any vertex set; isolated vertices only
-    # loosen them
+    # loosen them, and peeling them off finds the dense part
     g = Graph(n, edges)
-    assert forest_bound(g) <= lower_bound(g) <= brute_aci(g)
+    assert _whole_graph_bound(g) <= lower_bound(g) <= brute_aci(g)
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -257,12 +309,13 @@ def test_refuting_a_level_counts_every_node():
 
 
 def test_search_node_counts_on_small_corpus():
-    # also pins the corpus, whose labellings set each search
+    # also pins the corpus, whose labellings set each search, and the
+    # peeled bound, which starts 128 of these searches higher
     graphs = connected_graphs_up_to(7)
     assert len(graphs) == 996
     nodes = [_search(g).nodes for g in graphs]
-    assert sum(x for x, g in zip(nodes, graphs) if g.n <= 6) == 1_310
-    assert sum(nodes) == 23_934
+    assert sum(x for x, g in zip(nodes, graphs) if g.n <= 6) == 1_240
+    assert sum(nodes) == 14_613
 
 
 @pytest.mark.parametrize(
@@ -288,8 +341,8 @@ def test_exact_node_counts_on_small_corpus():
     # (16 -> 4)
     graphs = connected_graphs_up_to(7)
     results = [exact_aci(g) for g in graphs]
-    assert sum(r.nodes for r, g in zip(results, graphs) if g.n <= 6) == 1_289
-    assert sum(r.nodes for r in results) == 23_913
+    assert sum(r.nodes for r, g in zip(results, graphs) if g.n <= 6) == 1_219
+    assert sum(r.nodes for r in results) == 14_592
     factored = [g for r, g in zip(results, graphs) if r.tactic == "factor"]
     products = [cartesian_product(a, path(2))[0] for a in (path(2), path(3), cycle(3))]
     assert len(factored) == 3
