@@ -1,22 +1,36 @@
 """Recognise a graph as a cartesian product of two smaller graphs.
 
-The recognition uses the relation delta of Imrich and Klavzar (Hammack,
-Imrich and Klavzar, *Handbook of Product Graphs*, 2nd ed., 2011): two
-edges are related when they are opposite edges of a chordless 4-cycle, or
-when they share a vertex and lie on no common chordless 4-cycle.  In a
-product of connected graphs every chordless 4-cycle either lies inside one
-copy of a factor or alternates two edges of each factor with opposite
-edges from the same factor, so the transitive closure delta* never relates
-edges of different factors.
+The recognition is a variant of the relation delta of Imrich and Klavzar
+(Hammack, Imrich and Klavzar, *Handbook of Product Graphs*, 2nd ed.,
+2011), which relates opposite edges of a chordless 4-cycle, and two edges
+that share a vertex and lie on no common chordless 4-cycle.  `delta_star`
+takes one pass over the vertices and joins, at each vertex u and for each
+pair of its neighbours v and w, either the opposite edges of the one
+chordless 4-cycle u-v-x-w or the two edges uv and uw (see `delta_star`).
 
-`factorise` takes the delta* class of edge 0 as one side and every other
-edge as the other, reads each vertex's two coordinates off the connected
+Cross-pair lemma.  Let g = G x H with G and H connected on at least two
+vertices, let u = (a, b), and let v = (a', b) and w = (a, b') be a cross
+pair of u's neighbours, one across an edge of each factor.  A common
+neighbour of v and w differs from each in one coordinate, so it is u or
+x = (a', b'): v and w are non-adjacent, have exactly these two common
+neighbours, and x, which differs from u in both coordinates, is not
+adjacent to u.  So the rule meets every cross pair as a chordless 4-cycle
+and joins uv with xw and uw with xv, each a pair of edges of one factor.
+A pair of neighbours across edges of the same factor, say G, has all its
+common neighbours in the same copy of G, so every join the rule makes
+there is between edges of G.  Hence no class of `delta_star` holds edges
+of both factors, whichever factorisation of g is taken, while every
+vertex of g has edges of both.  A vertex whose edges all fall into one
+class, a fused vertex, thus rules out every factorisation, and
+`delta_star` stops at the first.
+
+`factorise` takes the class of edge 0 as one side and every other edge as
+the other, reads each vertex's two coordinates off the connected
 components of the two sides, and then verifies the result outright.  It
 is untrusted by its callers all the same: the solver checks the colouring
 it builds from a factorisation with `check_acyclic` on the input graph,
 so a missed factorisation costs speed and a wrong one is caught.  The
-delta* classes and the components both come from the union-find in
-`graphs`.
+classes and the components both come from the union-find in `graphs`.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ import time
 from math import inf
 from typing import Optional, Sequence
 
-from .graphs import Graph, Record, _components, _norm_edge, _root, _union, adjacency
+from .graphs import Graph, Record, _components, _norm_edge, _root, _union
 
 
 class Factorisation(Record):
@@ -36,33 +50,44 @@ class Factorisation(Record):
 
 
 def delta_star(g: Graph, deadline: float = inf) -> Optional[list[int]]:
-    """The delta* class of every edge, as the smallest edge index in it,
-    or None once `time.perf_counter()` passes `deadline`, which it reads
-    once per vertex and neighbour.
+    """The delta* class of every edge, as the smallest edge index in it;
+    or None when some vertex's edges all fall into one class, since g is
+    then no product, or once `time.perf_counter()` passes `deadline`,
+    which it reads once per vertex and neighbour.
 
-    Each chordless 4-cycle u-v-x-w is met from its corner u and the pair
-    of neighbours v, w: they are non-adjacent, and x is a common neighbour
-    of v and w other than u that is not adjacent to u.
+    At each vertex u, every pair of neighbours v, w is met once.  If v and
+    w are non-adjacent and their only common neighbours are u and one x
+    that is not adjacent to u, then u-v-x-w is a chordless 4-cycle, and
+    uv is joined with xw and uw with xv.  Otherwise uv is joined with uw.
+    This differs from Imrich and Klavzar's delta only where v and w have
+    two or more common neighbours besides u: delta relates the opposite
+    edges of each chordless 4-cycle through them, and this rule joins uv
+    and uw directly.  It is sound by the cross-pair lemma in the module
+    docstring: such a pair lies in one factor.
     """
     parent = list(range(g.m))
-    index = {e: i for i, e in enumerate(g.edges)}
-    adj = adjacency(g)
-    near = list(map(frozenset, adj))
-    for u, neighbours in enumerate(adj):
-        around = [(v, index[_norm_edge(u, v)]) for v in neighbours]
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        at[u][v] = at[v][u] = e
+    for u, near in enumerate(at):
+        around = list(near.items())
         for a, (v, e) in enumerate(around):
             if time.perf_counter() > deadline:
                 return None
+            at_v = at[v]
             for w, f in around[a + 1 :]:
-                square = False
-                if w not in near[v]:
-                    for x in near[v] & near[w]:
-                        if x != u and x not in near[u]:
-                            square = True
-                            _union(parent, e, index[_norm_edge(x, w)])
-                            _union(parent, f, index[_norm_edge(x, v)])
-                if not square:
-                    _union(parent, e, f)
+                if w not in at_v:
+                    common = at_v.keys() & at[w].keys()
+                    if len(common) == 2:
+                        common.discard(u)
+                        x = common.pop()
+                        if x not in near:
+                            _union(parent, e, at[x][w])
+                            _union(parent, f, at_v[x])
+                            continue
+                _union(parent, e, f)
+        if len({_root(parent, e) for e in near.values()}) < 2:
+            return None
     return [_root(parent, e) for e in range(g.m)]
 
 

@@ -26,10 +26,14 @@ connected factors G and H on a and b >= 2 vertices has n = a * b, minimum
 degree at least 2, maximum degree Delta_G + Delta_H <= a + b - 2, and
 m = a * m_H + b * m_G >= a(b - 1) + b(a - 1) = 2n - a - b edges, since a
 connected graph on k vertices has at least k - 1 edges.  A graph that no
-split of n satisfies is not factorised (`_admits_product`).  The
-recognition stops at the budget's clock, the factors' solves draw on the
-same node and time budget as the product's search, and their nodes count
-in the result.
+split of n satisfies is not factorised (`_admits_product`).  A graph the
+counts let through gets one pass of `factor.delta_star`, which stops at
+the first vertex whose edges all fall into one class, since no product
+has such a vertex; K_{a,a}, which has the counts of K2 x K_a, stops at
+its first.  The split it leaves is then checked by
+`factor._verified_split`.  The recognition stops at the budget's clock,
+the factors' solves draw on the same node and time budget as the
+product's search, and their nodes count in the result.
 
 `lower_bound` is the larger of the degree bound and the forest-counting
 bound of the densest subgraph met by peeling off a vertex of least degree

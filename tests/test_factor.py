@@ -41,7 +41,8 @@ def _rebuilds(g: Graph, f) -> bool:
 def test_delta_star_splits_exactly_the_small_products():
     graphs = [g for g in connected_graphs_up_to(7) if g.n >= 2]
     assert len(graphs) == 995
-    split = [g for g in graphs if len(set(delta_star(g))) > 1]
+    # None is no split: some vertex's edges all fell into one class
+    split = [g for g in graphs if len(set(delta_star(g) or ())) > 1]
     k2 = path(2)
     products = [_product(k2, k2), _product(path(3), k2), _product(cycle(3), k2)]
     assert len(split) == 3
@@ -57,11 +58,33 @@ def test_delta_star_classes_on_known_products():
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(FACTORS), st.sampled_from(FACTORS), st.randoms(use_true_random=False))
 def test_coordinates_rebuild_relabelled_products(g, h, rng):
-    product = _relabel(_product(g, h), rng)
+    unrelabelled, origin = cartesian_product(g, h)
+    product = _relabel(unrelabelled, rng)
     f = factorise(product)
     assert f is not None
     assert f.g.n * f.h.n == product.n and sorted(f.vertex) == list(range(product.n))
     assert _rebuilds(product, f)
+    # the cross-pair lemma: no class of delta* holds a g-edge and an h-edge
+    classes = delta_star(unrelabelled)
+    assert classes is not None
+    side = {}
+    for c, o in zip(classes, origin):
+        factor = origin_edge(o, g, h)[0]
+        assert side.setdefault(c, factor) == factor
+
+
+def test_factorise_stops_at_the_first_fused_vertex_of_a_complete_bipartite_graph():
+    # K_{a,a} has the counts of K2 x K_a, but any two neighbours of a vertex
+    # share a >= 3 common neighbours, so all its edges join one class and
+    # delta* stops at the first vertex
+    for a in range(3, 81):
+        g = Graph(2 * a, [(i, a + j) for i in range(a) for j in range(a)])
+        start = time.perf_counter()
+        assert factorise(g) is None
+        elapsed = time.perf_counter() - start
+        assert delta_star(g) is None
+    # the last graph timed is K80,80
+    assert elapsed < 0.5
 
 
 @settings(max_examples=300, deadline=None)

@@ -235,15 +235,26 @@ def test_the_search_stops_at_its_clock():
     assert check_acyclic(r.witness) is None and colours_used(r.witness) == r.upper
 
 
+def _k60_60() -> Graph:
+    return Graph(120, [(i, 60 + j) for i in range(60) for j in range(60)])
+
+
 def test_product_recognition_stops_at_the_clock():
-    # K60,60 has the counts and degrees of K2 x K60, so it is factorised,
-    # and delta* on it costs about 60^4 steps; the clock cuts that short,
-    # and the search then stops at its first clock read
-    g = Graph(120, [(i, 60 + j) for i in range(60) for j in range(60)])
+    # K60,60 x K2 is a product, and delta* on it costs about 2 * 60^4 steps,
+    # since no vertex fuses; the clock cuts that short, and the search then
+    # stops at its first clock read
+    g = cartesian_product(_k60_60(), complete(2))[0]
     start = time.perf_counter()
     r = exact_aci(g, SearchBudget(max_nodes=10**9, max_time=0.2))
     assert time.perf_counter() - start < 2
-    assert r.exhausted and r.lower == 61 and r.nodes == 2048
+    assert r.exhausted and r.lower == 62 and r.nodes == 2048
+
+
+def test_a_fused_vertex_leaves_the_budget_to_the_search():
+    # K60,60 has the counts of K2 x K60, but delta* fuses its first vertex
+    # at once, so the search reads the clock more than once
+    r = exact_aci(_k60_60(), SearchBudget(max_nodes=10**9, max_time=0.2))
+    assert r.exhausted and r.lower == 61 and r.nodes > 2048
 
 
 def _perfbench_checker():
