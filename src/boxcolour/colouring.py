@@ -50,7 +50,7 @@ which its factors' witnesses and inner folds are relabelled the same way.
 from __future__ import annotations
 
 from collections import _count_elements
-from typing import Iterable, Iterator, Optional, Union
+from collections.abc import Iterable, Iterator
 
 from .graphs import (
     Edge,
@@ -90,7 +90,7 @@ def colour_label(colour: int, g_size: int) -> str:
     return str(colour) if colour < g_size else f"{colour - g_size}'"
 
 
-def parse_colour_label(label: str, palette: Optional[ColourPalette] = None) -> int:
+def parse_colour_label(label: str, palette: ColourPalette | None = None) -> int:
     """Inverse of `colour_label`: the rank in `palette` that `label` names.
     `colour_label` is the only writer of labels: ASCII digits with no
     leading zero, then at most one "'".  Anything else, such as " 3", "+3",
@@ -266,7 +266,7 @@ class BichromaticCycle(Record):
         }
 
 
-Violation = Union[NotProper, BichromaticCycle]
+Violation = NotProper | BichromaticCycle
 
 
 def canonical_cycle(vertices: Iterable[int]) -> tuple[int, ...]:
@@ -300,10 +300,10 @@ class _SparseMates(dict):
         return -1
 
 
-_Mates = Union[list[int], _SparseMates]
+_Mates = list[int] | _SparseMates
 
 
-def _mate_maps(x: EdgeColouring) -> Optional[dict[int, tuple[_Mates, Iterable[int]]]]:
+def _mate_maps(x: EdgeColouring) -> dict[int, tuple[_Mates, Iterable[int]]] | None:
     """Per colour used on two or more edges, its mates (vertex -> the other
     end of its edge of that colour, -1 where it has none) and the vertices
     a walk over it starts from: one end of each edge, in index order, for a
@@ -335,14 +335,14 @@ def _mate_maps(x: EdgeColouring) -> Optional[dict[int, tuple[_Mates, Iterable[in
     return classes
 
 
-def _first_clash(x: EdgeColouring) -> Optional[NotProper]:
+def _first_clash(x: EdgeColouring) -> NotProper | None:
     """The smallest vertex met twice by one colour, at the first of its
     edges, in index order, whose colour an earlier one has; None for a
     proper colouring.  One pass over the edges keeps the first edge of
     each (vertex, colour), so no incidence index is built."""
     edges = x.graph.edges
     first: dict[tuple[int, int], int] = {}
-    best: Optional[NotProper] = None
+    best: NotProper | None = None
     for ei, ((u, v), c) in enumerate(zip(edges, x.colours)):
         for w in (u, v):
             earlier = first.setdefault((w, c), ei)
@@ -351,7 +351,7 @@ def _first_clash(x: EdgeColouring) -> Optional[NotProper]:
     return best
 
 
-def check_proper_vertex(g: Graph, colours: list[int]) -> Optional[Edge]:
+def check_proper_vertex(g: Graph, colours: list[int]) -> Edge | None:
     """None iff no edge of g is monochromatic under `colours`, one per
     vertex; otherwise the first such edge."""
     if len(colours) != g.n:
@@ -455,7 +455,7 @@ def _meeting_pairs(
             yield i, j
 
 
-def check_acyclic(x: EdgeColouring) -> Optional[Violation]:
+def check_acyclic(x: EdgeColouring) -> Violation | None:
     """Full verification: properness first, then a walk per colour pair.
 
     An improper colouring yields the first colour met twice at a vertex,

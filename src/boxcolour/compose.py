@@ -48,8 +48,6 @@ it returns.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .colouring import ColourPalette, EdgeColouring, check_acyclic
 from .graphs import Graph, _check_dimension, cartesian_product, is_connected
 from .vertex_colouring import brooks_colouring
@@ -130,7 +128,9 @@ def compose_many(colourings: list[EdgeColouring]) -> EdgeColouring:
     for i, x in enumerate(colourings):
         _validate_factor(str(i), x)
     start = next((i for i, x in enumerate(colourings) if x.palette.size > 1), 0)
-    acc = reduce(_compose, colourings[start:])
+    acc = colourings[start]
+    for x in colourings[start + 1 :]:
+        acc = _compose(acc, x)
     for x in reversed(colourings[:start]):
         acc = _compose(x, acc)
     return _verified(acc)

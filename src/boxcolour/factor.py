@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import time
 from math import inf
-from typing import Optional, Sequence
 
 from .graphs import Graph, Record, _components, _norm_edge, _root, _union
 
@@ -49,7 +48,7 @@ class Factorisation(Record):
     __slots__ = ("g", "h", "vertex")
 
 
-def delta_star(g: Graph, deadline: float = inf) -> Optional[list[int]]:
+def delta_star(g: Graph, deadline: float = inf) -> list[int] | None:
     """The delta* class of every edge, as the smallest edge index in it;
     or None when some vertex's edges all fall into one class, since g is
     then no product, or once `time.perf_counter()` passes `deadline`,
@@ -91,7 +90,7 @@ def delta_star(g: Graph, deadline: float = inf) -> Optional[list[int]]:
     return [_root(parent, e) for e in range(g.m)]
 
 
-def factorise(g: Graph, deadline: float = inf) -> Optional[Factorisation]:
+def factorise(g: Graph, deadline: float = inf) -> Factorisation | None:
     """g as a product of two connected factors with at least two vertices
     each, or None when delta* does not expose one before `deadline`.
 
@@ -102,7 +101,7 @@ def factorise(g: Graph, deadline: float = inf) -> Optional[Factorisation]:
     return None if classes is None else _verified_split(g, [c == 0 for c in classes])
 
 
-def _verified_split(g: Graph, first: Sequence[bool]) -> Optional[Factorisation]:
+def _verified_split(g: Graph, first: list[bool]) -> Factorisation | None:
     """The factorisation that splitting g's edges into those marked in
     `first` and the rest describes, or None if g is not that product.
 

@@ -28,9 +28,9 @@ before any edge is built.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import islice
 from operator import eq, itemgetter
-from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 

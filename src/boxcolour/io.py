@@ -27,18 +27,18 @@ reading is supported, one graph per line.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Union
+import os
 
 from .colouring import EdgeColouring, Violation, colour_label
 from .graphs import Graph, _check_size
 
-PathLike = Union[str, Path]
+PathLike = str | os.PathLike
 
 
 def _read_text(path: PathLike) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot decode {path}: {exc}") from None
 
@@ -105,7 +105,8 @@ def _parse_edge_list_file(text: str, path: PathLike) -> Graph:
 
 
 def write_edge_list(g: Graph, path: PathLike) -> None:
-    Path(path).write_text(format_edge_list(g))
+    with open(path, "w") as f:
+        f.write(format_edge_list(g))
 
 
 # ---------------------------------------------------------------------------

@@ -72,15 +72,13 @@ backtracks: the first colour that fits is kept, which is first-fit.
 
 from __future__ import annotations
 
-import random
 import time
 from math import isqrt
-from typing import Optional
 
 from .colouring import EdgeColouring, check_acyclic, colours_used
 from .compose import _compose
 from .factor import factorise
-from .graphs import Graph, Record, _norm_edge, adjacency
+from .graphs import Graph, Record, _components, _norm_edge, adjacency
 
 
 class SearchBudget(Record):
@@ -107,7 +105,7 @@ class AciResult(Record):
     __slots__ = ("witness", "nodes", "seconds", "lower", "upper", "tactic")
 
     @property
-    def aci(self) -> Optional[int]:
+    def aci(self) -> int | None:
         return self.lower if self.lower == self.upper else None
 
     @property
@@ -180,37 +178,51 @@ def lower_bound(g: Graph) -> int:
     if delta > 1 and low == delta:
         delta += 1
     bound = max(delta, _forest(n, m), _forest(n - 1, m - low))
-    if _may_beat(bound, n - 2, m - 2 * low + 1):
-        return _peeled(g, bound)
-    return bound
+    if not _may_beat(bound, n - 2, m - 2 * low + 1, m):
+        return bound
+    # the cycle rank, at most m, needs the component count, a pass over the
+    # edges that only a graph whose counts leave room pays for
+    rank = m - n + 1 + max(_components(n, g.edges))
+    return _peeled(g, bound, rank) if _may_beat(bound, n - 2, m - 2 * low + 1, rank) else bound
 
 
-def _may_beat(bound: int, n: int, m: int) -> bool:
-    """Whether a graph on at most n vertices and m edges may have a forest
-    bound above `bound`, B >= 1 (an edgeless graph has nothing above 0).
-    On n' vertices and m' edges the bound exceeds B just when 2m' >
-    B(n' - 1) for odd n' and 2m' > B(n' - 2) + 2 for even n'.  As 2m' <=
-    n'(n' - 1), an even n' must be at least B and an odd one at least
-    B + 1, so n' >= k = B + B % 2, and then either case needs 2m' >
-    B(k - 2) + 2."""
+def _may_beat(bound: int, n: int, m: int, rank: int) -> bool:
+    """Whether a subgraph on at most n vertices and m edges, of a graph
+    whose cycle rank (edges - vertices + components) is at most `rank`,
+    may have a forest bound above `bound`, B >= 1 (an edgeless graph has
+    nothing above 0).  On n' vertices and m' edges the bound exceeds B
+    just when 2m' > B(n' - 1) for odd n' and 2m' > B(n' - 2) + 2 for even
+    n'.  As 2m' <= n'(n' - 1), an even n' must be at least B and an odd
+    one at least B + 1, so n' >= k = B + B % 2, and then either case
+    needs 2m' > B(k - 2) + 2.
+
+    Deleting an edge lowers the cycle rank by one or splits a component
+    and keeps it, and deleting an isolated vertex keeps it, so a
+    subgraph's rank r' = m' - n' + c' is at most the graph's.  As c' >= 1,
+    either case above gives 2r' >= 2(m' - n' + 1) > (B - 2)(k - 2) for
+    B >= 2, so no subgraph beats B once (B - 2)(k - 2) >= 2 * rank: a
+    forest (rank 0) never peels.  For B = 1 the callers' bound is at least
+    the max degree, so the graph is a matching, whose rank 0 the test
+    refuses, and no subgraph of a matching beats 1."""
     k = bound + bound % 2
-    return k <= n and 2 * m > bound * (k - 2) + 2
+    return k <= n and 2 * m > bound * (k - 2) + 2 and (bound - 2) * (k - 2) < 2 * rank
 
 
-def _peeled(g: Graph, bound: int) -> int:
+def _peeled(g: Graph, bound: int, rank: int) -> int:
     """The larger of `bound` and the forest bound of each prefix of g's
     peeling, which removes a vertex of least degree, the lowest on ties,
     in O((n + m) log n); a prefix on fewer than 3 vertices has a bound of
-    at most 1, so it never counts.  The heap holds (degree, vertex)
-    entries, sorted to start with; an entry is stale once its vertex's
-    degree has moved, and a peeled vertex's degree is -1."""
+    at most 1, so it never counts; it stops once `_may_beat`, given g's
+    cycle rank `rank`, leaves no smaller prefix room.  The heap holds
+    (degree, vertex) entries, sorted to start with; an entry is stale once
+    its vertex's degree has moved, and a peeled vertex's degree is -1."""
     # only a peel needs heapq, so hypercube, compose and verify never load it
     from heapq import heappop, heappush
 
     degree, adj = list(g.degrees), adjacency(g)
     heap = sorted(zip(degree, range(g.n)))
     n, m = g.n, g.m
-    while _may_beat(bound, n - 1, m):
+    while _may_beat(bound, n - 1, m, rank):
         d, v = heappop(heap)
         if d == degree[v]:
             degree[v] = -1
@@ -233,7 +245,7 @@ def _edge_order(g: Graph) -> list[int]:
 
 def _first_colouring(
     g: Graph, order: list[int], k: int, budget: SearchBudget, t0: float, nodes: int
-) -> tuple[Optional[list[int]], int]:
+) -> tuple[list[int] | None, int]:
     """First colouring with colours 0..k-1, by backtracking over the edges
     in `order` and the colours in increasing order.
 
@@ -324,10 +336,10 @@ def _first_colouring(
 
 def _search(
     g: Graph,
-    budget: Optional[SearchBudget] = None,
-    t0: Optional[float] = None,
+    budget: SearchBudget | None = None,
+    t0: float | None = None,
     nodes: int = 0,
-    bound: Optional[EdgeColouring] = None,
+    bound: EdgeColouring | None = None,
 ) -> AciResult:
     """Exact acyclic chromatic index by search, or certified bounds.
 
@@ -369,6 +381,9 @@ def greedy_acyclic(g: Graph, seed: int = 0) -> EdgeColouring:
     """
     order = list(range(g.m))
     if seed != 0:
+        # only a shuffle needs random, so seed 0 never loads it
+        import random
+
         random.Random(seed).shuffle(order)
     unlimited = SearchBudget(max_nodes=g.m + 1, max_time=float("inf"))
     colours, _ = _first_colouring(g, order, g.m, unlimited, 0.0, 0)
@@ -380,7 +395,7 @@ def greedy_acyclic(g: Graph, seed: int = 0) -> EdgeColouring:
     return x
 
 
-def exact_aci(g: Graph, budget: Optional[SearchBudget] = None) -> AciResult:
+def exact_aci(g: Graph, budget: SearchBudget | None = None) -> AciResult:
     """Exact acyclic chromatic index, or certified bounds when the budget
     runs out, with a witness checked here, the solver's one check site."""
     result = _exact(g, budget or SearchBudget(), time.perf_counter(), 0)
@@ -412,7 +427,7 @@ def _admits_product(g: Graph) -> bool:
 
 def _by_factors(
     g: Graph, budget: SearchBudget, t0: float, nodes: int
-) -> tuple[Optional[EdgeColouring], int]:
+) -> tuple[EdgeColouring | None, int]:
     """The composed colouring of g, as one family, when g is a recognised
     product; and the node count after the factors' solves.  Its palette
     is eta + beta, or 3 for the four-cycle K2 x K2, which the theorem

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pstats
@@ -1024,6 +1025,26 @@ def test_only_a_json_reader_or_a_witness_imports_json(tmp_path):
         proc, loaded = _run_module(argv)
         assert proc.returncode == 0, proc.stderr
         assert encoder & (loaded - bare) == (encoder if imports_json else set()), argv
+
+
+def test_the_cli_imports_no_unused_standard_modules_without_site(tmp_path):
+    # `python -S` runs no site hook, so no .pth file preloads what the
+    # package would otherwise import only for annotations, paths or a shuffle
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    unused = ["typing", "re", "enum", "pathlib", "random", "functools"]
+    code = f"import sys, boxcolour.cli; print([m for m in {unused!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    # a non-zero seed is the one path that imports random, late
+    f = tmp_path / "grid6x6.el"
+    f.write_text(format_edge_list(grid(6, 6)))
+    argv = ["greedy", str(f), "--seed", "1"]
+    proc = subprocess.run([sys.executable, "-S", "-m", "boxcolour.cli", *argv], capture_output=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == "2a5cb4e90e60ecd3aee99901d92d4df365fcaf0c7f4a51e4fb902170ee804592"
 
 
 def _assert_output_error(tmp_path, argv, sink, stderr_too, buffered):

@@ -3,6 +3,7 @@ import random
 import signal
 import time
 import tracemalloc
+import types
 from unittest import mock
 
 import pytest
@@ -20,7 +21,7 @@ from boxcolour.colouring import (
     colours_used,
     parse_colour_label,
 )
-from boxcolour import colouring
+from boxcolour import Violation, colouring
 from boxcolour.compose import compose
 from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
 from boxcolour.solver import exact_aci
@@ -225,6 +226,15 @@ def test_check_acyclic_orders_violations():
     # smallest colour pair is reported first, by its wire labels
     assert (bad.colour_a, bad.colour_b) == ("0", "1")
     assert bad.cycle[0] == 0 and len(bad.cycle) == 4
+
+
+def test_both_violations_are_instances_of_the_exported_union():
+    # Violation is a PEP 604 union, which isinstance takes as it is
+    assert isinstance(Violation, types.UnionType)
+    improper = check_acyclic(EdgeColouring.single_family(path(3), [0, 0], 1))
+    cyclic = check_acyclic(EdgeColouring.single_family(cycle(4), [0, 1, 1, 0], 2))
+    assert isinstance(improper, NotProper) and isinstance(cyclic, BichromaticCycle)
+    assert isinstance(improper, Violation) and isinstance(cyclic, Violation)
 
 
 def test_cycle_witness_is_canonical():

@@ -3,7 +3,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import (
     brute_aci,
@@ -14,6 +14,7 @@ from bruteforce import (
     from_edge_map,
     isomorphic,
 )
+from boxcolour import solver
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
 from boxcolour.corpus import connected_graphs_up_to
 from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
@@ -89,10 +90,24 @@ def test_peeled_bound_is_sound_and_never_below_the_whole_graph_bound_up_to_seven
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 9), st.sets(st.tuples(st.integers(0, 8), st.integers(1, 9))))
+# K4 and ten disjoint edges: cycle rank 3, where m - n + 1 reads -7 and
+# would skip the peel that finds K4's 5
+@example(24, {(u, v) for v in range(4) for u in range(v)} | {(v, v + 1) for v in range(4, 24, 2)})
 def test_peeled_bound_matches_its_definition(n, pairs):
     # disconnected graphs and isolated vertices included
     g = Graph(n, {(u, v) for u, v in pairs if u < v < n})
     assert lower_bound(g) == _peeling_bound(g)
+
+
+def test_a_forest_is_never_peeled(monkeypatch):
+    # a subgraph's cycle rank is at most the graph's, and a forest's 0
+    # leaves no subgraph room to beat its degree bound, 2 or 3 here
+    def peeling(g, bound, rank):
+        raise AssertionError("peeled a forest")
+
+    monkeypatch.setattr(solver, "_peeled", peeling)
+    assert lower_bound(path(100000)) == 2
+    assert lower_bound(Graph(9, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (5, 6), (7, 8)])) == 3
 
 
 @pytest.mark.parametrize(
