@@ -174,7 +174,7 @@ def _cmd_scan(args) -> int:
     worst = 0
     exhausted = 0
     for g in graphs:
-        result = exact_aci(g, budget)
+        result, delta = exact_aci(g, budget), g.max_degree
         if result.exhausted:
             print(
                 f"budget exhausted on a graph with n={g.n} m={g.m} "
@@ -184,10 +184,10 @@ def _cmd_scan(args) -> int:
             exhausted += 1
             aci = excess = ""
         else:
-            aci, excess = result.aci, result.aci - g.max_degree
+            aci, excess = result.aci, result.aci - delta
             worst = max(worst, excess)
         writer.writerow(
-            [g.n, g.m, g.max_degree, aci, excess, result.nodes,
+            [g.n, g.m, delta, aci, excess, result.nodes,
              round(result.seconds * 1000, 1)]
         )
     print(f"scanned {len(graphs)} graphs, max excess over max degree: {worst}",

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from collections import _count_elements
 from collections.abc import Iterable, Iterator
+from itertools import combinations
 
 from .graphs import (
     Edge,
@@ -77,7 +78,8 @@ class ColourPalette(Record):
     def __init__(self, g_size: int, h_size: int = 0):
         if _check_int(g_size, "palette size") < 0 or _check_int(h_size, "palette size") < 0:
             raise ValueError("palette sizes must be non-negative")
-        Record.__init__(self, g_size, h_size)
+        object.__setattr__(self, "g_size", g_size)
+        object.__setattr__(self, "h_size", h_size)
 
     @property
     def size(self) -> int:
@@ -132,7 +134,9 @@ class EdgeColouring(Record):
             for c in colours:  # name the first edge's
                 if not 0 <= _check_int(c, "colour") < size:
                     raise ValueError(f"colour {colour_label(c, palette.g_size)} outside palette {palette}")
-        Record.__init__(self, graph, colours, palette)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "colours", colours)
+        object.__setattr__(self, "palette", palette)
 
     @classmethod
     def single_family(cls, graph: Graph, colours: Iterable[int], k: int) -> "EdgeColouring":
@@ -437,6 +441,10 @@ def _meeting_pairs(
     k = len(classes)
     if k * (k - 1) // 2 <= _PAIRS_PER_EDGE * m:
         sparse = [mate.keys() if type(mate) is _SparseMates else None for mate, _ in classes]
+        if sparse.count(None) == k:
+            # every class is dense, so every pair is walked untested
+            yield from combinations(range(k), 2)
+            return
         for i, ends_a in enumerate(sparse):
             for j in range(i + 1, k):
                 if ends_a is None or sparse[j] is None or not ends_a.isdisjoint(sparse[j]):

@@ -193,7 +193,7 @@ def _level(n: int) -> tuple[tuple[Graph, ...], list[_Form]]:
                 twins.append((ybit, xs))
         tables = _base_tables(base_adj, top, unit)
         for mask, subset in subsets:
-            if any(mask & ybit and mask & xs != xs for ybit, xs in twins):
+            if twins and any(mask & ybit and mask & xs != xs for ybit, xs in twins):
                 continue
             colour, inside = _candidate(base_adj, tables, mask, subset, top, unit)
             tri = base_tri + inside

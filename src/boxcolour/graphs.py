@@ -43,7 +43,10 @@ class Record:
 
     A subclass lists its fields, in order, as its `__slots__`; it is built
     from them positionally or by keyword, and a subclass with defaults or
-    checks gives `__init__` its own signature and calls this one.  Records
+    checks gives `__init__` its own signature and calls this one, or sets
+    its fields itself with `object.__setattr__`.  A call with every field
+    positional and no keyword sets them straight away; only other calls
+    match keywords to names.  Records
     are equal, and hash alike, when they are of the same class and their
     fields are equal, and their repr is the dataclass one,
     `ColourPalette(g_size=1, h_size=0)`.  Unlike `dataclasses`, this costs
@@ -54,14 +57,16 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
-        values = list(args)
-        for name in names[len(args):]:
-            if name not in kwargs:
-                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
-            values.append(kwargs.pop(name))
-        if kwargs or len(values) != len(names):
-            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
-        for name, value in zip(names, values):
+        if kwargs or len(args) != len(names):
+            values = list(args)
+            for name in names[len(args):]:
+                if name not in kwargs:
+                    raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+                values.append(kwargs.pop(name))
+            if kwargs or len(values) != len(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+            args = values
+        for name, value in zip(names, args):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:

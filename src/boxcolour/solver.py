@@ -173,15 +173,19 @@ def lower_bound(g: Graph) -> int:
     vertices and m - 2δ + 1 edges: the peel runs only where `_may_beat`
     lets such a prefix raise the bound, and stops once none can.
     """
-    n, m = g.n, g.m
-    delta, low = g.max_degree, min(g.degrees, default=0)
+    n, m, degrees = g.n, g.m, g.degrees
+    delta, low = max(degrees, default=0), min(degrees, default=0)
     if delta > 1 and low == delta:
         delta += 1
     bound = max(delta, _forest(n, m), _forest(n - 1, m - low))
+    # the cycle rank m - n + c lies between m - n + 1 and m: where the low
+    # end already lets a prefix beat the bound, the peel runs capped at m,
+    # which only lets it meet prefixes that cannot beat it; the component
+    # count, a pass over the edges, is paid only where the two ends differ
+    if _may_beat(bound, n - 2, m - 2 * low + 1, m - n + 1):
+        return _peeled(g, bound, m)
     if not _may_beat(bound, n - 2, m - 2 * low + 1, m):
         return bound
-    # the cycle rank, at most m, needs the component count, a pass over the
-    # edges that only a graph whose counts leave room pays for
     rank = m - n + 1 + max(_components(n, g.edges))
     return _peeled(g, bound, rank) if _may_beat(bound, n - 2, m - 2 * low + 1, rank) else bound
 
@@ -212,10 +216,11 @@ def _peeled(g: Graph, bound: int, rank: int) -> int:
     """The larger of `bound` and the forest bound of each prefix of g's
     peeling, which removes a vertex of least degree, the lowest on ties,
     in O((n + m) log n); a prefix on fewer than 3 vertices has a bound of
-    at most 1, so it never counts; it stops once `_may_beat`, given g's
-    cycle rank `rank`, leaves no smaller prefix room.  The heap holds
-    (degree, vertex) entries, sorted to start with; an entry is stale once
-    its vertex's degree has moved, and a peeled vertex's degree is -1."""
+    at most 1, so it never counts; it stops once `_may_beat`, given
+    `rank`, at least g's cycle rank, leaves no smaller prefix room.  The
+    heap holds (degree, vertex) entries, sorted to start with; an entry is
+    stale once its vertex's degree has moved, and a peeled vertex's degree
+    is -1."""
     # only a peel needs heapq, so hypercube, compose and verify never load it
     from heapq import heappop, heappush
 
@@ -264,15 +269,16 @@ def _first_colouring(
     and cycles, so the one walk from u along c', c, c', ... decides it:
     the walk meets v after a c' step or stops.
     """
-    colours = [-1] * g.m
-    if g.m == 0:
-        return colours, nodes
     edges = g.edges
+    m = len(edges)
+    colours = [-1] * m
+    if m == 0:
+        return colours, nodes
     mask = [0] * g.n
     at: list[dict[int, int]] = [{} for _ in range(g.n)]
     max_nodes, max_time = budget.max_nodes, budget.max_time
-    last = g.m - 1
-    limits = [min(k, 1)] * g.m
+    last = m - 1
+    limits = [min(k, 1)] * m
     pos = 0
     start = 0
     while True:

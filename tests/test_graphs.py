@@ -405,6 +405,59 @@ def test_records_behave_as_frozen_dataclasses(cls, fields, defaults, text, inval
             cls(**{**fields, **bad})
 
 
+def test_records_keep_keywords_errors_and_checks_around_the_positional_fast_path():
+    # every field positional and no keyword takes the fast path; any other
+    # call is matched by name, with the same errors as before
+    g = path(3)
+    witness = EdgeColouring(g, [0, 1], ColourPalette(2))
+    cases = [
+        (ColourPalette, {"g_size": 2, "h_size": 1}),
+        (AciResult, {"witness": witness, "nodes": 4, "seconds": 0.25, "lower": 2,
+                     "upper": 2, "tactic": "search"}),
+        (SearchBudget, {"max_nodes": 7, "max_time": 2.5}),
+        (NotProper, {"vertex": 1, "edge1": (0, 1), "edge2": (1, 2)}),
+    ]
+    for cls, fields in cases:
+        values = tuple(fields.values())
+        r = cls(*values)
+        assert cls(**fields) == r and hash(cls(**fields)) == hash(r)
+        assert repr(r) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert cls(**{**fields, next(iter(fields)): 3}) != r
+    # the generic constructor names the missing field, or lists the fields
+    names = "witness, nodes, seconds, lower, upper, tactic"
+    with pytest.raises(TypeError, match=r"^AciResult\(\) missing argument 'tactic'$"):
+        AciResult(witness, 4, 0.25, 2, 2)
+    with pytest.raises(TypeError, match=rf"^AciResult\(\) takes the fields {names}$"):
+        AciResult(witness, 4, 0.25, 2, 2, "search", "extra")
+    with pytest.raises(TypeError, match=rf"^AciResult\(\) takes the fields {names}$"):
+        AciResult(witness, 4, 0.25, 2, 2, "search", unknown=0)
+    with pytest.raises(TypeError, match=r"^NotProper\(\) missing argument 'edge2'$"):
+        NotProper(1, edge1=(0, 1))
+    with pytest.raises(TypeError, match=r"^NotProper\(\) takes the fields vertex, edge1, edge2$"):
+        NotProper(1, (0, 1), (1, 2), vertex=1)
+    # a subclass with its own signature keeps Python's errors
+    with pytest.raises(TypeError):
+        ColourPalette()
+    with pytest.raises(TypeError):
+        ColourPalette(1, 0, 0)
+    with pytest.raises(TypeError):
+        SearchBudget(1, 1.0, extra=0)
+    # and EdgeColouring every check, with the same messages
+    palette = ColourPalette(1, 1)
+    for colours, message in [
+        ([True, 0], "colour must be an integer, got True"),
+        ([0, 1.0], "colour must be an integer, got 1.0"),
+        ([0, -1], "colour -1 outside palette ColourPalette(g_size=1, h_size=1)"),
+        ([0, 2], "colour 1' outside palette ColourPalette(g_size=1, h_size=1)"),
+        ([0], "expected 2 edge colours, got 1"),
+        ([0, 1, 0], "expected 2 edge colours, got 3"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            EdgeColouring(g, colours, palette)
+        assert str(raised.value) == message
+
+
 def test_records_of_different_classes_are_never_equal():
     assert Pair((0, 1), 2) != TwinPair((0, 1), 2)
     assert TwinPair((0, 1), 2) != Pair((0, 1), 2)

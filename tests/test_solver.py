@@ -99,6 +99,83 @@ def test_peeled_bound_matches_its_definition(n, pairs):
     assert lower_bound(g) == _peeling_bound(g)
 
 
+def _exact_rank_bound(g: Graph) -> int:
+    """`lower_bound` as it reads with the exact cycle rank m - n + c as the
+    peel's cap, the components counted by a search of their own."""
+    n, m = g.n, g.m
+    delta, low = max(g.degrees, default=0), min(g.degrees, default=0)
+    regular = delta > 1 and low == delta
+    bound = max(delta + regular, forest_bound(g), solver._forest(n - 1, m - low))
+    neighbours = {v: set() for v in range(n)}
+    for u, v in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen, components = set(), 0
+    for v in range(n):
+        if v not in seen:
+            components += 1
+            stack = [v]
+            while stack:
+                w = stack.pop()
+                if w not in seen:
+                    seen.add(w)
+                    stack.extend(neighbours[w] - seen)
+    rank = m - n + components
+    if solver._may_beat(bound, n - 2, m - 2 * low + 1, rank):
+        return solver._peeled(g, bound, rank)
+    return bound
+
+
+def _clique(k: int, first: int = 0) -> list[tuple[int, int]]:
+    return [(first + i, first + j) for i in range(k) for j in range(i + 1, k)]
+
+
+# disconnected graphs, on which m - n + 1 understates the rank m - n + c
+_DISJOINT = {
+    "K4+K4": (8, _clique(4) + _clique(4, 4)),
+    "K5+P3": (8, _clique(5) + [(5, 6), (6, 7)]),
+    # a forest of a star and three single edges: its four components bring
+    # m - n + 1 to -3 against the rank 3, so the estimate alone would skip
+    # the peel that finds K4's 5
+    "K1,3+3K2+K4": (
+        14, [(0, 1), (0, 2), (0, 3), (4, 5), (6, 7), (8, 9)] + _clique(4, 10)
+    ),
+}
+
+
+def test_lower_bound_equals_the_exact_rank_formula(monkeypatch):
+    # the estimate m - n + 1 decides the peel on every graph it admits, and
+    # the component count runs only on the graphs it refuses
+    calls = {"_components": 0, "_peeled": 0}
+
+    def counting(name):
+        real = getattr(solver, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    graphs = [Graph._from_sorted(g.n, g.edges) for g in connected_graphs_up_to(7)]
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    bounds = [lower_bound(g) for g in graphs]
+    assert (len(graphs), calls) == (996, {"_components": 84, "_peeled": 260})
+    assert sum(bounds) == 4742
+    monkeypatch.undo()
+    assert bounds == [_exact_rank_bound(g) for g in graphs]
+    for name, (n, edges) in _DISJOINT.items():
+        g = Graph(n, edges)
+        assert lower_bound(g) == _exact_rank_bound(g) == _peeling_bound(g) == 5, name
+    # the last of them peels only after its components are counted
+    calls.update({"_components": 0, "_peeled": 0})
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    assert lower_bound(Graph(*_DISJOINT["K1,3+3K2+K4"])) == 5
+    assert calls == {"_components": 1, "_peeled": 1}
+
+
 def test_a_forest_is_never_peeled(monkeypatch):
     # a subgraph's cycle rank is at most the graph's, and a forest's 0
     # leaves no subgraph room to beat its degree bound, 2 or 3 here
