@@ -206,9 +206,10 @@ def _cmd_scan(args) -> int:
 # ("store_true" only) and nargs ("+" only, on the last positional of a
 # subcommand without options): `_parse_plain` reads no others.
 _FORMAT = (("--format",), {"choices": ["edgelist", "graph6"], "default": "edgelist"})
+# the budget's defaults are SearchBudget's own
 _BUDGET = (
-    (("--budget-nodes",), {"type": int, "default": 100_000_000, "metavar": "N"}),
-    (("--budget-secs",), {"type": float, "default": 60.0, "metavar": "S"}),
+    (("--budget-nodes",), {"type": int, "default": SearchBudget().max_nodes, "metavar": "N"}),
+    (("--budget-secs",), {"type": float, "default": SearchBudget().max_time, "metavar": "S"}),
 )
 _OUT_GRAPH = (("--out-graph",), {"metavar": "FILE"})
 _FACTORS = (

@@ -13,13 +13,14 @@ counts below it, and the composed colouring is the witness if every one
 of them is refuted.
 
 `exact_aci` is the solver's one check site: `check_acyclic` runs once, on
-the witness it returns.  That is sound: `lower` comes only from
-`lower_bound` and refuted levels, never from a colouring; a valid
-composed colouring never uses fewer colours than `lower_bound`, and a
-defective one, even one that uses fewer, is either dropped or returned
-and fails the check; and a defect in an inner fold, or in a factor's
-search witness, reaches the returned colouring through an injective
-relabelling (see `compose`), so the one check catches it too.
+the witness it returns, whether or not the budget ran out.  That is
+sound: `lower` comes only from `lower_bound` and refuted levels, never
+from a colouring; a valid composed colouring never uses fewer colours
+than `lower_bound`, and a defective one, even one that uses fewer, is
+either dropped or returned and fails the check; and a defect in an inner
+fold, or in a factor's search witness, reaches the returned colouring
+through an injective relabelling (see `compose`), so the one check
+catches it too.
 
 The tactic is tried only where the counts allow a product.  A product of
 connected factors G and H on a and b >= 2 vertices has n = a * b, minimum
@@ -31,9 +32,17 @@ counts let through gets one pass of `factor.delta_star`, which stops at
 the first vertex whose edges all fall into one class, since no product
 has such a vertex; K_{a,a}, which has the counts of K2 x K_a, stops at
 its first.  The split it leaves is then checked by
-`factor._verified_split`.  The recognition stops at the budget's clock,
-the factors' solves draw on the same node and time budget as the
-product's search, and their nodes count in the result.
+`factor._verified_split`.
+
+A solve spends one budget.  One deadline, the solve's start plus the
+budget's seconds, bounds both the recognition and every search; the
+factors' solves draw on the same node budget as the product's search,
+and their nodes count in the result.  `nodes` counts every node placed,
+plus the one that found the budget spent: once a search has run out, no
+later search of the solve places a node, so an exhausted factor leaves
+the product's search nothing either.  Recognition past the deadline
+gives up as if the graph were no product, and the search then stops at
+its first clock read.
 
 `lower_bound` is the larger of the degree bound and the forest-counting
 bound of the densest subgraph met by peeling off a vertex of least degree
@@ -66,8 +75,11 @@ First feasible k is exact; the run at k-1 having been exhausted is the
 infeasibility certificate.  All tie-breaking is lexicographic by
 (edge index, colour index) for reproducibility.
 
-`greedy_acyclic` runs the same search with k = m, where it never
-backtracks: the first colour that fits is kept, which is first-fit.
+`_first_fit` runs the same search with k = m, where it never
+backtracks: the first colour that fits is kept, which is first-fit.  It
+checks nothing: `greedy_acyclic` checks what it returns, and when a
+search runs out of budget its colouring may become `exact_aci`'s
+witness, which is checked there like any other.
 """
 
 from __future__ import annotations
@@ -99,7 +111,9 @@ class AciResult(Record):
     are read off the bounds, so neither can disagree with them.  `tactic`
     names the witness's maker: "search", "factor" (the product tactic) or
     "greedy".  `nodes` counts every search node placed, the factors' solves'
-    included, and `seconds` the wall time up to the final check.
+    included, plus the one that found the budget spent; one deadline bounds
+    both product recognition and search.  `seconds` is the wall time up to
+    the final check.
     """
 
     __slots__ = ("witness", "nodes", "seconds", "lower", "upper", "tactic")
@@ -114,8 +128,22 @@ class AciResult(Record):
 
 
 class _OutOfBudget(Exception):
-    def __init__(self, nodes: int):
-        self.nodes = nodes
+    pass
+
+
+class _Meter:
+    """What one solve has spent: `nodes` placed, against `max_nodes`, and
+    the clock, started at `t0`, against `deadline`, which the searches and
+    `factorise` alike read.  `spent` is set when a search runs out, and no
+    later search of the solve places a node.  The defaults meter nothing,
+    for first-fit, which places exactly m nodes."""
+
+    __slots__ = ("nodes", "max_nodes", "t0", "deadline", "spent")
+
+    def __init__(self, max_nodes: float = float("inf"), max_time: float = float("inf")):
+        self.nodes, self.max_nodes, self.spent = 0, max_nodes, False
+        self.t0 = time.perf_counter()
+        self.deadline = self.t0 + max_time
 
 
 def forest_bound(g: Graph) -> int:
@@ -248,9 +276,7 @@ def _edge_order(g: Graph) -> list[int]:
     return sorted(range(g.m), key=key.__getitem__)
 
 
-def _first_colouring(
-    g: Graph, order: list[int], k: int, budget: SearchBudget, t0: float, nodes: int
-) -> tuple[list[int] | None, int]:
+def _first_colouring(g: Graph, order: list[int], k: int, meter: _Meter) -> list[int] | None:
     """First colouring with colours 0..k-1, by backtracking over the edges
     in `order` and the colours in increasing order.
 
@@ -258,8 +284,9 @@ def _first_colouring(
     is the exclusive colour bound that rule leaves at position `pos`.  The
     colours of the edges before `pos` are the stack: backtracking to a
     position removes its colour and resumes the scan above it.  Returns the
-    colouring (indexed by edge) or None if there is none, with the node
-    count carried on from `nodes`; raises _OutOfBudget past the budget.
+    colouring (indexed by edge) or None if there is none, and adds the
+    nodes it placed to `meter.nodes`; raises _OutOfBudget past the meter's
+    node count or deadline, or at once if an earlier search ran out.
 
     mask[v] is the bitmask of colours at v, and at[v][c] the neighbour
     joined to v by the c-coloured edge (unique by properness).  The free
@@ -269,111 +296,117 @@ def _first_colouring(
     and cycles, so the one walk from u along c', c, c', ... decides it:
     the walk meets v after a c' step or stops.
     """
+    if meter.spent:
+        raise _OutOfBudget
     edges = g.edges
     m = len(edges)
     colours = [-1] * m
     if m == 0:
-        return colours, nodes
+        return colours
     mask = [0] * g.n
     at: list[dict[int, int]] = [{} for _ in range(g.n)]
-    max_nodes, max_time = budget.max_nodes, budget.max_time
+    nodes, max_nodes, deadline = meter.nodes, meter.max_nodes, meter.deadline
     last = m - 1
     limits = [min(k, 1)] * m
-    pos = 0
-    start = 0
-    while True:
-        ei = order[pos]
-        u, v = edges[ei]
-        limit = limits[pos]
-        mu, mv = mask[u], mask[v]
-        free = ((1 << limit) - (1 << start)) & ~(mu | mv)
-        shared = mu & mv
-        partners = []
-        while shared:
-            low = shared & -shared
-            shared ^= low
-            partners.append(low.bit_length() - 1)
-        at_u = at[u]
-        while free:
-            bit = free & -free
-            free ^= bit
-            c = bit.bit_length() - 1
-            for cp in partners:
-                w = at_u[cp]
-                while w != v:
-                    w = at[w].get(c)
-                    if w is None:
-                        break
-                    w = at[w].get(cp)
-                    if w is None:
-                        break
-                else:
-                    break  # the walk reached v: c would close a cycle
-            else:  # no walk reached v: place c
-                nodes += 1
-                if nodes > max_nodes:
-                    raise _OutOfBudget(nodes)
-                if nodes % 2048 == 0 and time.perf_counter() - t0 > max_time:
-                    raise _OutOfBudget(nodes)
-                colours[ei] = c
-                if pos == last:
-                    return colours, nodes
-                mask[u] = mu | bit
-                mask[v] = mv | bit
-                at_u[c] = v
-                at[v][c] = u
-                pos += 1
-                limits[pos] = limit + 1 if c + 1 == limit < k else limit
-                start = 0
-                break
-        else:
-            if pos == 0:
-                return None, nodes
-            pos -= 1
+    pos = start = 0
+    try:
+        while True:
             ei = order[pos]
             u, v = edges[ei]
-            c = colours[ei]
-            mask[u] ^= 1 << c
-            mask[v] ^= 1 << c
-            del at[u][c]
-            del at[v][c]
-            start = c + 1
+            limit = limits[pos]
+            mu, mv = mask[u], mask[v]
+            free = ((1 << limit) - (1 << start)) & ~(mu | mv)
+            shared = mu & mv
+            partners = []
+            while shared:
+                low = shared & -shared
+                shared ^= low
+                partners.append(low.bit_length() - 1)
+            at_u = at[u]
+            while free:
+                bit = free & -free
+                free ^= bit
+                c = bit.bit_length() - 1
+                for cp in partners:
+                    w = at_u[cp]
+                    while w != v:
+                        w = at[w].get(c)
+                        if w is None:
+                            break
+                        w = at[w].get(cp)
+                        if w is None:
+                            break
+                    else:
+                        break  # the walk reached v: c would close a cycle
+                else:  # no walk reached v: place c
+                    nodes += 1
+                    if nodes > max_nodes or nodes % 2048 == 0 and time.perf_counter() > deadline:
+                        meter.spent = True
+                        raise _OutOfBudget
+                    colours[ei] = c
+                    if pos == last:
+                        return colours
+                    mask[u] = mu | bit
+                    mask[v] = mv | bit
+                    at_u[c] = v
+                    at[v][c] = u
+                    pos += 1
+                    limits[pos] = limit + 1 if c + 1 == limit < k else limit
+                    start = 0
+                    break
+            else:
+                if pos == 0:
+                    return None
+                pos -= 1
+                ei = order[pos]
+                u, v = edges[ei]
+                c = colours[ei]
+                mask[u] ^= 1 << c
+                mask[v] ^= 1 << c
+                del at[u][c]
+                del at[v][c]
+                start = c + 1
+    finally:
+        meter.nodes = nodes
 
 
-def _search(
-    g: Graph,
-    budget: SearchBudget | None = None,
-    t0: float | None = None,
-    nodes: int = 0,
-    bound: EdgeColouring | None = None,
-) -> AciResult:
+def _first_fit(g: Graph, order: list[int]) -> EdgeColouring:
+    """First-fit over the edges in `order`: the search with k = m, which
+    never backtracks and places exactly m nodes, so it runs unmetered.  It
+    checks nothing; its callers check what they return."""
+    colours = _first_colouring(g, order, g.m, _Meter())
+    return EdgeColouring.single_family(g, colours, max(colours, default=-1) + 1)
+
+
+def _search(g: Graph, meter: _Meter, bound: EdgeColouring | None) -> AciResult:
     """Exact acyclic chromatic index by search, or certified bounds.
 
     The search tries k = lower_bound, k + 1, ..., never backtracking at
-    k = m, and counts nodes on from `nodes` against a budget whose clock
-    started at `t0`.  `bound`, the product tactic's colouring, limits it
-    to the k below its colour count and is the witness if all of them are
-    refuted.  If the search at k runs out of budget, k is the lower bound
-    and the better of greedy and `bound` the witness and upper bound.
+    k = m, and spends `meter`.  `bound`, the product tactic's colouring,
+    limits it to the k below its colour count and is the witness if all of
+    them are refuted.  If the search at k runs out of budget, k is the
+    lower bound and the better of first-fit and `bound`, `bound` on a tie,
+    the witness and upper bound.  This is where every result is built.
     """
-    budget = budget or SearchBudget()
-    t0 = time.perf_counter() if t0 is None else t0
     order = _edge_order(g)
-    stop = g.m + 1 if bound is None else colours_used(bound)
-    for k in range(lower_bound(g), stop):
-        try:
-            found, nodes = _first_colouring(g, order, k, budget, t0, nodes)
-        except _OutOfBudget as exc:
-            best, tactic = greedy_acyclic(g), "greedy"
-            if bound is not None and colours_used(bound) <= colours_used(best):
-                best, tactic = bound, "factor"
-            seconds = time.perf_counter() - t0
-            return AciResult(best, exc.nodes, seconds, k, colours_used(best), tactic)
-        if found is not None:
-            witness = EdgeColouring.single_family(g, found, k)
-            return AciResult(witness, nodes, time.perf_counter() - t0, k, k, "search")
-    # every k from the certified lower bound up to the bound's count failed
-    return AciResult(bound, nodes, time.perf_counter() - t0, stop, stop, "factor")
+    upper = g.m + 1 if bound is None else colours_used(bound)
+    # kept if every k from the certified lower bound up to the bound's count fails
+    witness, lower, tactic = bound, upper, "factor"
+    try:
+        for k in range(lower_bound(g), upper):
+            found = _first_colouring(g, order, k, meter)
+            if found is not None:
+                lower = upper = k
+                witness, tactic = EdgeColouring.single_family(g, found, k), "search"
+                break
+    except _OutOfBudget:
+        lower = k
+        # without a bound, upper is m + 1, more than first-fit ever uses
+        greedy = _first_fit(g, list(range(g.m)))
+        used = colours_used(greedy)
+        if used < upper:
+            witness, upper, tactic = greedy, used, "greedy"
+    return AciResult(witness, meter.nodes, time.perf_counter() - meter.t0, lower, upper, tactic)
 
 
 def greedy_acyclic(g: Graph, seed: int = 0) -> EdgeColouring:
@@ -382,8 +415,7 @@ def greedy_acyclic(g: Graph, seed: int = 0) -> EdgeColouring:
     Seed 0 keeps the natural edge order; any other seed shuffles it.  This
     is the exact search with k = m, which never backtracks: a colour used
     nowhere yet always fits, though one merely absent from both endpoints
-    may close a cycle.  It places exactly m nodes, so its budget never runs
-    out.
+    may close a cycle.
     """
     order = list(range(g.m))
     if seed != 0:
@@ -391,10 +423,7 @@ def greedy_acyclic(g: Graph, seed: int = 0) -> EdgeColouring:
         import random
 
         random.Random(seed).shuffle(order)
-    unlimited = SearchBudget(max_nodes=g.m + 1, max_time=float("inf"))
-    colours, _ = _first_colouring(g, order, g.m, unlimited, 0.0, 0)
-    k = max(colours) + 1 if g.m else 0
-    x = EdgeColouring.single_family(g, colours, k)
+    x = _first_fit(g, order)
     bad = check_acyclic(x)
     if bad is not None:
         raise RuntimeError(f"greedy produced an invalid colouring: {bad}")
@@ -404,16 +433,16 @@ def greedy_acyclic(g: Graph, seed: int = 0) -> EdgeColouring:
 def exact_aci(g: Graph, budget: SearchBudget | None = None) -> AciResult:
     """Exact acyclic chromatic index, or certified bounds when the budget
     runs out, with a witness checked here, the solver's one check site."""
-    result = _exact(g, budget or SearchBudget(), time.perf_counter(), 0)
+    budget = budget or SearchBudget()
+    result = _exact(g, _Meter(budget.max_nodes, budget.max_time))
     bad = check_acyclic(result.witness)
     if bad is not None:
         raise RuntimeError(f"solver produced an invalid colouring: {bad}")
     return result
 
 
-def _exact(g: Graph, budget: SearchBudget, t0: float, nodes: int) -> AciResult:
-    bound, nodes = _by_factors(g, budget, t0, nodes)
-    return _search(g, budget, t0, nodes, bound)
+def _exact(g: Graph, meter: _Meter) -> AciResult:
+    return _search(g, meter, _by_factors(g, meter))
 
 
 def _admits_product(g: Graph) -> bool:
@@ -431,29 +460,26 @@ def _admits_product(g: Graph) -> bool:
     return False
 
 
-def _by_factors(
-    g: Graph, budget: SearchBudget, t0: float, nodes: int
-) -> tuple[EdgeColouring | None, int]:
+def _by_factors(g: Graph, meter: _Meter) -> EdgeColouring | None:
     """The composed colouring of g, as one family, when g is a recognised
-    product; and the node count after the factors' solves.  Its palette
+    product whose factors are solved exactly within `meter`.  Its palette
     is eta + beta, or 3 for the four-cycle K2 x K2, which the theorem
     leaves out and the padded modulus covers (see `compose`), and every
     rank in it is used: the factors' witnesses are exact, so each uses its
     whole palette, and the rotations of a whole palette are whole."""
     if not _admits_product(g):
-        return None, nodes
-    # past the budget's clock, recognition gives up as if g were no product
-    f = factorise(g, t0 + budget.max_time)
+        return None
+    # past the deadline, recognition gives up as if g were no product
+    f = factorise(g, meter.deadline)
     if f is None:
-        return None, nodes
+        return None
     witnesses = []
     for factor in (f.g, f.h):
-        result = _exact(factor, budget, t0, nodes)
-        nodes = result.nodes
+        result = _exact(factor, meter)
         if result.exhausted:
-            return None, nodes
+            return None
         witnesses.append(result.witness)
     x = _compose(*witnesses)
     colour, vertex = dict(zip(x.graph.edges, x.colours)), f.vertex
     colours = [colour[_norm_edge(vertex[u], vertex[v])] for u, v in g.edges]
-    return EdgeColouring.single_family(g, colours, x.palette.size), nodes
+    return EdgeColouring.single_family(g, colours, x.palette.size)

@@ -15,7 +15,7 @@ from boxcolour import cli, graphs, io
 from boxcolour.colouring import EdgeColouring, check_acyclic, colours_used
 from boxcolour.graphs import Graph, cartesian_product, complete, cycle, grid, hypercube, path
 from boxcolour.io import format_colouring, format_edge_list, parse_edge_list
-from boxcolour.solver import AciResult, exact_aci
+from boxcolour.solver import AciResult, SearchBudget, exact_aci
 
 
 # a 200 KB colouring file of nothing but opening brackets
@@ -902,6 +902,16 @@ def test_ci_and_benchmark_command_lines_are_read_without_argparse(argv):
     plain = cli._parse_plain(argv)
     assert plain is not None
     assert vars(plain) == vars(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv", [["aci", "k8.el"], ["compose", "--g", "a.el", "--h", "b.el"], ["scan", "--max-n", "7"]],
+    ids=" ".join,
+)
+def test_the_default_budget_is_search_budgets_own(argv):
+    for args in (cli._parse_plain(argv), cli._build_parser().parse_args(argv)):
+        assert cli._budget(args) == SearchBudget()
+        assert (type(args.budget_nodes), type(args.budget_secs)) == (int, float)
 
 
 @pytest.mark.parametrize(

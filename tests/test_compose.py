@@ -25,7 +25,7 @@ from boxcolour.graphs import (
     hypercube,
     path,
 )
-from boxcolour.solver import exact_aci, lower_bound
+from boxcolour.solver import SearchBudget, exact_aci, lower_bound
 from boxcolour.vertex_colouring import brooks_bound, brooks_colouring
 
 
@@ -400,6 +400,16 @@ def test_exact_aci_checks_each_colouring_once_per_boundary(monkeypatch):
         checked.clear()
         result = exact_aci(g)
         assert result.aci == aci and result.tactic == "factor"
+        assert len(checked) == 1 and checked[0] is result.witness
+    # an exhausted solve's first-fit colourings, the factors' included, go
+    # unchecked until one of them is the witness exact_aci returns
+    c5c7 = cartesian_product(cycle(5), cycle(7))[0]
+    k7k2 = cartesian_product(complete(7), path(2))[0]
+    exhausted = [(complete(7), 5, "greedy"), (c5c7, 50, "factor"), (k7k2, 5, "greedy")]
+    for g, max_nodes, tactic in exhausted:
+        checked.clear()
+        result = exact_aci(g, SearchBudget(max_nodes=max_nodes, max_time=60))
+        assert result.exhausted and result.tactic == tactic
         assert len(checked) == 1 and checked[0] is result.witness
 
 

@@ -17,7 +17,7 @@ from boxcolour.graphs import (
     hypercube,
     path,
 )
-from boxcolour.solver import _admits_product, _search, exact_aci, lower_bound
+from boxcolour.solver import _Meter, _admits_product, _search, exact_aci, lower_bound
 
 FACTORS = [g for g in connected_graphs_up_to(5) if g.n >= 2]
 SMALL = [g for g in connected_graphs_up_to(6) if g.n >= 2]
@@ -157,7 +157,7 @@ def test_four_cycle_is_coloured_by_the_factor_tactic():
     assert f is not None and f.g.m == f.h.m == 1
     r = exact_aci(c4)
     assert (r.aci, r.tactic, r.nodes) == (3, "factor", 2)
-    assert lower_bound(c4) == 3 and _search(c4).nodes == 4
+    assert lower_bound(c4) == 3 and _search(c4, _Meter(), None).nodes == 4
 
 
 @pytest.mark.parametrize(

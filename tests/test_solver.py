@@ -23,6 +23,7 @@ from boxcolour.solver import (
     SearchBudget,
     _edge_order,
     _first_colouring,
+    _Meter,
     _search,
     exact_aci,
     forest_bound,
@@ -386,6 +387,22 @@ def test_any_budget_brackets_the_index_with_a_checked_colouring(g, max_nodes):
     assert (r.aci is None) == r.exhausted
 
 
+_PRODUCTS = [cartesian_product(complete(a), complete(2))[0] for a in range(3, 8)] + [
+    cartesian_product(cycle(a), cycle(b))[0] for a in range(3, 8) for b in range(a, 8)
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(_SMALL), st.sampled_from(_PRODUCTS)), st.integers(1, 50))
+@example(_PRODUCTS[4], 5)
+def test_a_spent_budget_stays_spent(g, max_nodes):
+    # the node that finds the budget spent is the last one a solve places:
+    # after a factor runs out, the product's search places none, so K7 x K2
+    # on 5 nodes counts K7's 6 alone
+    r = exact_aci(g, SearchBudget(max_nodes=max_nodes, max_time=60))
+    assert r.nodes <= max_nodes + 1
+
+
 @pytest.mark.parametrize(
     "g, nodes",
     [
@@ -398,17 +415,15 @@ def test_any_budget_brackets_the_index_with_a_checked_colouring(g, max_nodes):
 )
 def test_search_node_counts(g, nodes):
     # pins the search order: edge order, colour order and the canonical rule
-    assert _search(g).nodes == nodes
+    assert _search(g, _Meter(), None).nodes == nodes
 
 
 def test_refuting_a_level_counts_every_node():
     # the forest bound starts K6 at 7, where it is solved; 6 colours are
     # refuted after 379 nodes, the count the search placed there before
     g = complete(6)
-    assert _first_colouring(g, _edge_order(g), 6, SearchBudget(), time.perf_counter(), 0) == (
-        None,
-        379,
-    )
+    meter = _Meter()
+    assert _first_colouring(g, _edge_order(g), 6, meter) is None and meter.nodes == 379
 
 
 def test_search_node_counts_on_small_corpus():
@@ -416,7 +431,7 @@ def test_search_node_counts_on_small_corpus():
     # peeled bound, which starts 128 of these searches higher
     graphs = connected_graphs_up_to(7)
     assert len(graphs) == 996
-    nodes = [_search(g).nodes for g in graphs]
+    nodes = [_search(g, _Meter(), None).nodes for g in graphs]
     assert sum(x for x, g in zip(nodes, graphs) if g.n <= 6) == 1_240
     assert sum(nodes) == 14_613
 
