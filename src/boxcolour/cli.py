@@ -50,15 +50,19 @@ def _print_colouring(x: EdgeColouring) -> None:
 # Subcommand handlers
 
 
+# gen's families: name -> (maker, number of parameters); the keys are
+# also the parser's choices, in the order help lists them
+_FAMILIES = {
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "complete": (complete, 1),
+    "grid": (grid, 2),
+    "hypercube": (hypercube, 1),
+}
+
+
 def _cmd_gen(args) -> int:
-    makers = {
-        "path": (path, 1),
-        "cycle": (cycle, 1),
-        "complete": (complete, 1),
-        "grid": (grid, 2),
-        "hypercube": (hypercube, 1),
-    }
-    maker, arity = makers[args.family]
+    maker, arity = _FAMILIES[args.family]
     if len(args.params) != arity:
         print(f"family {args.family} takes {arity} parameter(s)", file=sys.stderr)
         return USAGE
@@ -220,7 +224,7 @@ _FACTORS = (
 # (name, help, handler, arguments), in the order help lists them
 _COMMANDS = (
     ("gen", "emit a generated graph as an edge list", _cmd_gen, (
-        (("family",), {"choices": ["path", "cycle", "complete", "grid", "hypercube"]}),
+        (("family",), {"choices": list(_FAMILIES)}),
         (("params",), {"type": int, "nargs": "+"}),
     )),
     ("product", "cartesian product of two graphs", _cmd_product, (*_FACTORS, _FORMAT)),

@@ -4,17 +4,22 @@
 is regular.  `brooks_colouring` meets it with first-fit in reverse
 breadth-first order, rooted at a vertex of least degree (the smallest on
 ties), the ordering of Lovász's proof of Brooks' theorem (JCTB 1975).
-Every vertex but the root is coloured while its BFS parent is still
-uncoloured, so it sees at most max degree - 1 colours; the root has
-degree below the max unless the graph is regular.
 
-Failure to meet the budget is a bug, not an input condition, so it is
-raised as RuntimeError after the final verification.
+Both facts are proved, not checked at run time.  The colouring is
+proper: first-fit never repeats a neighbour's colour, since each vertex
+takes the least colour its coloured neighbours lack, and a neighbour
+coloured later avoids it in turn.  It fits the budget: in reverse BFS
+order from a least-degree root, every vertex except the root still has
+its BFS parent uncoloured when it is coloured, so it sees at most
+max degree - 1 colours; the root has degree below the max unless the
+graph is regular.  `check_proper_vertex` and `brooks_bound` state the
+two facts for the tests; the construction calls neither, and a defect
+would still fail the one `check_acyclic` of the colouring `compose`,
+`compose_many` or `exact_aci` hands out.
 """
 
 from __future__ import annotations
 
-from .colouring import check_proper_vertex
 from .graphs import Graph, adjacency, classify
 
 
@@ -27,8 +32,9 @@ def brooks_bound(h: Graph) -> int:
 def brooks_colouring(h: Graph) -> list[int]:
     """Proper vertex colouring, one colour per vertex, within the
     brooks_bound budget, its colours relabelled in order of first
-    appearance, so vertex 0 gets 0."""
-    budget = brooks_bound(h)
+    appearance, so vertex 0 gets 0.  ValueError unless h is connected
+    with at least two vertices, as `classify` requires."""
+    classify(h)
     adj = adjacency(h)
     root = min(range(h.n), key=h.degrees.__getitem__)
     order = [root]
@@ -49,10 +55,4 @@ def brooks_colouring(h: Graph) -> list[int]:
         colours[v] = c
 
     relabel: dict[int, int] = {}
-    result = [relabel.setdefault(c, len(relabel)) for c in colours]
-    bad = check_proper_vertex(h, result)
-    if bad is not None:
-        raise RuntimeError(f"constructed colouring is not proper at edge {bad}")
-    if len(relabel) > budget:
-        raise RuntimeError(f"used {len(relabel)} colours, budget is {budget}")
-    return result
+    return [relabel.setdefault(c, len(relabel)) for c in colours]

@@ -12,6 +12,7 @@ from boxcolour.colouring import (
     ColourPalette,
     EdgeColouring,
     check_acyclic,
+    check_proper_vertex,
     colours_used,
 )
 from boxcolour.compose import compose, compose_many, hypercube_colouring
@@ -411,6 +412,41 @@ def test_exact_aci_checks_each_colouring_once_per_boundary(monkeypatch):
         result = exact_aci(g, SearchBudget(max_nodes=max_nodes, max_time=60))
         assert result.exhausted and result.tactic == tactic
         assert len(checked) == 1 and checked[0] is result.witness
+
+
+def _count_calls(monkeypatch, function) -> list:
+    """Record every call of `function` made through any module of the
+    package that holds it under its own name."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    for name in ("colouring", "graphs", "vertex_colouring", "compose", "factor", "solver"):
+        module = importlib.import_module(f"boxcolour.{name}")
+        if getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
+
+
+def test_no_fold_checks_its_shifts(monkeypatch):
+    # brooks_colouring's shifts are proper and within brooks_bound by proof
+    # (vertex_colouring's docstring), so no fold checks them or counts its
+    # budget; the one check_acyclic per boundary is unchanged
+    xp = solved(path(3))
+    proper = _count_calls(monkeypatch, check_proper_vertex)
+    budgets = _count_calls(monkeypatch, brooks_bound)
+    checked = _count_checks(monkeypatch, "solver", "compose")
+    runs = [
+        (lambda: hypercube_colouring(11), 12),
+        (lambda: compose_many([xp] * 3), 4),
+        (lambda: exact_aci(hypercube(6)), 1),
+    ]
+    for build, checks in runs:
+        checked.clear()
+        build()
+        assert (len(proper), len(budgets), len(checked)) == (0, 0, checks)
 
 
 def _all_zero(g: Graph) -> list[int]:

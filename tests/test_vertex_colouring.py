@@ -1,4 +1,8 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from boxcolour.colouring import check_proper_vertex
 from boxcolour.corpus import connected_graphs_up_to
@@ -147,13 +151,45 @@ def test_bound_dominates_chromatic_number_up_to_six():
         assert _chromatic_number(g) <= brooks_bound(g)
 
 
+def _proper_within_bound(g: Graph) -> None:
+    # the two facts brooks_colouring proves and no longer checks itself
+    y = brooks_colouring(g)
+    assert check_proper_vertex(g, y) is None
+    assert len(set(y)) <= brooks_bound(g)
+
+
 def test_whole_corpus_within_bound():
-    for g in connected_graphs_up_to(6):
-        if g.n < 2:
-            continue
-        y = brooks_colouring(g)
-        assert check_proper_vertex(g, y) is None
-        assert len(set(y)) <= brooks_bound(g)
+    graphs = [g for g in connected_graphs_up_to(8) if g.n >= 2]
+    assert len(graphs) == 12_112
+    for g in graphs:
+        _proper_within_bound(g)
+
+
+@st.composite
+def _connected_graphs(draw, max_n=40):
+    # a random spanning tree, so the graph is connected, plus edges drawn at
+    # one of several densities, on shuffled vertex names
+    n = draw(st.integers(2, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    name = list(range(n))
+    rng.shuffle(name)
+    tree = [(name[v], name[rng.randrange(v)]) for v in range(1, n)]
+    extra = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+    return Graph(n, tree + extra)
+
+
+@seed(1975)
+@settings(max_examples=300, deadline=None)
+@given(_connected_graphs())
+def test_random_connected_graphs_within_bound(g):
+    _proper_within_bound(g)
+
+
+def test_trivial_or_disconnected_graphs_are_refused():
+    for g in (Graph(1, []), Graph(2, []), Graph(4, [(0, 1), (2, 3)])):
+        with pytest.raises(ValueError):
+            brooks_colouring(g)
 
 
 def test_brooks_number_still_holds_on_non_regular_graphs():
